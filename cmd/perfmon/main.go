@@ -11,8 +11,7 @@
 //
 // -counter is repeatable: K counters are bound once into a remote bulk
 // set and every sample is then a single wire exchange (evaluate_bulk),
-// not K round trips. Against servers predating the bulk op the client
-// silently degrades to per-counter requests.
+// not K round trips.
 //
 // Usage:
 //
@@ -189,10 +188,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		return rc
 	case *spawn != "":
-		// The spawn plane, not bare invoke: the key-deduped retry path
-		// means a dropped response cannot double-run the action, -deadline
-		// ships as the remote execution budget, and Ctrl-C style context
-		// ends cancel the remote task best-effort.
+		// The spawn plane: the key-deduped retry path means a dropped
+		// response cannot double-run the action, -deadline ships as the
+		// remote execution budget, and Ctrl-C style context ends cancel
+		// the remote task best-effort.
 		ctx := context.Background()
 		if *deadline > 0 {
 			var cancel context.CancelFunc
@@ -225,8 +224,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 // sampleLoop reads the counters n times, interval apart. The counters
 // are bound once into a remote bulk set, so each sample is one wire
-// exchange regardless of how many counters are monitored (with
-// transparent per-counter fallback against pre-bulk servers). One
+// exchange regardless of how many counters are monitored. One
 // failed sample is not fatal to the run — the monitor must never die
 // with the application it observes — so errors are reported, the sample
 // marked missed, and the loop continues; a sample counts as good when

@@ -2,15 +2,18 @@
 // node" locality runs a task pool and exposes a fib action over the
 // parcel layer; the "driver" locality splits the same computation
 // between its own pool (taskrt.AsyncF) and the remote node
-// (parcel.InvokeAsync) — and afterwards reads both localities' task
-// counters through one AGAS resolver, routed purely by the locality#N
-// prefix in the counter names. The paper's unified parallel/distributed
-// API and location-transparent counters, in ~100 lines.
+// (parcel.SpawnOn, under a deadline) — and afterwards reads both
+// localities' task counters through one AGAS resolver, routed purely by
+// the locality#N prefix in the counter names. The paper's unified
+// parallel/distributed API and location-transparent counters, in ~100
+// lines.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"time"
 
 	"repro/internal/agas"
 	"repro/internal/parcel"
@@ -71,11 +74,15 @@ func main() {
 	}
 
 	// Split fib(30) = fib(29) + fib(28): one term remote, one local.
-	// Same future-shaped API either way.
-	remote := parcel.InvokeAsync[int, int64](cli, "fib", 29)
+	// Same future-shaped API either way. The remote half rides the spawn
+	// plane: the deadline ships with the request, a retry after a lost
+	// response cannot run fib twice, and the wait is bounded.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	remote := parcel.SpawnOn[int, int64](ctx, cli, "fib", 29)
 	local := taskrt.AsyncF(driverRT, func() int64 { return fibOn(driverRT, 28) })
 
-	rv, err := remote.Get()
+	rv, err := remote.GetContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -268,7 +268,7 @@ func TestSpawnRemoteUnderTaskScope(t *testing.T) {
 	rt := taskrt.New(taskrt.WithWorkers(2))
 	defer rt.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
-	fut := taskrt.AsyncCtx(ctx, rt, func() error {
+	fut := taskrt.SpawnWith(rt, taskrt.SpawnOptions{Ctx: ctx}, func() error {
 		rf := SpawnRemoteCtx[struct{}, int](rt.CurrentContext(), r, "stall", struct{}{})
 		return rf.Err()
 	})

@@ -70,7 +70,7 @@ func Table4(w io.Writer) {
 		{"Hyper-threading", "modelled off", "off (paper: negligible change)"},
 		{"Allocator", "contention folded into the machine cost model", "tcmalloc-equivalent"},
 		{"Samples", "20 per experiment, medians reported", "stats.Repeat(20, ...)"},
-		{"Counters", "evaluated and reset around each sample", "Registry.EvaluateActive(true)"},
+		{"Counters", "evaluated and reset around each sample", "Registry.EvaluateActiveInto(buf, true)"},
 	}
 	RenderTable(w, "Table 4: experiment synopsis",
 		[]string{"Dimension", "Explored", "Reported configuration"}, rows)

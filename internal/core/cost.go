@@ -18,13 +18,14 @@ import "sync/atomic"
 //	/counters{locality#0/total}/cost/per-counter  mean wall cost per counter
 //	                                              evaluated (ns)
 //
-// Metered paths: Registry.Evaluate, EvaluateActive, EvaluateActiveInto
-// and BindSet.EvaluateBatch — every sweep pays exactly one clock pair,
-// amortised over its counters, and records into one of costShards
-// histograms (two uncontended atomic adds), so metering itself stays
-// allocation-free and far below the cost it measures. Single
-// Handle.Evaluate calls are deliberately not metered: a lone ~85 ns
-// interface call would be dominated by the clock reads around it.
+// Metered paths: Registry.Evaluate and BindSet.EvaluateBatch (which
+// EvaluateActiveInto runs over the active set) — every sweep pays
+// exactly one clock pair, amortised over its counters, and records into
+// one of costShards histograms (two uncontended atomic adds), so
+// metering itself stays allocation-free and far below the cost it
+// measures. Single Handle.Evaluate calls are deliberately not metered:
+// a lone ~85 ns interface call would be dominated by the clock reads
+// around it.
 
 // noteEvalCost books one metered evaluation sweep: its wall cost in
 // nanoseconds and the number of counters it evaluated. Empty sweeps are

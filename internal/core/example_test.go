@@ -24,7 +24,7 @@ func ExampleParseName() {
 
 // The active set implements the paper's measurement protocol: add the
 // counters once, then evaluate-and-reset around every sample.
-func ExampleRegistry_EvaluateActive() {
+func ExampleRegistry_EvaluateActiveInto() {
 	reg := core.NewRegistry()
 	tasks := core.NewRawCounter(
 		core.Name{Object: "threads", Counter: "count/cumulative"}.
@@ -36,11 +36,11 @@ func ExampleRegistry_EvaluateActive() {
 	}
 
 	tasks.Add(30) // ... sample 1 runs ...
-	for _, v := range reg.EvaluateActive(true) {
+	for _, v := range reg.EvaluateActiveInto(nil, true) {
 		fmt.Printf("sample 1: %d\n", v.Raw)
 	}
 	tasks.Add(20) // ... sample 2 runs ...
-	for _, v := range reg.EvaluateActive(true) {
+	for _, v := range reg.EvaluateActiveInto(nil, true) {
 		fmt.Printf("sample 2: %d\n", v.Raw)
 	}
 	// Output:

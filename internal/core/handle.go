@@ -73,19 +73,7 @@ type BindSet struct {
 // BindSetLenient to keep unresolved names as StatusCounterUnknown
 // placeholders instead.
 func (r *Registry) BindSet(fullNames []string) (*BindSet, error) {
-	s := &BindSet{
-		handles: make([]Handle, len(fullNames)),
-		names:   make([]string, len(fullNames)),
-	}
-	for i, fn := range fullNames {
-		h, err := r.Bind(fn)
-		if err != nil {
-			return nil, fmt.Errorf("core: bind %q: %w", fn, err)
-		}
-		s.handles[i] = h
-		s.names[i] = h.Name()
-	}
-	return s, nil
+	return r.bindSet(fullNames, false)
 }
 
 // BindSetLenient compiles a list of full counter names, keeping names
@@ -93,30 +81,26 @@ func (r *Registry) BindSet(fullNames []string) (*BindSet, error) {
 // StatusCounterUnknown. This is what the parcel server uses so one bad
 // name in a bulk subscription degrades that slot, not the whole set.
 func (r *Registry) BindSetLenient(fullNames []string) *BindSet {
+	s, _ := r.bindSet(fullNames, true)
+	return s
+}
+
+// bindSet is the shared constructor; lenient keeps a name that fails to
+// resolve as an unbound handle instead of failing the set.
+func (r *Registry) bindSet(fullNames []string, lenient bool) (*BindSet, error) {
 	s := &BindSet{
 		handles: make([]Handle, len(fullNames)),
 		names:   make([]string, len(fullNames)),
 	}
 	for i, fn := range fullNames {
-		h, _ := r.Bind(fn)
+		h, err := r.Bind(fn)
+		if err != nil && !lenient {
+			return nil, fmt.Errorf("core: bind %q: %w", fn, err)
+		}
 		s.handles[i] = h
 		s.names[i] = h.Name()
 	}
-	return s
-}
-
-// BindActive compiles the current active set (in its sorted order) into
-// a BindSet, the fast-path equivalent of looping EvaluateActive.
-func (r *Registry) BindActive() *BindSet {
-	snap := r.active.Load()
-	s := &BindSet{
-		handles: make([]Handle, len(snap.counters)),
-		names:   append([]string(nil), snap.names...),
-	}
-	for i, c := range snap.counters {
-		s.handles[i] = Handle{r: r, c: c, name: snap.names[i]}
-	}
-	return s
+	return s, nil
 }
 
 // Len returns the number of counters in the set.

@@ -134,16 +134,21 @@ func TestBindActive(t *testing.T) {
 			t.Fatalf("AddActive: %v", err)
 		}
 	}
-	s := r.BindActive()
-	if s.Len() != 2 {
-		t.Fatalf("BindActive Len = %d", s.Len())
+	// Binding the active names gives the same sweep as the published
+	// active set: name-sorted whatever the AddActive order.
+	s, err := r.BindSet(r.Active())
+	if err != nil {
+		t.Fatalf("BindSet(Active()): %v", err)
 	}
 	c0.Add(1)
 	c1.Add(2)
 	got := s.EvaluateBatch(nil, false)
-	want := r.EvaluateActive(false)
-	if len(got) != len(want) {
-		t.Fatalf("batch %d values, active %d", len(got), len(want))
+	want := r.EvaluateActiveInto(nil, false)
+	if len(got) != 2 || len(want) != 2 {
+		t.Fatalf("batch %d values, active %d, want 2 each", len(got), len(want))
+	}
+	if want[0].Name != c0.Name().String() || want[1].Name != c1.Name().String() {
+		t.Fatalf("active sweep not name-sorted: %q, %q", want[0].Name, want[1].Name)
 	}
 	for i := range got {
 		if got[i].Name != want[i].Name || got[i].Raw != want[i].Raw {
@@ -182,7 +187,7 @@ func TestHandleAllocs(t *testing.T) {
 }
 
 // TestRegistryShardStress exercises Register/Remove/AddActive/
-// RemoveActive/Evaluate/EvaluateActive concurrently across shards. Its
+// RemoveActive/Evaluate/EvaluateActiveInto concurrently across shards. Its
 // value is under -race: the sharded instance maps and the lock-free
 // active snapshot must stay coherent while mutators run.
 func TestRegistryShardStress(t *testing.T) {
@@ -331,8 +336,9 @@ func BenchmarkHandleEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateBatch measures a full active-set sweep through a
-// BindSet with a reused buffer — the sampling loop's steady state.
+// BenchmarkEvaluateBatch measures a full active-set sweep through the
+// published BindSet with a reused buffer — the sampling loop's steady
+// state.
 func BenchmarkEvaluateBatch(b *testing.B) {
 	r := NewRegistry()
 	for i := 0; i < 8; i++ {
@@ -342,29 +348,10 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	s := r.BindActive()
-	dst := make([]Value, 0, s.Len())
+	dst := make([]Value, 0, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = s.EvaluateBatch(dst, false)
-	}
-}
-
-// BenchmarkEvaluateActive measures the allocating convenience sweep for
-// comparison with BenchmarkEvaluateBatch.
-func BenchmarkEvaluateActive(b *testing.B) {
-	r := NewRegistry()
-	for i := 0; i < 8; i++ {
-		c := testRawCounter(int64(i))
-		r.MustRegister(c)
-		if _, err := r.AddActive(c.Name().String()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.EvaluateActive(false)
+		dst = r.EvaluateActiveInto(dst, false)
 	}
 }

@@ -34,17 +34,6 @@ type instShard struct {
 	instances map[string]Counter
 }
 
-// activeSnapshot is the immutable, name-sorted view of the active set.
-// Mutators build a fresh snapshot under activeMu and publish it with one
-// atomic store; EvaluateActive/ResetActive/Active read it without taking
-// any lock, so samplers never contend with each other or with Register.
-type activeSnapshot struct {
-	names    []string
-	counters []Counter
-}
-
-var emptyActive = &activeSnapshot{}
-
 // costShards is the number of independent histograms the sampling-cost
 // meter spreads its recordings over, so concurrent samplers do not
 // serialise on one set of bucket cache lines. Merged on read. Must be a
@@ -62,13 +51,16 @@ type Registry struct {
 	shards [instanceShards]instShard
 
 	// activeMu serialises active-set mutation; activeSet is the mutable
-	// membership map and active the published read-only snapshot.
-	// activeGen increments on every published change so samplers can
-	// cache derived structures (tier splits, bind sets) and rebuild only
-	// when membership actually moved.
+	// membership map and active the published read-only snapshot: an
+	// immutable, name-sorted BindSet that mutators rebuild under activeMu
+	// and publish with one atomic store, so EvaluateActiveInto/
+	// ResetActive/Active take no lock and samplers never contend with
+	// each other or with Register. activeGen increments on every
+	// published change so samplers can cache derived structures (tier
+	// splits, bind sets) and rebuild only when membership actually moved.
 	activeMu  sync.Mutex
 	activeSet map[string]Counter
-	active    atomic.Pointer[activeSnapshot]
+	active    atomic.Pointer[BindSet]
 	activeGen atomic.Uint64
 
 	// evalErrors counts counter evaluations that panicked and were
@@ -77,7 +69,7 @@ type Registry struct {
 	evalErrors atomic.Int64
 
 	// Sampling-cost self-observation: every metered evaluation sweep
-	// (Evaluate, EvaluateActive, EvaluateActiveInto, BindSet batches)
+	// (Evaluate, EvaluateActiveInto, BindSet batches)
 	// books its own wall cost here, so the telemetry plane can budget
 	// the very thing it spends. Exposed as the
 	// /counters{locality#0/total}/cost/{eval-ns,per-counter} counters.
@@ -99,7 +91,7 @@ func NewRegistry() *Registry {
 	for i := range r.shards {
 		r.shards[i].instances = make(map[string]Counter)
 	}
-	r.active.Store(emptyActive)
+	r.active.Store(&BindSet{})
 	registerStatistics(r)
 	registerArithmetics(r)
 	errName := Name{Object: "counters", Counter: "count/errors"}.
@@ -315,16 +307,11 @@ func (r *Registry) get(n Name) (Counter, error) {
 // Evaluate reads one counter by full name. A panicking Counter.Value is
 // isolated: the result carries StatusInvalidData and the registry's
 // /counters/count/errors self-counter is incremented. Exact canonical
-// names of registered instances take a fast path that skips name
-// parsing entirely; callers on a sampling loop should prefer Bind and
-// Handle.Evaluate, which skip the map lookup as well.
+// names of registered instances skip name parsing entirely (see Get);
+// callers on a sampling loop should prefer Bind and Handle.Evaluate,
+// which skip the map lookup as well.
 func (r *Registry) Evaluate(fullName string, reset bool) (Value, error) {
 	start := now()
-	if c, ok := r.lookup(fullName); ok {
-		v := r.safeValue(c, reset)
-		r.noteEvalCost(now().Sub(start).Nanoseconds(), 1)
-		return v, nil
-	}
 	c, err := r.Get(fullName)
 	if err != nil {
 		return Value{Name: fullName, Status: StatusCounterUnknown}, err
@@ -421,20 +408,16 @@ func (r *Registry) ActiveGeneration() uint64 { return r.activeGen.Load() }
 // membership map. Caller holds activeMu.
 func (r *Registry) publishActiveLocked() {
 	r.activeGen.Add(1)
-	if len(r.activeSet) == 0 {
-		r.active.Store(emptyActive)
-		return
-	}
-	snap := &activeSnapshot{
-		names:    make([]string, 0, len(r.activeSet)),
-		counters: make([]Counter, 0, len(r.activeSet)),
+	snap := &BindSet{
+		handles: make([]Handle, 0, len(r.activeSet)),
+		names:   make([]string, 0, len(r.activeSet)),
 	}
 	for k := range r.activeSet {
 		snap.names = append(snap.names, k)
 	}
 	sort.Strings(snap.names)
 	for _, k := range snap.names {
-		snap.counters = append(snap.counters, r.activeSet[k])
+		snap.handles = append(snap.handles, Handle{r: r, c: r.activeSet[k], name: k})
 	}
 	r.active.Store(snap)
 }
@@ -507,56 +490,30 @@ func (r *Registry) RemoveActive(fullName string) {
 	}
 }
 
-// EvaluateActive evaluates every counter in the active set, optionally
-// resetting each as part of the same read. Results are ordered by name.
-// A counter whose Value panics does not abort the sweep: its entry
-// carries StatusInvalidData and the remaining counters are evaluated
-// normally. The read is lock-free against the registry: it walks the
-// published snapshot, so concurrent Register/Remove/AddActive never
-// block a sampler.
-func (r *Registry) EvaluateActive(reset bool) []Value {
-	snap := r.active.Load()
-	values := make([]Value, len(snap.counters))
-	start := now()
-	for i, c := range snap.counters {
-		values[i] = r.safeValue(c, reset)
-	}
-	r.noteEvalCost(now().Sub(start).Nanoseconds(), len(snap.counters))
-	return values
-}
-
-// EvaluateActiveInto is EvaluateActive writing into a caller-provided
-// buffer, reused across samples: dst is grown only when the active set
-// outgrows its capacity, so a steady-state sampling loop allocates
-// nothing. Returns the filled slice (dst's backing array when it was
-// large enough).
+// EvaluateActiveInto evaluates every counter in the active set into a
+// caller-provided buffer, optionally resetting each as part of the same
+// read. Results are ordered by name. dst is reused across samples and
+// grown only when the active set outgrows its capacity, so a
+// steady-state sampling loop allocates nothing; pass nil for a one-off
+// read. A counter whose Value panics does not abort the sweep: its
+// entry carries StatusInvalidData and the remaining counters are
+// evaluated normally. The read is lock-free against the registry: it
+// sweeps the published snapshot, so concurrent Register/Remove/
+// AddActive never block a sampler.
 func (r *Registry) EvaluateActiveInto(dst []Value, reset bool) []Value {
-	snap := r.active.Load()
-	if cap(dst) < len(snap.counters) {
-		dst = make([]Value, len(snap.counters))
-	} else {
-		dst = dst[:len(snap.counters)]
-	}
-	start := now()
-	for i, c := range snap.counters {
-		dst[i] = r.safeValue(c, reset)
-	}
-	r.noteEvalCost(now().Sub(start).Nanoseconds(), len(snap.counters))
-	return dst
+	return r.active.Load().EvaluateBatch(dst, reset)
 }
 
 // ResetActive resets every counter in the active set without reading it.
 func (r *Registry) ResetActive() {
-	snap := r.active.Load()
-	for _, c := range snap.counters {
-		r.safeReset(c)
+	for _, h := range r.active.Load().handles {
+		r.safeReset(h.c)
 	}
 }
 
 // Active returns the full names in the active set, sorted.
 func (r *Registry) Active() []string {
-	snap := r.active.Load()
-	return append([]string(nil), snap.names...)
+	return append([]string(nil), r.active.Load().names...)
 }
 
 // StopActive stops all Startable counters in the active set and clears it.

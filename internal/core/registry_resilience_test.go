@@ -59,7 +59,7 @@ func TestPanicIsolatedEvaluateActive(t *testing.T) {
 		}
 	}
 
-	values := r.EvaluateActive(false)
+	values := r.EvaluateActiveInto(nil, false)
 	if len(values) != 2 {
 		t.Fatalf("EvaluateActive returned %d values, want 2", len(values))
 	}
@@ -137,7 +137,7 @@ func TestPanicIsolatedEvaluateConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < sweeps; i++ {
-				for _, v := range r.EvaluateActive(false) {
+				for _, v := range r.EvaluateActiveInto(nil, false) {
 					if v.Name == bad.name.String() && v.Status != StatusInvalidData {
 						t.Errorf("bad counter status = %v", v.Status)
 					}

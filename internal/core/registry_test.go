@@ -144,7 +144,7 @@ func TestRegistryActiveSet(t *testing.T) {
 	for _, c := range made {
 		c.Add(5)
 	}
-	vals := r.EvaluateActive(true)
+	vals := r.EvaluateActiveInto(nil, true)
 	if len(vals) != 2 {
 		t.Fatalf("EvaluateActive returned %d values", len(vals))
 	}
@@ -158,7 +158,7 @@ func TestRegistryActiveSet(t *testing.T) {
 		t.Fatalf("values unordered: %v then %v", vals[0].Name, vals[1].Name)
 	}
 	// The evaluate-and-reset cleared them.
-	for _, v := range r.EvaluateActive(false) {
+	for _, v := range r.EvaluateActiveInto(nil, false) {
 		if v.Raw != 0 {
 			t.Fatalf("after reset: %+v", v)
 		}
@@ -167,7 +167,7 @@ func TestRegistryActiveSet(t *testing.T) {
 		c.Add(9)
 	}
 	r.ResetActive()
-	for _, v := range r.EvaluateActive(false) {
+	for _, v := range r.EvaluateActiveInto(nil, false) {
 		if v.Raw != 0 {
 			t.Fatalf("after ResetActive: %+v", v)
 		}

@@ -15,7 +15,7 @@
 package hwsim
 
 import (
-	"runtime"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -106,10 +106,15 @@ func (a *Accumulator) RegisterCounters(reg *core.Registry) error {
 // the real-runtime backend of the PAPI substitution; the simulator uses
 // an Accumulator instead.
 func GoRuntimeSource(m machine.Machine, locality int64, reg *core.Registry) error {
+	// runtime/metrics, not runtime.ReadMemStats: every read of a live
+	// counter would otherwise stop the world.
 	sample := func() int64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.TotalAlloc)
+		s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(s)
+		if s[0].Value.Kind() != metrics.KindUint64 {
+			return 0 // metric unknown to this Go runtime
+		}
+		return int64(s[0].Value.Uint64())
 	}
 	var baseline atomic.Int64
 	for _, ev := range Events {

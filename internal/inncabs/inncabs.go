@@ -186,19 +186,14 @@ func (h *HPXRuntime) Async(fn func() any) Future {
 // AsyncCtx implements CtxRuntime: the task joins ctx's cancellation
 // tree, so tasks still queued when ctx dies are dropped at dispatch.
 func (h *HPXRuntime) AsyncCtx(ctx context.Context, fn func() any) Future {
-	return taskrt.SpawnCtx(ctx, h.RT, h.Policy, fn)
+	return taskrt.SpawnWith(h.RT, taskrt.SpawnOptions{Ctx: ctx, Policy: h.Policy}, fn)
 }
 
 // AsyncBatch implements BatchRuntime: an Async-policy batch is one
 // scheduler transaction (one deque-window publish, one notify); other
 // policies keep their per-task launch semantics.
 func (h *HPXRuntime) AsyncBatch(grainNs int64, fns []func() any) []Future {
-	var fs []*taskrt.Future[any]
-	if h.Policy == taskrt.Async || h.Policy == taskrt.Optional {
-		fs = taskrt.AsyncBatchGrain(h.RT, grainNs, fns)
-	} else {
-		fs = taskrt.SpawnBatch(h.RT, h.Policy, fns)
-	}
+	fs := taskrt.SpawnBatchWith(h.RT, taskrt.SpawnOptions{Policy: h.Policy, GrainNs: grainNs}, fns)
 	out := make([]Future, len(fs))
 	for i, f := range fs {
 		out[i] = f

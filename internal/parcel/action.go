@@ -7,26 +7,20 @@ package parcel
 // parcels, and the client side wraps the invocation in a future-shaped
 // call. Together with the counter plumbing this gives the paper's
 // "unified API for both parallel and distributed applications": spawn
-// locally on taskrt, or on another locality through InvokeAsync, and
-// observe both through the same counters.
+// locally on taskrt, or on another locality through SpawnOn (spawn.go),
+// and observe both through the same counters.
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 )
 
-// ActionFunc is a registered remote entry point: JSON argument in, JSON
-// result out.
-type ActionFunc func(arg json.RawMessage) (any, error)
-
-// ActionCtxFunc is a context-aware remote entry point: ctx carries the
-// spawning client's propagated deadline budget and cancellation (spawn
-// ops) — a long-running action should observe it, so a cancelled or
-// orphaned spawn actually stops working.
+// ActionCtxFunc is a registered remote entry point, JSON argument in,
+// JSON result out: ctx carries the spawning client's propagated deadline
+// budget and cancellation (spawn ops) — a long-running action should
+// observe it, so a cancelled or orphaned spawn actually stops working.
 type ActionCtxFunc func(ctx context.Context, arg json.RawMessage) (any, error)
 
 // ActionMap holds a server's registered actions. Safe for concurrent
@@ -41,18 +35,7 @@ func NewActionMap() *ActionMap {
 	return &ActionMap{actions: make(map[string]ActionCtxFunc)}
 }
 
-// Register binds a name to a context-blind function; duplicate names
-// error. Prefer RegisterCtx for anything long-running.
-func (m *ActionMap) Register(name string, fn ActionFunc) error {
-	if fn == nil {
-		return fmt.Errorf("parcel: invalid action registration %q", name)
-	}
-	return m.RegisterCtx(name, func(_ context.Context, raw json.RawMessage) (any, error) {
-		return fn(raw)
-	})
-}
-
-// RegisterCtx binds a name to a context-aware function; duplicate names
+// RegisterCtx binds a name to an untyped function; duplicate names
 // error.
 func (m *ActionMap) RegisterCtx(name string, fn ActionCtxFunc) error {
 	if name == "" || fn == nil {
@@ -87,17 +70,6 @@ func RegisterActionCtx[A, R any](m *ActionMap, name string, fn func(context.Cont
 	})
 }
 
-// Names lists the registered action names.
-func (m *ActionMap) Names() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.actions))
-	for n := range m.actions {
-		out = append(out, n)
-	}
-	return out
-}
-
 func (m *ActionMap) lookup(name string) ActionCtxFunc {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -121,7 +93,7 @@ func (e *actionPanicError) Error() string { return fmt.Sprintf("panic: %v", e.va
 
 // runAction executes one action body panic-isolated and returns its
 // JSON-encoded result. ctx carries the spawn plane's propagated budget
-// and cancellation; the bare invoke path passes context.Background().
+// and cancellation.
 func runAction(ctx context.Context, name string, fn ActionCtxFunc, arg json.RawMessage) (raw json.RawMessage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -137,84 +109,6 @@ func runAction(ctx context.Context, name string, fn ActionCtxFunc, arg json.RawM
 		return nil, fmt.Errorf("parcel: action %q result marshal: %w", name, err)
 	}
 	return raw, nil
-}
-
-// invoke dispatches one action request on the server.
-func (s *Server) invoke(req request) response {
-	m, _ := s.actions.Load().(*ActionMap)
-	if m == nil {
-		return response{Error: "parcel: this server exposes no actions", Code: codeActionUnknown}
-	}
-	fn := m.lookup(req.Action)
-	if fn == nil {
-		return response{Error: fmt.Sprintf("parcel: unknown action %q (have %v)", req.Action, m.Names()), Code: codeActionUnknown}
-	}
-	raw, err := runAction(context.Background(), req.Action, fn, req.Arg)
-	if err != nil {
-		code := codeActionError
-		var pe *actionPanicError
-		if errors.As(err, &pe) {
-			code = codeActionPanic
-		}
-		return response{Error: err.Error(), Code: code}
-	}
-	return response{Result: raw}
-}
-
-// Invoke calls a remote action synchronously, decoding the result into
-// out (pass nil to discard it).
-func (c *Client) Invoke(action string, arg any, out any) error {
-	return c.InvokeContext(context.Background(), action, arg, out)
-}
-
-// InvokeContext is Invoke under a caller deadline. Invocations are
-// never retried — the client cannot know whether a lost response means
-// the action ran — so a transport failure surfaces after one attempt.
-// (The spawn plane — SpawnOn, Client.SpawnJSON — lifts that restriction
-// via idempotency keys.)
-//
-// Failures reported by the server come back typed: ErrActionUnknown
-// (wrapped) when the target registers no such action, *ActionError when
-// the action body itself returned an error or panicked. Each class is
-// counted separately, under /parcels{...}/count/action-unknown and
-// /parcels{...}/count/action-errors respectively.
-func (c *Client) InvokeContext(ctx context.Context, action string, arg any, out any) error {
-	var raw json.RawMessage
-	if arg != nil {
-		b, err := json.Marshal(arg)
-		if err != nil {
-			return fmt.Errorf("parcel: action %q argument marshal: %w", action, err)
-		}
-		raw = b
-	}
-	resp, err := c.roundTripContext(ctx, request{Op: "invoke", Action: action, Arg: raw})
-	if err != nil {
-		var se *ServerError
-		if errors.As(err, &se) {
-			return c.actionErr(action, resp.Code, se.Msg)
-		}
-		return err
-	}
-	if out != nil && len(resp.Result) > 0 {
-		return json.Unmarshal(resp.Result, out)
-	}
-	return nil
-}
-
-// actionErr types a server-reported invoke failure, preferring the
-// wire's machine-readable code and falling back to the legacy message
-// shape for servers predating the Code field.
-func (c *Client) actionErr(action, code, msg string) error {
-	if code == "" {
-		// Legacy server: classify by the historical message prefixes.
-		switch {
-		case strings.Contains(msg, "unknown action"), strings.Contains(msg, "no actions"):
-			code = codeActionUnknown
-		default:
-			code = codeActionError
-		}
-	}
-	return c.spawnErr(action, code, msg)
 }
 
 // RemoteFuture carries an in-flight remote invocation.
@@ -266,22 +160,4 @@ func (f *RemoteFuture[R]) Ready() bool {
 	default:
 		return false
 	}
-}
-
-// InvokeAsync launches a remote action and returns immediately with a
-// future — the distributed analogue of taskrt's Async.
-func InvokeAsync[A, R any](c *Client, action string, arg A) *RemoteFuture[R] {
-	return InvokeAsyncContext[A, R](context.Background(), c, action, arg)
-}
-
-// InvokeAsyncContext is InvokeAsync under a caller deadline: the
-// future's Get reports ctx's error if the deadline lapses before the
-// remote result arrives.
-func InvokeAsyncContext[A, R any](ctx context.Context, c *Client, action string, arg A) *RemoteFuture[R] {
-	f := &RemoteFuture[R]{done: make(chan struct{})}
-	go func() {
-		defer close(f.done)
-		f.err = c.InvokeContext(ctx, action, arg, &f.value)
-	}()
-	return f
 }

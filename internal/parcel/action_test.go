@@ -1,11 +1,14 @@
 package parcel
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -43,7 +46,15 @@ func newActionFixture(t *testing.T) (*ActionMap, *Client) {
 	return actions, cli
 }
 
-func TestInvokeTypedAction(t *testing.T) {
+// spawnGet runs one action through SpawnOn and waits for it under a
+// test-wide deadline.
+func spawnGet[A, R any](cli *Client, action string, arg A) (R, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	return SpawnOn[A, R](ctx, cli, action, arg).GetContext(ctx)
+}
+
+func TestSpawnOnTypedAction(t *testing.T) {
 	actions, cli := newActionFixture(t)
 	err := RegisterAction(actions, "fib", func(a fibArg) (fibRes, error) {
 		return fibRes{Value: fibPlain(a.N)}, nil
@@ -51,8 +62,8 @@ func TestInvokeTypedAction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res fibRes
-	if err := cli.Invoke("fib", fibArg{N: 20}, &res); err != nil {
+	res, err := spawnGet[fibArg, fibRes](cli, "fib", fibArg{N: 20})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Value != 6765 {
@@ -60,50 +71,65 @@ func TestInvokeTypedAction(t *testing.T) {
 	}
 }
 
-func TestInvokeAsyncFuture(t *testing.T) {
+func TestSpawnOnFuture(t *testing.T) {
 	actions, cli := newActionFixture(t)
 	if err := RegisterAction(actions, "square", func(n int) (int, error) {
 		return n * n, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	fs := make([]*RemoteFuture[int], 8)
 	for i := range fs {
-		fs[i] = InvokeAsync[int, int](cli, "square", i)
+		fs[i] = SpawnOn[int, int](ctx, cli, "square", i)
 	}
 	for i, f := range fs {
 		v, err := f.Get()
 		if err != nil || v != i*i {
 			t.Fatalf("square(%d) = %d, %v", i, v, err)
 		}
-		if !f.Ready() {
-			t.Fatal("not ready after Get")
+		if !f.Ready() || f.Err() != nil {
+			t.Fatalf("after Get: Ready = %v, Err = %v", f.Ready(), f.Err())
 		}
 	}
 }
 
-func TestInvokeErrors(t *testing.T) {
+func TestSpawnOnErrors(t *testing.T) {
 	actions, cli := newActionFixture(t)
 	if err := RegisterAction(actions, "fail", func(struct{}) (int, error) {
 		return 0, fmt.Errorf("deliberate failure")
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Invoke("fail", struct{}{}, nil); err == nil ||
-		!strings.Contains(err.Error(), "deliberate failure") {
-		t.Fatalf("action error not propagated: %v", err)
+	var ae *ActionError
+	if _, err := spawnGet[struct{}, int](cli, "fail", struct{}{}); !errors.As(err, &ae) ||
+		ae.Action != "fail" || !strings.Contains(ae.Msg, "deliberate failure") {
+		t.Fatalf("action error not propagated typed: %v", err)
 	}
-	if err := cli.Invoke("nope", nil, nil); err == nil ||
+	if _, err := spawnGet[any, int](cli, "nope", nil); !errors.Is(err, ErrActionUnknown) ||
 		!strings.Contains(err.Error(), "unknown action") {
 		t.Fatalf("unknown action: %v", err)
 	}
-	// Malformed argument JSON reaches the decoder as a type error.
-	if err := cli.Invoke("fail", "not-a-struct", nil); err == nil {
-		t.Fatal("type-mismatched argument accepted")
+	// Malformed argument JSON reaches the decoder as a type error,
+	// reported by the action wrapper like any other action failure.
+	if _, err := spawnGet[string, int](cli, "fail", "not-a-struct"); !errors.As(err, &ae) ||
+		!strings.Contains(ae.Msg, "argument") {
+		t.Fatalf("type-mismatched argument: %v", err)
+	}
+	// An argument Go cannot marshal fails before anything is sent.
+	sent := cli.meters.sent.Load()
+	if _, err := spawnGet[chan int, int](cli, "fail", nil); err == nil ||
+		!strings.Contains(err.Error(), "argument marshal") || cli.meters.sent.Load() != sent {
+		t.Fatalf("unmarshalable argument: %v (parcels sent %d -> %d)", err, sent, cli.meters.sent.Load())
+	}
+	// Each class is counted on the client's own meters.
+	if u, e := cli.meters.actionUnknown.Load(), cli.meters.actionErrors.Load(); u != 1 || e != 2 {
+		t.Fatalf("action-unknown = %d, action-errors = %d, want 1 and 2", u, e)
 	}
 }
 
-func TestInvokeWithoutActionTable(t *testing.T) {
+func TestSpawnWithoutActionTable(t *testing.T) {
 	reg := core.NewRegistry()
 	srv, err := Serve("127.0.0.1:0", reg, 0)
 	if err != nil {
@@ -115,28 +141,35 @@ func TestInvokeWithoutActionTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Invoke("anything", nil, nil); err == nil ||
+	if _, err := cli.SpawnJSON(context.Background(), "anything", nil); !errors.Is(err, ErrActionUnknown) ||
 		!strings.Contains(err.Error(), "no actions") {
-		t.Fatalf("invoke on action-less server: %v", err)
+		t.Fatalf("spawn on action-less server: %v", err)
 	}
 }
 
 func TestActionRegistration(t *testing.T) {
 	m := NewActionMap()
-	if err := m.Register("", func(json.RawMessage) (any, error) { return nil, nil }); err == nil {
+	returning := func(v int) ActionCtxFunc {
+		return func(context.Context, json.RawMessage) (any, error) { return v, nil }
+	}
+	if err := m.RegisterCtx("", returning(0)); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if err := m.Register("x", nil); err == nil {
+	if err := m.RegisterCtx("x", nil); err == nil {
 		t.Fatal("nil function accepted")
 	}
-	if err := m.Register("x", func(json.RawMessage) (any, error) { return 1, nil }); err != nil {
+	if err := m.RegisterCtx("x", returning(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Register("x", func(json.RawMessage) (any, error) { return 2, nil }); err == nil {
+	if err := m.RegisterCtx("x", returning(2)); err == nil {
 		t.Fatal("duplicate accepted")
 	}
-	if names := m.Names(); len(names) != 1 || names[0] != "x" {
-		t.Fatalf("names = %v", names)
+	if len(m.actions) != 1 || m.lookup("x") == nil || m.lookup("y") != nil {
+		t.Fatalf("action table = %v", m.actions)
+	}
+	// The first registration is the one that stays.
+	if v, _ := m.lookup("x")(context.Background(), nil); v != 1 {
+		t.Fatalf("x returns %v after a refused duplicate, want 1", v)
 	}
 }
 
@@ -153,8 +186,7 @@ func TestConcurrentInvocations(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := fmt.Sprintf("msg-%d", i)
-			var got string
-			if err := cli.Invoke("echo", want, &got); err != nil || got != want {
+			if got, err := spawnGet[string, string](cli, "echo", want); err != nil || got != want {
 				t.Errorf("echo: %q, %v", got, err)
 			}
 		}(i)

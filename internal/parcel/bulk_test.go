@@ -2,16 +2,11 @@ package parcel
 
 // Tests of the bulk counter sampling path: bind_bulk/evaluate_bulk wire
 // ops, the one-round-trip-per-sample guarantee (asserted against the
-// client's own parcel meters), re-binding across reconnects, the
-// per-counter fallback against servers without the ops, and stale
+// client's own parcel meters), re-binding across reconnects, and stale
 // partial results during a partition.
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -241,114 +236,20 @@ func TestEvaluateBulkStaleDuringPartition(t *testing.T) {
 	}
 }
 
-// legacyServer speaks the parcel protocol but predates the bulk ops:
-// bind_bulk/evaluate_bulk get the stock "unknown op" error, evaluate
-// works. It stands in for an old locality a new monitor attaches to.
-func legacyServer(t *testing.T, reg *core.Registry) net.Listener {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				rd := bufio.NewReader(conn)
-				for {
-					line, err := rd.ReadBytes('\n')
-					if err != nil {
-						return
-					}
-					var req request
-					var resp response
-					if err := json.Unmarshal(line, &req); err != nil {
-						resp.Error = "malformed"
-					} else if req.Op == "evaluate" {
-						v, err := reg.Evaluate(req.Name, req.Reset)
-						if err != nil {
-							resp.Error = err.Error()
-						} else {
-							resp.Value = &v
-						}
-					} else {
-						resp.Error = fmt.Sprintf("parcel: unknown op %q", req.Op)
-					}
-					out, _ := json.Marshal(resp)
-					if _, err := conn.Write(append(out, '\n')); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln
-}
-
-// TestEvaluateBulkFallbackAgainstOldServer: against a server without
-// the bulk ops the set silently degrades to one Evaluate per counter —
-// correct results, no error, Fallback() reported.
-func TestEvaluateBulkFallbackAgainstOldServer(t *testing.T) {
-	reg := core.NewRegistry()
-	var names []string
-	for i := 0; i < 4; i++ {
-		cn := core.Name{Object: "threads", Counter: "count/cumulative"}.
-			WithInstances(core.LocalityInstance(0, "worker-thread", int64(i))...)
-		c := core.NewRawCounter(cn, core.Info{TypeName: "/threads/count/cumulative"})
-		c.Add(int64(7 * (i + 1)))
-		reg.MustRegister(c)
-		names = append(names, cn.String())
-	}
-	ln := legacyServer(t, reg)
-	cli, err := Dial(ln.Addr().String(), nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cli.Close() })
-
-	set := cli.NewBulkSet(names)
-	vals, err := set.Evaluate(false)
-	if err != nil {
-		t.Fatalf("Evaluate against legacy server: %v", err)
-	}
-	if !set.Fallback() {
-		t.Fatal("set did not report per-counter fallback")
-	}
-	for i, v := range vals {
-		if v.Raw != int64(7*(i+1)) || v.Status != core.StatusValid {
-			t.Fatalf("fallback value %d = %+v", i, v)
-		}
-	}
-	// Fallback sticks: the next sample goes straight to per-counter
-	// (len(names) round trips, no bulk probe).
-	before := cli.meters.sent.Load()
-	if _, err := set.Evaluate(false); err != nil {
-		t.Fatal(err)
-	}
-	if got := cli.meters.sent.Load() - before; got != int64(len(names)) {
-		t.Fatalf("fallback sample sent %d parcels, want %d", got, len(names))
-	}
-}
-
 // TestBulkLimits: the server bounds per-connection bulk state.
 func TestBulkLimits(t *testing.T) {
 	names, _, _, cli := newBulkFixture(t, 1, ClientOptions{})
 	// Empty set refused.
-	if _, err := cli.roundTrip(request{Op: "bind_bulk"}); err == nil {
+	if _, err := cli.roundTripContext(context.Background(), request{Op: "bind_bulk"}); err == nil {
 		t.Fatal("empty bind_bulk accepted")
 	}
 	// Set count per connection bounded.
 	for i := 0; i < maxBulkSetsPerConn; i++ {
-		if _, err := cli.roundTrip(request{Op: "bind_bulk", Names: names}); err != nil {
+		if _, err := cli.roundTripContext(context.Background(), request{Op: "bind_bulk", Names: names}); err != nil {
 			t.Fatalf("bind %d: %v", i, err)
 		}
 	}
-	if _, err := cli.roundTrip(request{Op: "bind_bulk", Names: names}); err == nil {
+	if _, err := cli.roundTripContext(context.Background(), request{Op: "bind_bulk", Names: names}); err == nil {
 		t.Fatalf("bind beyond the %d-set limit accepted", maxBulkSetsPerConn)
 	}
 }

@@ -126,10 +126,15 @@ type Client struct {
 	meters  *meters
 	breaker *breaker
 
-	mu   sync.Mutex // serialises exchanges; guards conn, rd, rng
+	mu   sync.Mutex // serialises exchanges; guards conn, rd
 	conn net.Conn
 	rd   *bufio.Reader
-	rng  *rand.Rand
+
+	// rngMu guards the jitter PRNG alone: mu is held across a whole
+	// exchange, and a retry's backoff must not wait for somebody else's
+	// in-flight round trip before it can even start sleeping.
+	rngMu sync.Mutex
+	rng   *rand.Rand
 
 	// connGen counts connection establishments. Bulk sets record the
 	// generation they were bound on; a mismatch means the server-side
@@ -228,12 +233,6 @@ func (c *Client) attemptContext(ctx context.Context) (context.Context, context.C
 		return context.WithTimeout(ctx, c.opts.Timeout)
 	}
 	return context.WithCancel(ctx)
-}
-
-// roundTrip performs one exchange without external deadline — the
-// compatibility entry point; the per-attempt Timeout still applies.
-func (c *Client) roundTrip(req request) (response, error) {
-	return c.roundTripContext(context.Background(), req)
 }
 
 // roundTripContext performs one request/response exchange with
@@ -354,9 +353,9 @@ func (c *Client) backoff(ctx context.Context, attempt int) bool {
 	if d > c.opts.BackoffCap || d <= 0 {
 		d = c.opts.BackoffCap
 	}
-	c.mu.Lock()
+	c.rngMu.Lock()
 	jittered := d/2 + time.Duration(c.rng.Int63n(int64(d)))
-	c.mu.Unlock()
+	c.rngMu.Unlock()
 	t := time.NewTimer(jittered)
 	defer t.Stop()
 	select {
@@ -465,34 +464,6 @@ func (c *Client) Types() ([]core.Info, error) {
 func (c *Client) TypesContext(ctx context.Context) ([]core.Info, error) {
 	resp, err := c.roundTripContext(ctx, request{Op: "types"})
 	return resp.Infos, err
-}
-
-// AddActive adds counters to the remote active set.
-func (c *Client) AddActive(pattern string) ([]string, error) {
-	return c.AddActiveContext(context.Background(), pattern)
-}
-
-// AddActiveContext is AddActive under a caller deadline.
-func (c *Client) AddActiveContext(ctx context.Context, pattern string) ([]string, error) {
-	resp, err := c.roundTripContext(ctx, request{Op: "add_active", Pattern: pattern})
-	return resp.Names, err
-}
-
-// EvaluateActive evaluates the remote active set.
-func (c *Client) EvaluateActive(reset bool) ([]core.Value, error) {
-	return c.EvaluateActiveContext(context.Background(), reset)
-}
-
-// EvaluateActiveContext is EvaluateActive under a caller deadline.
-func (c *Client) EvaluateActiveContext(ctx context.Context, reset bool) ([]core.Value, error) {
-	resp, err := c.roundTripContext(ctx, request{Op: "evaluate_active", Reset: reset})
-	return resp.Values, err
-}
-
-// ResetActive resets the remote active set.
-func (c *Client) ResetActive() error {
-	_, err := c.roundTripContext(context.Background(), request{Op: "reset_active"})
-	return err
 }
 
 // BreakerState returns the circuit breaker's current state.

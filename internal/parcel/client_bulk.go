@@ -4,9 +4,7 @@ package parcel
 // once (bind_bulk) and thereafter samples all of them in a single
 // request/response round trip per call (evaluate_bulk) — K counters for
 // the wire cost of one, instead of the K round trips of per-counter
-// Evaluate. Against servers predating the bulk ops the set transparently
-// degrades to the per-counter loop, so a new monitor can watch an old
-// locality.
+// Evaluate.
 
 import (
 	"context"
@@ -28,11 +26,10 @@ type BulkSet struct {
 	c     *Client
 	names []string
 
-	stMu     chan struct{} // 1-token semaphore serialising bind state
-	id       int64
-	gen      uint64 // connection generation the set was bound on
-	bound    bool
-	fallback bool // server lacks the bulk ops; use per-counter Evaluate
+	stMu  chan struct{} // 1-token semaphore serialising bind state
+	id    int64
+	gen   uint64 // connection generation the set was bound on
+	bound bool
 }
 
 // NewBulkSet prepares a bulk sampling set over the given full counter
@@ -52,15 +49,6 @@ func (c *Client) NewBulkSet(names []string) *BulkSet {
 // Names returns the counter names in the set, in result order.
 func (s *BulkSet) Names() []string { return append([]string(nil), s.names...) }
 
-// Fallback reports whether the set degraded to per-counter sampling
-// because the server does not implement the bulk ops.
-func (s *BulkSet) Fallback() bool {
-	<-s.stMu
-	f := s.fallback
-	s.stMu <- struct{}{}
-	return f
-}
-
 // lock acquires the set's bind state, honouring ctx.
 func (s *BulkSet) lock(ctx context.Context) error {
 	select {
@@ -72,7 +60,7 @@ func (s *BulkSet) lock(ctx context.Context) error {
 }
 
 // Evaluate samples every counter in the set, optionally resetting each
-// as part of the same read: one round trip on a bulk-capable server.
+// as part of the same read, in one round trip.
 func (s *BulkSet) Evaluate(reset bool) ([]core.Value, error) {
 	return s.EvaluateContext(context.Background(), reset)
 }
@@ -88,9 +76,6 @@ func (s *BulkSet) EvaluateContext(ctx context.Context, reset bool) ([]core.Value
 		return nil, err
 	}
 	defer func() { s.stMu <- struct{}{} }()
-	if s.fallback {
-		return s.evaluatePerCounter(ctx, reset)
-	}
 	// Re-bind on first use and after any reconnect (the server-side set
 	// lives in per-connection state). The generation check avoids a
 	// round trip that is known to fail; the unknown-set error below
@@ -98,9 +83,6 @@ func (s *BulkSet) EvaluateContext(ctx context.Context, reset bool) ([]core.Value
 	for attempt := 0; attempt < 2; attempt++ {
 		if !s.bound || s.gen != s.c.connGen.Load() {
 			if err := s.bindLocked(ctx); err != nil {
-				if s.fallback {
-					return s.evaluatePerCounter(ctx, reset)
-				}
 				return s.maybeStale(err)
 			}
 		}
@@ -117,9 +99,6 @@ func (s *BulkSet) EvaluateContext(ctx context.Context, reset bool) ([]core.Value
 			// The server lost the set (reconnect landed between our
 			// generation check and the exchange); bind again and retry.
 			s.bound = false
-		case isUnknownOp(err):
-			s.fallback = true
-			return s.evaluatePerCounter(ctx, reset)
 		default:
 			return s.maybeStale(err)
 		}
@@ -128,48 +107,19 @@ func (s *BulkSet) EvaluateContext(ctx context.Context, reset bool) ([]core.Value
 }
 
 // bindLocked ships the name set to the server. Caller holds the state
-// semaphore. An old server answering "unknown op" flips the set into
-// per-counter fallback.
+// semaphore.
 func (s *BulkSet) bindLocked(ctx context.Context) error {
 	// Capture the generation before the exchange: if the bind itself
 	// rides a fresh connection, the response belongs to that connection
 	// and the generation observed after success is the right one to pin.
 	resp, err := s.c.roundTripContext(ctx, request{Op: "bind_bulk", Names: s.names})
 	if err != nil {
-		if isUnknownOp(err) {
-			s.fallback = true
-		}
 		return err
 	}
 	s.id = resp.SetID
 	s.gen = s.c.connGen.Load()
 	s.bound = true
 	return nil
-}
-
-// evaluatePerCounter is the compatibility path against servers without
-// the bulk ops: one round trip per counter, same result shape. The
-// client's own stale/retry machinery applies per counter.
-func (s *BulkSet) evaluatePerCounter(ctx context.Context, reset bool) ([]core.Value, error) {
-	values := make([]core.Value, len(s.names))
-	var lastErr error
-	ok := 0
-	for i, name := range s.names {
-		v, err := s.c.EvaluateContext(ctx, name, reset)
-		values[i] = v
-		if err != nil {
-			lastErr = err
-			if ctx.Err() != nil {
-				return values, ctx.Err()
-			}
-			continue
-		}
-		ok++
-	}
-	if ok == 0 && lastErr != nil {
-		return values, lastErr
-	}
-	return values, nil
 }
 
 // maybeStale serves the whole set from the client's last-known-value
@@ -222,13 +172,6 @@ func (c *Client) EvaluateBulkContext(ctx context.Context, names []string, reset 
 	}
 	c.bulkMu.Unlock()
 	return s.EvaluateContext(ctx, reset)
-}
-
-// isUnknownOp matches the server error produced for an op the server
-// does not implement — how the client detects a pre-bulk peer.
-func isUnknownOp(err error) bool {
-	var se *ServerError
-	return errors.As(err, &se) && strings.Contains(se.Msg, "unknown op")
 }
 
 // isUnknownBulkSet matches the server error for a bulk set id the

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -437,7 +438,8 @@ func TestChaosAcceptanceScenario(t *testing.T) {
 }
 
 // TestIdempotencyClassification pins which requests may be blind-
-// retried: reads without reset only — never invoke or mutations.
+// retried: reads without reset and re-appliable ops only — never spawn
+// (its retry belongs to the spawn plane) nor an op the table lacks.
 func TestIdempotencyClassification(t *testing.T) {
 	rows := []struct {
 		req  request
@@ -445,13 +447,17 @@ func TestIdempotencyClassification(t *testing.T) {
 	}{
 		{request{Op: "evaluate"}, true},
 		{request{Op: "evaluate", Reset: true}, false},
-		{request{Op: "evaluate_active"}, true},
-		{request{Op: "evaluate_active", Reset: true}, false},
+		{request{Op: "evaluate_bulk"}, true},
+		{request{Op: "evaluate_bulk", Reset: true}, false},
 		{request{Op: "discover"}, true},
 		{request{Op: "types"}, true},
-		{request{Op: "add_active"}, false},
-		{request{Op: "reset_active"}, false},
-		{request{Op: "invoke"}, false},
+		{request{Op: "bind_bulk"}, true},
+		{request{Op: "spawn"}, false},
+		{request{Op: "spawn_poll"}, true},
+		{request{Op: "spawn_cancel"}, true},
+		{request{Op: "tree_push"}, true},
+		{request{Op: "tree_pull"}, true},
+		{request{Op: "no_such_op"}, false},
 	}
 	for _, row := range rows {
 		if got := row.req.idempotent(); got != row.want {
@@ -460,20 +466,21 @@ func TestIdempotencyClassification(t *testing.T) {
 	}
 }
 
-// TestInvokeNeverRetried: a dropped invoke surfaces the transport error
-// after one attempt — the client must not blind-retry actions.
-func TestInvokeNeverRetried(t *testing.T) {
+// TestSpawnSentExactlyOnce: a dropped spawn op surfaces the transport
+// error after one attempt — the transport must not blind-retry a
+// non-idempotent request, whatever Retries says; re-issuing it under
+// the same key is the caller's (the spawn plane's) decision.
+func TestSpawnSentExactlyOnce(t *testing.T) {
 	serverReg := core.NewRegistry()
 	srv, err := Serve("127.0.0.1:0", serverReg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	calls := 0
+	var calls atomic.Int64
 	am := NewActionMap()
-	if err := RegisterAction(am, "count", func(struct{}) (int, error) {
-		calls++
-		return calls, nil
+	if err := RegisterAction(am, "count", func(struct{}) (int64, error) {
+		return calls.Add(1), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -488,18 +495,49 @@ func TestInvokeNeverRetried(t *testing.T) {
 	}
 	defer cli.Close()
 
+	ctx := context.Background()
 	inj.ForceDrop(1)
-	if err := cli.Invoke("count", struct{}{}, nil); err == nil {
-		t.Fatal("dropped invoke reported success")
+	if _, err := cli.SpawnAction(ctx, "count", nil, "k"); err == nil {
+		t.Fatal("dropped spawn reported success")
 	}
 	if fc := cli.FaultCounts(); fc.Retries != 0 || fc.Errors != 1 {
-		t.Fatalf("invoke fault counters = %+v, want 1 error / 0 retries", fc)
+		t.Fatalf("spawn fault counters = %+v, want 1 error / 0 retries", fc)
 	}
-	if err := cli.Invoke("count", struct{}{}, nil); err != nil {
-		t.Fatalf("invoke after reconnect: %v", err)
+	if _, err := cli.SpawnAction(ctx, "count", nil, "k"); err != nil {
+		t.Fatalf("spawn after reconnect: %v", err)
 	}
-	if calls != 1 {
-		t.Fatalf("action ran %d times, want exactly 1 (no blind retry)", calls)
+	if st, err := cli.WaitSpawn(ctx, "k"); err != nil || st.Err != nil {
+		t.Fatalf("wait: %v / %v", err, st.Err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("action ran %d times, want exactly 1 (no blind retry)", got)
+	}
+}
+
+// TestBackoffDoesNotWaitForExchange: a retry's backoff sleeps on its own
+// clock. The connection lock is held across a whole exchange (a parked
+// spawn_poll holds it for 150 ms), so a backoff that needed it to draw
+// its jitter could not even start until that exchange returned.
+func TestBackoffDoesNotWaitForExchange(t *testing.T) {
+	const base = 40 * time.Millisecond
+	_, _, _, cli := newFaultFixture(t, chaos.Config{}, ClientOptions{BackoffBase: base})
+	cli.mu.Lock() // somebody else's exchange is in flight
+	defer cli.mu.Unlock()
+	done := make(chan time.Duration, 1)
+	start := time.Now()
+	go func() {
+		cli.backoff(context.Background(), 0)
+		done <- time.Since(start)
+	}()
+	select {
+	case d := <-done:
+		// Attempt 0 sleeps base/2 + [0, base): under 1.5x base, plus slack
+		// for a loaded scheduler.
+		if d < base/2 || d > 3*base {
+			t.Fatalf("backoff(0) took %v, want within [%v, %v)", d, base/2, 3*base/2)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("backoff blocked behind the connection lock")
 	}
 }
 

@@ -10,31 +10,57 @@ package parcel
 
 import (
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
 
-func FuzzParcelDecode(f *testing.F) {
-	// Well-formed requests for every op, so mutation explores the
-	// dispatch paths and not just the JSON error path.
-	seeds := []string{
-		`{"op":"types"}`,
-		`{"op":"discover","name":"/threads{locality#0/worker-thread#*}/time/average"}`,
-		`{"op":"evaluate","name":"/threads{locality#0/total}/count/cumulative"}`,
-		`{"op":"evaluate","name":"/threads{locality#0/total}/count/cumulative","reset":true}`,
-		`{"op":"bind_bulk","names":["/threads{locality#0/total}/count/cumulative"]}`,
-		`{"op":"evaluate_bulk","set":1}`,
-		`{"op":"evaluate_bulk","names":["/threads{locality#0/total}/count/cumulative"]}`,
-		`{"op":"unbind_bulk","set":1}`,
-		`{"op":"invoke","action":"echo","arg":"hi"}`,
-		`{"op":"invoke","action":"missing"}`,
-		`{"op":"spawn","action":"echo","arg":3,"key":"k1","budget_ms":50}`,
-		`{"op":"spawn","action":"echo","key":""}`,
-		`{"op":"spawn_poll","keys":["k1","k2"],"wait_ms":0}`,
-		`{"op":"spawn_poll","keys":[]}`,
-		`{"op":"spawn_cancel","key":"k1"}`,
+// opSeeds holds well-formed requests for every op in the table, so
+// mutation explores the dispatch paths and not just the JSON error
+// path. They are marshalled from the request struct itself: a seed
+// cannot misspell a wire field. TestOpTable fails if an op has none.
+var opSeeds = map[string][]request{
+	"types":    {{}},
+	"discover": {{Pattern: "/threads{locality#0/worker-thread#*}/time/average"}},
+	"evaluate": {
+		{Name: "/threads{locality#0/total}/count/cumulative"},
+		{Name: "/threads{locality#0/total}/count/cumulative", Reset: true},
+	},
+	"bind_bulk":     {{Names: []string{"/threads{locality#0/total}/count/cumulative"}}},
+	"evaluate_bulk": {{SetID: 1}, {SetID: 1, Reset: true}},
+	"spawn": {
+		{Action: "echo", Arg: json.RawMessage("3"), Key: "k1", BudgetMS: 50},
+		{Action: "echo"},
+		{Action: "missing", Key: "k2"},
+	},
+	"spawn_poll":   {{Keys: []string{"k1", "k2"}}, {Keys: []string{}}},
+	"spawn_cancel": {{Key: "k1"}},
+	"tree_push":    {{Tree: &TreeDigest{Root: 1, Gen: 1, Localities: 1, Entries: []core.Digest{}}}, {}},
+	"tree_pull":    {{}},
+}
+
+// fuzzSeeds renders opSeeds to wire lines and adds the lines no request
+// struct can produce.
+func fuzzSeeds(t testing.TB) [][]byte {
+	var seeds [][]byte
+	names := make([]string, 0, len(opSeeds))
+	for op := range opSeeds {
+		names = append(names, op)
+	}
+	sort.Strings(names) // a stable seed#N numbering across runs
+	for _, op := range names {
+		for _, req := range opSeeds[op] {
+			req.Op = op
+			line, err := json.Marshal(req)
+			if err != nil {
+				t.Fatalf("seed for %q: %v", op, err)
+			}
+			seeds = append(seeds, line)
+		}
+	}
+	for _, s := range []string{
 		`{"op":"nonsense"}`,
 		`{"op":"spawn","key":` + strings.Repeat(`[`, 64) + strings.Repeat(`]`, 64) + `}`,
 		`not json at all`,
@@ -42,9 +68,45 @@ func FuzzParcelDecode(f *testing.F) {
 		`{}`,
 		``,
 		"\x00\xff\xfe",
+	} {
+		seeds = append(seeds, []byte(s))
 	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
+	return seeds
+}
+
+// TestOpTable pins the wire protocol to its ten ops and fails when one
+// lacks a handler, a retry class or a fuzz seed — or when a seed names
+// an op the table does not hold.
+func TestOpTable(t *testing.T) {
+	want := []string{"bind_bulk", "discover", "evaluate", "evaluate_bulk", "spawn",
+		"spawn_cancel", "spawn_poll", "tree_pull", "tree_push", "types"}
+	var got []string
+	for name, op := range ops {
+		got = append(got, name)
+		if op.handle == nil {
+			t.Errorf("op %q has no handler", name)
+		}
+		if op.retry < retryAlways || op.retry > retryNever {
+			t.Errorf("op %q has no retry class (%d)", name, op.retry)
+		}
+		if len(opSeeds[name]) == 0 {
+			t.Errorf("op %q has no fuzz seed", name)
+		}
+	}
+	sort.Strings(got)
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("ops = %v, want exactly %v", got, want)
+	}
+	for name := range opSeeds {
+		if _, ok := ops[name]; !ok {
+			t.Errorf("fuzz seed for %q, which is not an op", name)
+		}
+	}
+}
+
+func FuzzParcelDecode(f *testing.F) {
+	for _, s := range fuzzSeeds(f) {
+		f.Add(s)
 	}
 
 	reg := core.NewRegistry()
@@ -65,6 +127,7 @@ func FuzzParcelDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	srv.WithActions(actions)
+	srv.SetTreeNode(&stubTreeNode{})
 
 	f.Fuzz(func(t *testing.T, line []byte) {
 		st := &connState{}

@@ -37,7 +37,7 @@ import (
 
 // request is one parcel from client to server.
 type request struct {
-	Op      string          `json:"op"` // "evaluate", "evaluate_active", "discover", "types", "reset_active", "add_active", "invoke", "bind_bulk", "evaluate_bulk", "spawn", "spawn_poll", "spawn_cancel"
+	Op      string          `json:"op"` // a key of ops
 	Name    string          `json:"name,omitempty"`
 	Pattern string          `json:"pattern,omitempty"`
 	Reset   bool            `json:"reset,omitempty"`
@@ -57,56 +57,71 @@ type request struct {
 	Tree *TreeDigest `json:"tree,omitempty"`
 }
 
+// retryClass says whether the transport may blindly re-send an op's
+// request after a failure: the client cannot know whether the server
+// executed a request whose response was lost, so only side-effect-free
+// requests qualify. The zero value is deliberately not a class.
+type retryClass int
+
+const (
+	retryAlways      retryClass = iota + 1 // side-effect free, or re-applying is a no-op
+	retryUnlessReset                       // a read; its reset variant is destructive
+	retryNever                             // may execute twice if re-sent
+)
+
+// ops is the wire protocol: every op the server dispatches, with its
+// handler and its retry class, declared once. dispatch and
+// request.idempotent read this table; the fuzz seeds are checked
+// against it.
+var ops = map[string]struct {
+	handle func(*Server, request, *connState) response
+	retry  retryClass
+}{
+	"evaluate": {(*Server).evaluate, retryUnlessReset},
+	"discover": {(*Server).discover, retryAlways},
+	"types":    {(*Server).types, retryAlways},
+	// bind_bulk only compiles a name set into per-connection state;
+	// re-binding after a lost response is harmless.
+	"bind_bulk":     {(*Server).bindBulk, retryAlways},
+	"evaluate_bulk": {(*Server).evaluateBulk, retryUnlessReset},
+	// Re-sending spawn is safe thanks to the server's idempotency-key
+	// dedupe table, but that retry is owned (and counted) by the spawn
+	// plane, not re-sent blindly by the transport.
+	"spawn": {(*Server).spawn, retryNever},
+	// Polling is a read; cancelling twice cancels once.
+	"spawn_poll":   {(*Server).spawnPoll, retryAlways},
+	"spawn_cancel": {(*Server).spawnCancel, retryAlways},
+	// Generation-keyed: the receiver keeps only the newest digest per
+	// child subtree, so re-delivering one after a lost response is a
+	// no-op (tree.go).
+	"tree_push": {(*Server).treePush, retryAlways},
+	"tree_pull": {(*Server).treePull, retryAlways},
+}
+
 // idempotent reports whether the request can be safely re-sent after a
-// transport failure: the client cannot know whether the server executed
-// a request whose response was lost, so only side-effect-free requests
-// may be retried blindly. Reads with reset, active-set mutation and
-// action invocation are never retried.
+// transport failure (see retryClass). An op the table does not hold is
+// never retried: the server will reject it anyway.
 func (r request) idempotent() bool {
-	switch r.Op {
-	case "evaluate", "evaluate_active", "evaluate_bulk":
-		return !r.Reset
-	case "discover", "types", "bind_bulk":
-		// bind_bulk only compiles a name set into per-connection state;
-		// re-binding after a lost response is harmless.
-		return true
-	case "spawn_poll", "spawn_cancel":
-		// Polling is a read; cancelling twice cancels once. Note "spawn"
-		// itself is NOT here: re-sending it is safe thanks to the
-		// server's idempotency-key dedupe table, but the retry is owned
-		// (and counted) by the spawn plane, not re-sent blindly by the
-		// transport.
-		return true
-	case "tree_pull":
-		return true
-	case "tree_push":
-		// Generation-keyed: the receiver keeps only the newest digest per
-		// child subtree, so re-delivering one after a lost response is a
-		// no-op (tree.go).
-		return true
-	default: // add_active, reset_active, invoke, spawn, unknown ops
-		return false
-	}
+	class := ops[r.Op].retry
+	return class == retryAlways || class == retryUnlessReset && !r.Reset
 }
 
 // response is one parcel from server to client.
 type response struct {
-	Error  string          `json:"error,omitempty"`
-	Code   string          `json:"code,omitempty"` // machine-readable error class (codeActionUnknown, ...)
-	Value  *core.Value     `json:"value,omitempty"`
-	Values []core.Value    `json:"values,omitempty"`
-	Names  []string        `json:"names,omitempty"`
-	Infos  []core.Info     `json:"infos,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	SetID  int64           `json:"set_id,omitempty"`  // bind_bulk: id of the compiled set
-	Spawn  *spawnState     `json:"spawn,omitempty"`   // spawn/spawn_cancel: state of that spawn
-	Spawns []spawnState    `json:"spawns,omitempty"`  // spawn_poll: state per polled key
-	Tree   *TreeDigest     `json:"tree,omitempty"`    // tree_pull: the receiver's folded view
+	Error  string       `json:"error,omitempty"`
+	Code   string       `json:"code,omitempty"` // machine-readable error class (codeActionUnknown, ...)
+	Value  *core.Value  `json:"value,omitempty"`
+	Values []core.Value `json:"values,omitempty"`
+	Names  []string     `json:"names,omitempty"`
+	Infos  []core.Info  `json:"infos,omitempty"`
+	SetID  int64        `json:"set_id,omitempty"` // bind_bulk: id of the compiled set
+	Spawn  *spawnState  `json:"spawn,omitempty"`  // spawn/spawn_cancel: state of that spawn
+	Spawns []spawnState `json:"spawns,omitempty"` // spawn_poll: state per polled key
+	Tree   *TreeDigest  `json:"tree,omitempty"`   // tree_pull: the receiver's folded view
 }
 
 // Machine-readable error classes carried in response.Code, so clients
-// classify failures without string matching (legacy servers omit the
-// field and clients fall back to substring heuristics).
+// classify failures without string matching.
 const (
 	codeProtocol      = "protocol"       // malformed/oversized parcel
 	codeActionUnknown = "action_unknown" // no such action registered
@@ -505,76 +520,64 @@ func (s *Server) processLine(line []byte, st *connState) response {
 }
 
 func (s *Server) dispatch(req request, st *connState) response {
-	switch req.Op {
-	case "bind_bulk":
-		// Compile the named counters once for this connection; later
-		// evaluate_bulk requests sample the whole set in one exchange.
-		// Binding is lenient: an unresolvable name degrades its slot to
-		// StatusCounterUnknown instead of failing the set.
-		if len(req.Names) == 0 {
-			return response{Error: "parcel: bind_bulk needs at least one name"}
-		}
-		if len(req.Names) > maxBulkNames {
-			return response{Error: fmt.Sprintf("parcel: bind_bulk limited to %d names", maxBulkNames)}
-		}
-		if st.bulkSets == nil {
-			st.bulkSets = make(map[int64]*core.BindSet)
-		}
-		if len(st.bulkSets) >= maxBulkSetsPerConn {
-			return response{Error: fmt.Sprintf("parcel: at most %d bulk sets per connection", maxBulkSetsPerConn)}
-		}
-		st.nextSetID++
-		st.bulkSets[st.nextSetID] = s.reg.BindSetLenient(req.Names)
-		return response{SetID: st.nextSetID, Names: st.bulkSets[st.nextSetID].Names()}
-	case "evaluate_bulk":
-		set, ok := st.bulkSets[req.SetID]
-		if !ok {
-			return response{Error: fmt.Sprintf("%s %d", errUnknownBulkSet, req.SetID)}
-		}
-		st.bulkBuf = set.EvaluateBatch(st.bulkBuf, req.Reset)
-		return response{Values: st.bulkBuf}
-	case "evaluate":
-		v, err := s.reg.Evaluate(req.Name, req.Reset)
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{Value: &v}
-	case "discover":
-		names, err := s.reg.Discover(req.Pattern)
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		out := make([]string, len(names))
-		for i, n := range names {
-			out[i] = n.String()
-		}
-		return response{Names: out}
-	case "types":
-		return response{Infos: s.reg.Types()}
-	case "add_active":
-		added, err := s.reg.AddActive(req.Pattern)
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{Names: added}
-	case "evaluate_active":
-		return response{Values: s.reg.EvaluateActive(req.Reset)}
-	case "reset_active":
-		s.reg.ResetActive()
-		return response{}
-	case "invoke":
-		return s.invoke(req)
-	case "spawn":
-		return s.spawn(req)
-	case "spawn_poll":
-		return s.spawnPoll(req)
-	case "spawn_cancel":
-		return s.spawnCancel(req)
-	case "tree_push":
-		return s.treePush(req)
-	case "tree_pull":
-		return s.treePull(req)
-	default:
+	op, ok := ops[req.Op]
+	if !ok {
 		return response{Error: fmt.Sprintf("parcel: unknown op %q", req.Op)}
 	}
+	return op.handle(s, req, st)
+}
+
+// bindBulk compiles the named counters once for this connection; later
+// evaluate_bulk requests sample the whole set in one exchange. Binding
+// is lenient: an unresolvable name degrades its slot to
+// StatusCounterUnknown instead of failing the set.
+func (s *Server) bindBulk(req request, st *connState) response {
+	if len(req.Names) == 0 {
+		return response{Error: "parcel: bind_bulk needs at least one name"}
+	}
+	if len(req.Names) > maxBulkNames {
+		return response{Error: fmt.Sprintf("parcel: bind_bulk limited to %d names", maxBulkNames)}
+	}
+	if st.bulkSets == nil {
+		st.bulkSets = make(map[int64]*core.BindSet)
+	}
+	if len(st.bulkSets) >= maxBulkSetsPerConn {
+		return response{Error: fmt.Sprintf("parcel: at most %d bulk sets per connection", maxBulkSetsPerConn)}
+	}
+	st.nextSetID++
+	st.bulkSets[st.nextSetID] = s.reg.BindSetLenient(req.Names)
+	return response{SetID: st.nextSetID, Names: st.bulkSets[st.nextSetID].Names()}
+}
+
+func (s *Server) evaluateBulk(req request, st *connState) response {
+	set, ok := st.bulkSets[req.SetID]
+	if !ok {
+		return response{Error: fmt.Sprintf("%s %d", errUnknownBulkSet, req.SetID)}
+	}
+	st.bulkBuf = set.EvaluateBatch(st.bulkBuf, req.Reset)
+	return response{Values: st.bulkBuf}
+}
+
+func (s *Server) evaluate(req request, _ *connState) response {
+	v, err := s.reg.Evaluate(req.Name, req.Reset)
+	if err != nil {
+		return response{Error: err.Error()}
+	}
+	return response{Value: &v}
+}
+
+func (s *Server) discover(req request, _ *connState) response {
+	names, err := s.reg.Discover(req.Pattern)
+	if err != nil {
+		return response{Error: err.Error()}
+	}
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = n.String()
+	}
+	return response{Names: out}
+}
+
+func (s *Server) types(request, *connState) response {
+	return response{Infos: s.reg.Types()}
 }

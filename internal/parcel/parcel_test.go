@@ -1,6 +1,9 @@
 package parcel
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -80,30 +83,15 @@ func TestRemoteDiscoverAndTypes(t *testing.T) {
 	}
 }
 
-func TestRemoteActiveSet(t *testing.T) {
-	_, c, _, cli := newServerFixture(t)
-	added, err := cli.AddActive("/threads{locality#0/total}/count/cumulative")
-	if err != nil || len(added) != 1 {
-		t.Fatalf("AddActive = %v, %v", added, err)
-	}
-	c.Add(7)
-	vals, err := cli.EvaluateActive(true)
-	if err != nil || len(vals) != 1 || vals[0].Raw != 7 {
-		t.Fatalf("EvaluateActive = %v, %v", vals, err)
-	}
-	c.Add(9)
-	if err := cli.ResetActive(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Load() != 0 {
-		t.Fatal("remote ResetActive did not apply")
-	}
-}
-
 func TestParcelCountersOnServer(t *testing.T) {
 	reg, _, _, cli := newServerFixture(t)
-	if _, err := cli.Types(); err != nil { // generate some traffic
-		t.Fatal(err)
+	// Two exchanges: the handler books a response's bytes after flushing
+	// it, so only the second request's arrival orders the first
+	// response's accounting before the reads below.
+	for i := 0; i < 2; i++ {
+		if _, err := cli.Types(); err != nil { // generate some traffic
+			t.Fatal(err)
+		}
 	}
 	recv, err := reg.Evaluate("/parcels{locality#0/total}/count/received", false)
 	if err != nil {
@@ -177,9 +165,18 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
+// TestUnknownOp: an op outside the table — never-existed or retired —
+// is answered with a plain ServerError on a connection that stays up.
 func TestUnknownOp(t *testing.T) {
 	_, _, _, cli := newServerFixture(t)
-	if _, err := cli.roundTrip(request{Op: "bogus"}); err == nil {
-		t.Fatal("unknown op accepted")
+	for _, op := range []string{"bogus", "", "invoke"} {
+		_, err := cli.roundTripContext(context.Background(), request{Op: op})
+		var se *ServerError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "unknown op") {
+			t.Fatalf("op %q: err = %v, want ServerError \"unknown op\"", op, err)
+		}
+	}
+	if _, err := cli.Types(); err != nil {
+		t.Fatalf("connection dead after unknown ops: %v", err)
 	}
 }

@@ -1,10 +1,10 @@
 package parcel
 
-// Distributed spawn: the parcel layer's promotion from "counter reads +
-// bare invoke" to a fault-tolerant work plane (docs/FAULTS.md, "Remote
-// spawn"). A spawn ships an action invocation with a per-spawn
-// idempotency key and the client's remaining deadline budget; the server
-// executes it asynchronously in a keyed task table, so
+// Distributed spawn: the parcel layer's promotion from counter reads to
+// a fault-tolerant work plane (docs/FAULTS.md, "Remote spawn"). A spawn
+// ships an action invocation with a per-spawn idempotency key and the
+// client's remaining deadline budget; the server executes it
+// asynchronously in a keyed task table, so
 //
 //   - a retried spawn after a dropped response executes exactly once
 //     (the key dedupes into the existing entry),
@@ -207,7 +207,7 @@ func (tb *spawnTable) sweep(now time.Time) {
 }
 
 // spawn handles the spawn op: dedupe by key, or admit and launch.
-func (s *Server) spawn(req request) response {
+func (s *Server) spawn(req request, _ *connState) response {
 	if req.Key == "" {
 		return response{Error: "parcel: spawn needs an idempotency key", Code: codeProtocol}
 	}
@@ -276,7 +276,7 @@ func (s *Server) spawn(req request) response {
 // spawnPoll handles the spawn_poll op: report the state of every listed
 // key, waiting up to WaitMS (capped) for at least one of the running
 // ones to complete first.
-func (s *Server) spawnPoll(req request) response {
+func (s *Server) spawnPoll(req request, _ *connState) response {
 	if len(req.Keys) == 0 {
 		return response{Error: "parcel: spawn_poll needs at least one key", Code: codeProtocol}
 	}
@@ -329,7 +329,7 @@ func (s *Server) spawnPoll(req request) response {
 }
 
 // spawnCancel handles the spawn_cancel op — best-effort, idempotent.
-func (s *Server) spawnCancel(req request) response {
+func (s *Server) spawnCancel(req request, _ *connState) response {
 	if req.Key == "" {
 		return response{Error: "parcel: spawn_cancel needs a key", Code: codeProtocol}
 	}
@@ -669,7 +669,6 @@ const spawnAttempts = 3
 // after ambiguous transport failures — the dedupe table makes that safe
 // for non-idempotent actions), deadline budget shipped from ctx, then a
 // multiplexed wait. Cancelling ctx cancels the remote task best-effort.
-// Unlike Invoke, a retried SpawnJSON never double-executes.
 func (c *Client) SpawnJSON(ctx context.Context, action string, arg json.RawMessage) (json.RawMessage, error) {
 	key := c.spawnKey()
 	var lastErr error
@@ -701,8 +700,7 @@ func (c *Client) SpawnJSON(ctx context.Context, action string, arg json.RawMessa
 
 // SpawnOn launches a remote action through the fault-tolerant spawn
 // plane and returns a future — the distributed analogue of taskrt's
-// Async, superseding InvokeAsync for anything that may be retried or
-// cancelled. For replica failover across localities, use
+// Async. For replica failover across localities, use
 // agas.SpawnRemoteCtx instead.
 func SpawnOn[A, R any](ctx context.Context, c *Client, action string, arg A) *RemoteFuture[R] {
 	f := &RemoteFuture[R]{done: make(chan struct{})}

@@ -89,7 +89,7 @@ func (s *Server) treeNodeRef() TreeNode {
 	return h.tn
 }
 
-func (s *Server) treePush(req request) response {
+func (s *Server) treePush(req request, _ *connState) response {
 	tn := s.treeNodeRef()
 	if tn == nil {
 		return response{Error: "parcel: no aggregation-tree node on this locality", Code: codeTreeNone}
@@ -108,7 +108,7 @@ func (s *Server) treePush(req request) response {
 	return response{}
 }
 
-func (s *Server) treePull(request) response {
+func (s *Server) treePull(request, *connState) response {
 	tn := s.treeNodeRef()
 	if tn == nil {
 		return response{Error: "parcel: no aggregation-tree node on this locality", Code: codeTreeNone}

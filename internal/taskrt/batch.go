@@ -9,56 +9,43 @@ import (
 
 // Batch spawn: launching the N children of a wide node as one scheduler
 // transaction. A single spawn pays a queue publish, a pending-count
-// add, a peak update and a wakeup notify; SpawnBatch pays each of those
-// once for the whole batch — one Chase–Lev bottom-pointer publish (or
-// one injector chain splice from outside the pool), one metrics add,
-// one notify. At Inncabs grains (1–10µs) that turns the dominant
+// add, a peak update and a wakeup notify; SpawnBatchWith pays each of
+// those once for the whole batch — one Chase–Lev bottom-pointer publish
+// (or one injector chain splice from outside the pool), one metrics
+// add, one notify. At Inncabs grains (1–10µs) that turns the dominant
 // per-child cost of wide nodes into a per-wave cost.
 
-// SpawnBatch launches every fn under the given policy and returns
-// their futures, in order. Async and Optional batches are enqueued as
-// one scheduler transaction; other policies keep their per-task
-// semantics (Sync/Fork run each body at the spawn point, Deferred
-// defers each to its first Wait).
-func SpawnBatch[T any](rt *Runtime, policy Policy, fns []func() T) []*Future[T] {
-	return spawnBatch(rt, nil, policy, 0, fns)
-}
-
-// AsyncBatch is SpawnBatch with the Async policy.
+// AsyncBatch launches every fn asynchronously as one scheduler
+// transaction and returns their futures, in order.
 func AsyncBatch[T any](rt *Runtime, fns []func() T) []*Future[T] {
-	return spawnBatch(rt, nil, Async, 0, fns)
-}
-
-// AsyncBatchCtx is AsyncBatch with ctx as every member's cancellation
-// scope: one scope covers the batch, and a scope that dies while
-// members are queued drops each of them at dispatch with exact
-// cancelled-counter accounting, like single spawns.
-func AsyncBatchCtx[T any](ctx context.Context, rt *Runtime, fns []func() T) []*Future[T] {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return spawnBatch(rt, ctx, Async, 0, fns)
+	return SpawnBatchWith(rt, SpawnOptions{}, fns)
 }
 
 // AsyncBatchGrain is AsyncBatch with a caller-supplied estimate of each
-// member's body duration in nanoseconds, feeding the adaptive-inline
-// policy (see AsyncGrain).
+// member's body duration in nanoseconds (SpawnOptions.GrainNs).
 func AsyncBatchGrain[T any](rt *Runtime, grainNs int64, fns []func() T) []*Future[T] {
-	return spawnBatch(rt, nil, Async, grainNs, fns)
+	return SpawnBatchWith(rt, SpawnOptions{GrainNs: grainNs}, fns)
 }
 
-// spawnBatch is the batch launch path. Per-batch bookkeeping that
-// single spawns pay per task — the clock read, the spawn-depth
-// computation, the spawn-site stack capture, the deadline scope — is
-// paid once and stamped onto every member.
-func spawnBatch[T any](rt *Runtime, ctx context.Context, policy Policy, grainNs int64, fns []func() T) []*Future[T] {
+// SpawnBatchWith is the batch launch path: it launches every fn as o
+// describes and returns their futures, in order. Async and Optional
+// batches are enqueued as one scheduler transaction, and the per-batch
+// bookkeeping that single spawns pay per task — the clock read, the
+// spawn-depth computation, the spawn-site stack capture, the
+// cancellation and deadline scope — is paid once and stamped onto every
+// member: one scope covers the batch, and a scope that dies while
+// members are queued drops each of them at dispatch with exact
+// cancelled-counter accounting, like single spawns. Other policies keep
+// their per-task semantics (Sync/Fork run each body at the spawn point,
+// Deferred defers each to its first Wait).
+func SpawnBatchWith[T any](rt *Runtime, o SpawnOptions, fns []func() T) []*Future[T] {
 	out := make([]*Future[T], len(fns))
 	if len(fns) == 0 {
 		return out
 	}
-	if policy != Async && policy != Optional {
+	if o.Policy != Async && o.Policy != Optional {
 		for i, fn := range fns {
-			out[i] = spawn(rt, ctx, policy, grainNs, fn, nil)
+			out[i] = SpawnWith(rt, o, fn)
 		}
 		return out
 	}
@@ -75,11 +62,12 @@ func spawnBatch[T any](rt *Runtime, ctx context.Context, policy Policy, grainNs 
 	if tr != nil {
 		runtime.Callers(2, pcs[:])
 	}
+	ctx := o.Ctx
 	if ctx == nil && w != nil {
 		ctx = w.curCtx // join the running task's cancellation tree
 	}
 	var onDone func()
-	if d := rt.taskDeadline; d > 0 {
+	if d := rt.deadline(o.Timeout); d > 0 {
 		// One deadline scope covers the whole batch; its timer is
 		// released when the last member completes.
 		base := ctx
@@ -126,7 +114,7 @@ func spawnBatch[T any](rt *Runtime, ctx context.Context, policy Policy, grainNs 
 	}
 	// Adaptive inlining over a batch: enqueue just enough members to
 	// feed idle workers, run the rest inline (see batchInlineSplit).
-	k := rt.batchInlineSplit(w, grainNs, len(out))
+	k := rt.batchInlineSplit(w, o.GrainNs, len(out))
 	if rt.adaptiveInline {
 		rt.grainSpawned.Add(int64(k))
 		rt.grainInlined.Add(int64(len(out) - k))

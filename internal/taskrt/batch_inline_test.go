@@ -18,7 +18,7 @@ func intBodies(n int, ran *atomic.Int64) []func() int {
 	return fns
 }
 
-// TestBatchExternalCaller drives SpawnBatch from a non-worker goroutine:
+// TestBatchExternalCaller drives a batch spawn from a non-worker goroutine:
 // the batch takes the injector bulk-push path and every future must
 // resolve to its own body's value, in order.
 func TestBatchExternalCaller(t *testing.T) {
@@ -36,14 +36,14 @@ func TestBatchExternalCaller(t *testing.T) {
 	}
 }
 
-// TestBatchWorkerCaller drives SpawnBatch from inside a task: the batch
+// TestBatchWorkerCaller drives a batch spawn from inside a task: the batch
 // is published as one Chase–Lev deque window on the spawning worker.
 func TestBatchWorkerCaller(t *testing.T) {
 	rt := newTestRuntime(t, 1)
 	var ran atomic.Int64
 	const n = 100
 	root := AsyncF(rt, func() int {
-		fs := SpawnBatch(rt, Async, intBodies(n, &ran))
+		fs := SpawnBatchWith(rt, SpawnOptions{Policy: Async}, intBodies(n, &ran))
 		sum := 0
 		for _, f := range fs {
 			sum += f.Get()
@@ -91,7 +91,7 @@ func TestBatchNonAsyncPolicies(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	for _, p := range []Policy{Sync, Fork} {
 		var ran atomic.Int64
-		fs := SpawnBatch(rt, p, intBodies(8, &ran))
+		fs := SpawnBatchWith(rt, SpawnOptions{Policy: p}, intBodies(8, &ran))
 		if got := ran.Load(); got != 8 {
 			t.Fatalf("%v batch: %d bodies ran at spawn, want 8", p, got)
 		}
@@ -102,7 +102,7 @@ func TestBatchNonAsyncPolicies(t *testing.T) {
 		}
 	}
 	var ran atomic.Int64
-	fs := SpawnBatch(rt, Deferred, intBodies(8, &ran))
+	fs := SpawnBatchWith(rt, SpawnOptions{Policy: Deferred}, intBodies(8, &ran))
 	if got := ran.Load(); got != 0 {
 		t.Fatalf("Deferred batch: %d bodies ran before Wait", got)
 	}
@@ -147,7 +147,7 @@ func TestBatchCancelDeadOnArrival(t *testing.T) {
 	cancel()
 	var ran atomic.Int64
 	const n = 50
-	fs := AsyncBatchCtx(ctx, rt, intBodies(n, &ran))
+	fs := SpawnBatchWith(rt, SpawnOptions{Ctx: ctx}, intBodies(n, &ran))
 	for i, f := range fs {
 		if err := f.Err(); !errors.Is(err, ErrCancelled) {
 			t.Fatalf("future %d: Err() = %v, want ErrCancelled", i, err)
@@ -169,7 +169,7 @@ func TestBatchCancelDropsQueued(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
 	const n = 120
-	fs := AsyncBatchCtx(ctx, rt, intBodies(n, &ran))
+	fs := SpawnBatchWith(rt, SpawnOptions{Ctx: ctx}, intBodies(n, &ran))
 	cancel()
 	release()
 	for i, f := range fs {
@@ -232,7 +232,7 @@ func seedInlineRuntime(t *testing.T) *Runtime {
 }
 
 // TestAdaptiveInlineRuns: with the policy on, a measured threshold, a
-// grain hint below it and a backlog covering the pool, an AsyncGrain
+// grain hint below it and a backlog covering the pool, a grain-hinted
 // spawn runs inline at the spawn point — complete before the spawn call
 // returns, and counted in /grain/inlined.
 func TestAdaptiveInlineRuns(t *testing.T) {
@@ -242,7 +242,7 @@ func TestAdaptiveInlineRuns(t *testing.T) {
 		// longer trades away parallelism.
 		backlog := AsyncF(rt, func() int { return 1 })
 		inlinedBefore := rt.GrainInlined()
-		f := AsyncGrain(rt, 100, func() int { return 7 })
+		f := SpawnWith(rt, SpawnOptions{GrainNs: 100}, func() int { return 7 })
 		if !f.Ready() {
 			t.Error("inline-eligible spawn did not complete at the spawn point")
 		}
@@ -265,7 +265,7 @@ func TestAdaptiveInlineRequiresBacklog(t *testing.T) {
 		// No backlog: pending is 0 while this root runs.
 		inlinedBefore := rt.GrainInlined()
 		spawnedBefore := rt.GrainSpawned()
-		f := AsyncGrain(rt, 100, func() int { return 3 })
+		f := SpawnWith(rt, SpawnOptions{GrainNs: 100}, func() int { return 3 })
 		if got := rt.GrainInlined(); got != inlinedBefore {
 			t.Errorf("GrainInlined() = %d, want %d (no backlog)", got, inlinedBefore)
 		}
@@ -287,13 +287,13 @@ func TestAdaptiveInlineCancelledScope(t *testing.T) {
 	rt := seedInlineRuntime(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	var childRan atomic.Bool
-	root := AsyncCtx(ctx, rt, func() int {
-		backlog := AsyncGrain(rt, 100, func() int { return 1 })
+	root := SpawnWith(rt, SpawnOptions{Ctx: ctx}, func() int {
+		backlog := SpawnWith(rt, SpawnOptions{GrainNs: 100}, func() int { return 1 })
 		_ = backlog // queued before the cancel; dropped at its own dispatch
 		cancel()    // the scope dies while this task runs
 		cancelledBefore := rt.Cancelled()
 		inlinedBefore := rt.GrainInlined()
-		child := AsyncGrain(rt, 100, func() int { childRan.Store(true); return 1 })
+		child := SpawnWith(rt, SpawnOptions{GrainNs: 100}, func() int { childRan.Store(true); return 1 })
 		if err := child.Err(); !errors.Is(err, ErrCancelled) {
 			t.Errorf("inline child Err() = %v, want ErrCancelled", err)
 		}
@@ -351,11 +351,11 @@ func TestBatchInlineCancelledScope(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
 	root := AsyncF(rt, func() int {
-		_ = AsyncGrain(rt, 100, func() int { return 1 }) // backlog
+		_ = SpawnWith(rt, SpawnOptions{GrainNs: 100}, func() int { return 1 }) // backlog
 		cancel()
 		cancelledBefore := rt.Cancelled()
 		const n = 16
-		fs := AsyncBatchCtx(ctx, rt, intBodies(n, &ran))
+		fs := SpawnBatchWith(rt, SpawnOptions{Ctx: ctx}, intBodies(n, &ran))
 		for i, f := range fs {
 			if err := f.Err(); !errors.Is(err, ErrCancelled) {
 				t.Errorf("member %d: Err() = %v, want ErrCancelled", i, err)

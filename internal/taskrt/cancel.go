@@ -1,6 +1,6 @@
 package taskrt
 
-// Cancellation trees: tasks spawned with SpawnCtx carry a
+// Cancellation trees: tasks spawned with SpawnOptions.Ctx carry a
 // context.Context, and every task they spawn — directly or through any
 // depth of plain Spawn calls — inherits that scope automatically.
 // Cancelling the root context therefore cancels the whole subtree:
@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrCancelled is reported by a future whose task was dropped because
@@ -40,25 +39,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("taskrt: task panicked: %v", e.Value)
 }
 
-// SpawnCtx launches fn under the given policy with ctx as the task's
-// cancellation scope. The scope propagates to every descendant task
-// spawned from inside fn (including plain Spawn/AsyncF calls). If ctx
-// is already cancelled the task is dropped immediately; if it is
-// cancelled while the task is queued, the task is dropped at dispatch.
-// Dropped tasks complete their future with ErrCancelled and are counted
-// in the runtime's cancelled counter.
-func SpawnCtx[T any](ctx context.Context, rt *Runtime, policy Policy, fn func() T) *Future[T] {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return spawn(rt, ctx, policy, 0, fn, nil)
-}
-
-// AsyncCtx is SpawnCtx with the Async policy.
-func AsyncCtx[T any](ctx context.Context, rt *Runtime, fn func() T) *Future[T] {
-	return SpawnCtx(ctx, rt, Async, fn)
-}
-
 // CurrentContext returns the cancellation scope of the task executing
 // the call — the same ambient scope plain Spawn inherits — or
 // context.Background() off a worker or inside a scope-less task. It is
@@ -72,21 +52,6 @@ func (rt *Runtime) CurrentContext() context.Context {
 		return w.curCtx
 	}
 	return context.Background()
-}
-
-// SpawnTimeout is SpawnCtx with a per-spawn deadline: the task's scope
-// is ctx bounded by d, and the derived timer is released when the
-// future completes. The per-runtime WithTaskDeadline default, if set,
-// still applies on top (the earlier deadline wins).
-func SpawnTimeout[T any](ctx context.Context, rt *Runtime, policy Policy, d time.Duration, fn func() T) *Future[T] {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	dctx, cancel := context.WithTimeout(ctx, d)
-	// The release hook rides into spawn so it is installed before the
-	// task is published; spawn chains it with the per-runtime deadline's
-	// cancel when both apply.
-	return spawn(rt, dctx, policy, 0, fn, cancel)
 }
 
 // Err waits for the future and reports how it completed: nil for a

@@ -48,7 +48,7 @@ func TestCancelDropsQueuedTasks(t *testing.T) {
 	var ran atomic.Int64
 	fs := make([]*Future[int], n)
 	for i := range fs {
-		fs[i] = AsyncCtx(ctx, rt, func() int { ran.Add(1); return 1 })
+		fs[i] = SpawnWith(rt, SpawnOptions{Ctx: ctx}, func() int { ran.Add(1); return 1 })
 	}
 	cancel()
 	release()
@@ -67,13 +67,13 @@ func TestCancelDropsQueuedTasks(t *testing.T) {
 }
 
 // TestCancelPropagatesToDescendants: children spawned with plain Spawn
-// from inside a SpawnCtx task join the parent's cancellation tree.
+// from inside a task with a scope join the parent's cancellation tree.
 func TestCancelPropagatesToDescendants(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 
 	var childErr error
-	root := AsyncCtx(ctx, rt, func() int {
+	root := SpawnWith(rt, SpawnOptions{Ctx: ctx}, func() int {
 		cancel()                                     // scope dies while the root is running
 		child := AsyncF(rt, func() int { return 7 }) // inherits the scope
 		childErr = child.Err()
@@ -98,7 +98,7 @@ func TestCancelDeadOnArrival(t *testing.T) {
 	cancel()
 	for _, p := range []Policy{Async, Sync, Fork, Deferred, Optional} {
 		var ran atomic.Bool
-		f := SpawnCtx(ctx, rt, p, func() int { ran.Store(true); return 1 })
+		f := SpawnWith(rt, SpawnOptions{Ctx: ctx, Policy: p}, func() int { ran.Store(true); return 1 })
 		v, err := f.GetErr()
 		if !errors.Is(err, ErrCancelled) {
 			t.Fatalf("%v: GetErr err = %v, want ErrCancelled", p, err)
@@ -115,7 +115,7 @@ func TestCancelGetPanics(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	f := AsyncCtx(ctx, rt, func() int { return 1 })
+	f := SpawnWith(rt, SpawnOptions{Ctx: ctx}, func() int { return 1 })
 	defer func() {
 		if r := recover(); !errors.Is(r.(error), ErrCancelled) {
 			t.Fatalf("recovered %v, want ErrCancelled", r)
@@ -148,13 +148,13 @@ func TestCancelRuntimeTaskDeadline(t *testing.T) {
 func TestCancelSpawnTimeout(t *testing.T) {
 	rt := newTestRuntime(t, 1)
 
-	fast := SpawnTimeout(context.Background(), rt, Async, time.Second, func() int { return 9 })
+	fast := SpawnWith(rt, SpawnOptions{Timeout: time.Second}, func() int { return 9 })
 	if v, err := fast.GetErr(); err != nil || v != 9 {
 		t.Fatalf("fast GetErr = %d, %v", v, err)
 	}
 
 	release := gateWorkers(t, rt)
-	slow := SpawnTimeout(context.Background(), rt, Async, 20*time.Millisecond, func() int { return 1 })
+	slow := SpawnWith(rt, SpawnOptions{Timeout: 20 * time.Millisecond}, func() int { return 1 })
 	time.Sleep(60 * time.Millisecond)
 	release()
 	if err := slow.Err(); !errors.Is(err, ErrCancelled) {

@@ -136,7 +136,7 @@ func (d *deque) pushBack(t *task) int {
 
 // pushBackN appends a whole batch of tasks at the owner's end with one
 // bottom-pointer publish and reports the new length. Owner-only. This
-// is the deque half of SpawnBatch: thieves cannot see any of the batch
+// is the deque half of SpawnBatchWith: thieves cannot see any of the batch
 // until the single bottom store, so the reservation window [b, b+n) is
 // filled without per-task synchronisation.
 func (d *deque) pushBackN(ts []*task) int {

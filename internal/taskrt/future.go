@@ -166,27 +166,55 @@ func ReleaseAll[T any](fs []*Future[T]) {
 	}
 }
 
+// SpawnOptions is the general form of a launch; Spawn, AsyncF and the
+// AsyncBatch functions are SpawnWith/SpawnBatchWith with some of these
+// fixed. The zero value is a plain Async spawn.
+type SpawnOptions struct {
+	// Ctx is the task's cancellation scope, propagated to every task
+	// spawned from inside it. A task whose scope is dead at spawn or
+	// dies while the task is queued is dropped without running: its
+	// future completes with ErrCancelled and the runtime's cancelled
+	// counter is bumped. nil inherits the spawning task's scope, if any.
+	Ctx context.Context
+	// Policy is the launch policy; the zero value is Async.
+	Policy Policy
+	// GrainNs is the caller's estimate of the task body's duration in
+	// nanoseconds — the hint the adaptive-inline policy compares against
+	// the runtime's measured spawn cost (see WithAdaptiveInlining). Pass
+	// what the workload knows (a per-element cost, a calibrated kernel
+	// grain); 0 means "unknown", falling back to the runtime's own
+	// profiled task-duration EWMA.
+	GrainNs int64
+	// Timeout, when positive, bounds the scope by a per-spawn deadline.
+	// It composes with WithTaskDeadline and Ctx: the earliest wins.
+	Timeout time.Duration
+}
+
+// deadline returns the tighter of the runtime's default task deadline
+// and a spawn's own timeout; 0 means neither is set.
+func (rt *Runtime) deadline(timeout time.Duration) time.Duration {
+	d := rt.taskDeadline
+	if timeout > 0 && (d == 0 || timeout < d) {
+		d = timeout
+	}
+	return d
+}
+
 // Spawn launches fn under the given policy on rt and returns a Future for
 // its result. Task submission from inside another task lands on the
 // submitting worker's own queue (child tasks are executed or stolen in
 // LIFO/FIFO order as in HPX's local-priority scheduler). When called from
-// inside a task spawned with SpawnCtx, the child joins the parent's
+// inside a task with a cancellation scope, the child joins the parent's
 // cancellation tree.
 func Spawn[T any](rt *Runtime, policy Policy, fn func() T) *Future[T] {
-	return spawn(rt, nil, policy, 0, fn, nil)
+	return SpawnWith(rt, SpawnOptions{Policy: policy}, fn)
 }
 
-// spawn is the shared launch path: ctx == nil means "inherit the
-// spawning task's scope, if any"; grainNs > 0 is the caller's estimate
-// of the task body's duration, feeding the adaptive-inline policy.
-// onDone, if non-nil, is invoked when the future completes (used to
-// release per-spawn deadline timers); it must be installed here, before
-// the task is published, because completion may run concurrently on a
-// worker the moment the task is queued.
-func spawn[T any](rt *Runtime, ctx context.Context, policy Policy, grainNs int64, fn func() T, onDone func()) *Future[T] {
+// SpawnWith is the one launch path: it launches fn on rt as o describes
+// and returns a Future for its result.
+func SpawnWith[T any](rt *Runtime, o SpawnOptions, fn func() T) *Future[T] {
 	f := newFuture[T](rt)
 	f.fn = fn
-	f.onDone = onDone
 	// One worker resolution per spawn: every path below that needs the
 	// caller's identity reuses w instead of consulting goroutine id
 	// again.
@@ -203,23 +231,19 @@ func spawn[T any](rt *Runtime, ctx context.Context, policy Policy, grainNs int64
 	} else if w != nil {
 		f.depthNs = w.spawnDepthNs(time.Now().UnixNano())
 	}
+	ctx := o.Ctx
 	if ctx == nil && w != nil {
 		ctx = w.curCtx // join the running task's cancellation tree
 	}
-	if d := rt.taskDeadline; d > 0 {
-		// Per-runtime default task deadline, folded into the scope so
-		// dispatch-side dropping and descendant propagation both apply.
-		base := ctx
-		if base == nil {
-			base = context.Background()
+	if d := rt.deadline(o.Timeout); d > 0 {
+		// Folded into the scope so dispatch-side dropping and descendant
+		// propagation both apply. The timer release is installed here,
+		// before the task is published: completion may run concurrently
+		// on a worker the moment the task is queued.
+		if ctx == nil {
+			ctx = context.Background()
 		}
-		dctx, cancel := context.WithTimeout(base, d)
-		ctx = dctx
-		if prev := f.onDone; prev != nil {
-			f.onDone = func() { prev(); cancel() }
-		} else {
-			f.onDone = cancel
-		}
+		ctx, f.onDone = context.WithTimeout(ctx, d)
 	}
 	f.ctx = ctx
 	if ctx != nil && ctx.Err() != nil {
@@ -228,7 +252,7 @@ func spawn[T any](rt *Runtime, ctx context.Context, policy Policy, grainNs int64
 		f.drop()
 		return f
 	}
-	switch policy {
+	switch o.Policy {
 	case Sync, Fork:
 		// Work-first execution at the spawn point. When on a worker, the
 		// execution is accounted as an inline task.
@@ -245,7 +269,7 @@ func spawn[T any](rt *Runtime, ctx context.Context, policy Policy, grainNs int64
 			runOn(w, rt, &f.task)
 			return f
 		}
-		if rt.inlineEligible(w, grainNs) {
+		if rt.inlineEligible(w, o.GrainNs) {
 			// Adaptive inlining: the task is cheaper to run here than
 			// to schedule, by the runtime's own measurement.
 			rt.grainInlined.Add(1)
@@ -268,16 +292,6 @@ func spawn[T any](rt *Runtime, ctx context.Context, policy Policy, grainNs int64
 // paper's hpx::async usage.
 func AsyncF[T any](rt *Runtime, fn func() T) *Future[T] {
 	return Spawn(rt, Async, fn)
-}
-
-// AsyncGrain is AsyncF with a caller-supplied estimate of the task
-// body's duration in nanoseconds — the hint the adaptive-inline policy
-// compares against the runtime's measured spawn cost (see
-// WithAdaptiveInlining). Pass what the workload knows (a per-element
-// cost, a calibrated kernel grain); 0 means "unknown", falling back to
-// the runtime's own profiled task-duration EWMA.
-func AsyncGrain[T any](rt *Runtime, grainNs int64, fn func() T) *Future[T] {
-	return spawn(rt, nil, Async, grainNs, fn, nil)
 }
 
 // runOn executes a fused task at the spawn point: as an accounted

@@ -40,8 +40,8 @@ const (
 )
 
 // WithAdaptiveInlining enables counter-driven adaptive inlining: Async
-// spawns whose estimated grain (caller-supplied via AsyncGrain /
-// AsyncBatchGrain, else the runtime's profiled task-duration EWMA)
+// spawns whose estimated grain (caller-supplied via SpawnOptions.GrainNs
+// or AsyncBatchGrain, else the runtime's profiled task-duration EWMA)
 // falls below ≈2× the runtime's measured spawn cost run inline on the
 // spawning worker instead of being enqueued — but only while the
 // queues hold enough work to keep every worker fed. Off by default:

@@ -1,7 +1,8 @@
 package taskrt
 
 import (
-	"runtime"
+	"runtime/metrics"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -358,27 +359,13 @@ func (rt *Runtime) RegisterCounters(reg *core.Registry) error {
 	if err := reg.Register(uptime); err != nil {
 		return err
 	}
-	memSpecs := []struct {
-		counter, help string
-		read          func(ms *runtime.MemStats) int64
-	}{
-		{"memory/allocated", "heap bytes allocated and in use",
-			func(ms *runtime.MemStats) int64 { return int64(ms.HeapAlloc) }},
-		{"memory/resident", "total bytes obtained from the OS",
-			func(ms *runtime.MemStats) int64 { return int64(ms.Sys) }},
-		{"memory/total-allocated", "cumulative bytes allocated",
-			func(ms *runtime.MemStats) int64 { return int64(ms.TotalAlloc) }},
-	}
-	for _, s := range memSpecs {
-		s := s
-		name := core.Name{Object: "runtime", Counter: s.counter}.
+	for i, m := range memCounters {
+		name := core.Name{Object: "runtime", Counter: m.counter}.
 			WithInstances(core.LocalityInstance(loc, "total", -1)...)
-		info := core.Info{TypeName: "/runtime/" + s.counter, HelpText: s.help,
+		info := core.Info{TypeName: "/runtime/" + m.counter, HelpText: m.help,
 			Unit: core.UnitBytes, Version: "1.0"}
 		if err := reg.Register(core.NewFuncCounter(name, info, 0, func() int64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return s.read(&ms)
+			return rt.mem.value(i)
 		}, nil)); err != nil {
 			return err
 		}
@@ -575,3 +562,45 @@ func (c *histRatioCounter) Quantile(q float64) (int64, bool) {
 }
 
 var _ core.Quantiler = (*histRatioCounter)(nil)
+
+// memCounters are the /runtime{...}/memory counters and the
+// runtime/metrics sample each one reports.
+var memCounters = [...]struct{ counter, help, metric string }{
+	{"memory/allocated", "heap bytes allocated and in use", "/memory/classes/heap/objects:bytes"},
+	{"memory/resident", "total bytes obtained from the OS", "/memory/classes/total:bytes"},
+	{"memory/total-allocated", "cumulative bytes allocated", "/gc/heap/allocs:bytes"},
+}
+
+// memStatsMaxAge is how long one runtime/metrics read serves the memory
+// counters: long enough to cover the sweep that evaluates them back to
+// back, no longer than the fastest sampler's tick.
+const memStatsMaxAge = time.Millisecond
+
+// memStats serves the memory counters from one shared metrics.Read —
+// which, unlike runtime.ReadMemStats, does not stop the world — instead
+// of one read per counter per sweep.
+type memStats struct {
+	mu      sync.Mutex
+	at      time.Time
+	reads   int64
+	samples [len(memCounters)]metrics.Sample
+}
+
+// value returns the i-th memory counter, re-reading all of them when
+// the last read is older than memStatsMaxAge.
+func (m *memStats) value(i int) int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if now := time.Now(); now.Sub(m.at) > memStatsMaxAge {
+		for j := range m.samples {
+			m.samples[j].Name = memCounters[j].metric
+		}
+		metrics.Read(m.samples[:])
+		m.at = now
+		m.reads++
+	}
+	if m.samples[i].Value.Kind() != metrics.KindUint64 {
+		return 0 // metric unknown to this Go runtime
+	}
+	return int64(m.samples[i].Value.Uint64())
+}

@@ -92,7 +92,7 @@ func TestCounterEvaluateAndResetBetweenSamples(t *testing.T) {
 			fs[i] = AsyncF(rt, func() int { return 0 })
 		}
 		WaitAllOf(fs)
-		vals := reg.EvaluateActive(true)
+		vals := reg.EvaluateActiveInto(nil, true)
 		return vals[0].Raw
 	}
 	if got := runSample(30); got != 30 {
@@ -160,6 +160,45 @@ func TestCounterMemoryAndUptime(t *testing.T) {
 			t.Fatalf("%s = %d", name, v.Raw)
 		}
 	}
+}
+
+// TestCounterMemoryOneReadPerSweep: the three memory counters of one
+// sweep share a single runtime/metrics read instead of paying one each.
+func TestCounterMemoryOneReadPerSweep(t *testing.T) {
+	rt, reg := newInstrumentedRuntime(t, 1)
+	names, err := reg.Discover("/runtime{locality#0/total}/memory/*")
+	if err != nil || len(names) != len(memCounters) {
+		t.Fatalf("Discover = %v, %v; want the %d memory counters", names, err, len(memCounters))
+	}
+	full := make([]string, len(names))
+	for i, n := range names {
+		full[i] = n.String()
+	}
+	set, err := reg.BindSet(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := func() int64 {
+		rt.mem.mu.Lock()
+		defer rt.mem.mu.Unlock()
+		return rt.mem.reads
+	}
+	// A sweep descheduled for longer than memStatsMaxAge between two
+	// counters legitimately re-reads, so a loaded machine gets retries.
+	var got int64
+	for try := 0; try < 5; try++ {
+		time.Sleep(2 * memStatsMaxAge) // age out the previous sweep's read
+		before := reads()
+		for _, v := range set.EvaluateBatch(nil, false) {
+			if v.Raw <= 0 {
+				t.Fatalf("%s = %d", v.Name, v.Raw)
+			}
+		}
+		if got = reads() - before; got == 1 {
+			return
+		}
+	}
+	t.Fatalf("one sweep of the memory counters cost %d metrics reads, want 1", got)
 }
 
 func TestCounterDiscoveryOfRuntimeCounters(t *testing.T) {

@@ -111,11 +111,10 @@ func measureGrain(workers, nTasks int, grain time.Duration, sampled, watchdog, t
 				panic(err)
 			}
 		}
-		// Sample through a compiled BindSet into a reused buffer — the
+		// Sample the published active set into a reused buffer — the
 		// intended steady-state monitoring loop: no name parsing, no
 		// sorting, no allocation per tick.
-		set := reg.BindActive()
-		buf := make([]core.Value, 0, set.Len())
+		buf := make([]core.Value, 0, len(reg.Active()))
 		go func() {
 			defer close(samplerDone)
 			tick := time.NewTicker(time.Millisecond)
@@ -125,7 +124,7 @@ func measureGrain(workers, nTasks int, grain time.Duration, sampled, watchdog, t
 				case <-stop:
 					return
 				case <-tick.C:
-					buf = set.EvaluateBatch(buf, false)
+					buf = reg.EvaluateActiveInto(buf, false)
 				}
 			}
 		}()
@@ -525,7 +524,7 @@ func measureSpawnGetNs() float64 {
 }
 
 // measureBatchSpawnNs times the per-child cost of the batch spawn path:
-// SpawnBatch waves of empty tasks, joined and recycled, from a worker
+// AsyncBatch waves of empty tasks, joined and recycled, from a worker
 // task. The quantity TestBenchGate budgets against regression.
 func measureBatchSpawnNs() float64 {
 	rt := New(WithWorkers(1))

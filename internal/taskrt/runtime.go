@@ -42,8 +42,8 @@ func WithLocality(id int64) Option {
 // gets a cancellation scope bounded by d, so a task that is still queued
 // when its deadline passes is dropped at dispatch (counted in the
 // cancelled counter) instead of running arbitrarily late. Per-spawn
-// deadlines (SpawnTimeout) and caller contexts compose with it — the
-// earliest deadline wins.
+// deadlines (SpawnOptions.Timeout) and caller contexts compose with it —
+// the earliest deadline wins.
 func WithTaskDeadline(d time.Duration) Option {
 	return func(c *config) {
 		if d > 0 {
@@ -119,6 +119,9 @@ type Runtime struct {
 
 	trace     atomic.Value // *tracer; nil when tracing is off
 	lastTrace atomic.Value // *tracer of the previous session
+
+	// mem backs the /runtime{...}/memory counters (metrics.go).
+	mem memStats
 }
 
 // worker is one scheduling loop with its own queue.

@@ -21,20 +21,20 @@ import (
 )
 
 type telemetryBudgetReport struct {
-	GeneratedBy       string  `json:"generated_by"`
-	Workers           int     `json:"workers"`
-	GrainUs           float64 `json:"workload_grain_us"`
-	BudgetPct         float64 `json:"budget_pct"`
-	BaseIntervalMs    float64 `json:"base_interval_ms"`
-	WindowMs          float64 `json:"window_ms"`
-	ConvergedWindows  int     `json:"converged_after_windows"`
-	FinalOverheadPct  float64 `json:"final_measured_overhead_pct"`
-	FinalIntervalMs   float64 `json:"final_interval_ms"`
-	FinalLevel        int     `json:"final_degradation_level"`
-	Demotions         int64   `json:"demotions"`
-	EvalCostNsPerSwp  float64 `json:"eval_cost_ns_per_sweep"`
-	ActiveCounters    int     `json:"active_counters_full_set"`
-	TasksPerSecond    float64 `json:"workload_tasks_per_second"`
+	GeneratedBy      string  `json:"generated_by"`
+	Workers          int     `json:"workers"`
+	GrainUs          float64 `json:"workload_grain_us"`
+	BudgetPct        float64 `json:"budget_pct"`
+	BaseIntervalMs   float64 `json:"base_interval_ms"`
+	WindowMs         float64 `json:"window_ms"`
+	ConvergedWindows int     `json:"converged_after_windows"`
+	FinalOverheadPct float64 `json:"final_measured_overhead_pct"`
+	FinalIntervalMs  float64 `json:"final_interval_ms"`
+	FinalLevel       int     `json:"final_degradation_level"`
+	Demotions        int64   `json:"demotions"`
+	EvalCostNsPerSwp float64 `json:"eval_cost_ns_per_sweep"`
+	ActiveCounters   int     `json:"active_counters_full_set"`
+	TasksPerSecond   float64 `json:"workload_tasks_per_second"`
 }
 
 // TestWriteTelemetryBudgetJSON regenerates the "telemetry_budget"
@@ -88,7 +88,7 @@ func TestWriteTelemetryBudgetJSON(t *testing.T) {
 	if _, err := reg.AddActive(exp.String()); err != nil {
 		t.Fatal(err)
 	}
-	fullSet := len(reg.EvaluateActive(false))
+	fullSet := len(reg.EvaluateActiveInto(nil, false))
 
 	// The 1µs-grain workload: spawn-and-join spinning tasks for the
 	// whole measurement. The generator yields between spawns so the

@@ -18,7 +18,7 @@ go test -run=XXX -bench='SpawnGet|BatchSpawn|GoroutineID|CurrentWorkerLookup' \
     -benchtime=200ms ./internal/taskrt/
 go test -run=XXX -bench='EvaluateBulk|EvaluatePerCounter' \
     -benchtime=50x ./internal/parcel/
-go test -run=XXX -bench='HandleEvaluate|EvaluateBatch|EvaluateActive' \
+go test -run=XXX -bench='HandleEvaluate|EvaluateBatch' \
     -benchtime=200ms ./internal/core/
 
 echo "== regenerating BENCH_taskrt.json =="
