@@ -1,10 +1,12 @@
 package parcel
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -198,18 +200,28 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	// A malformed request line yields an error response, not a dead
 	// server.
 	_, cli := newActionFixture(t)
-	cli.mu.Lock()
-	if _, err := cli.conn.Write([]byte("this is not json\n")); err != nil {
-		cli.mu.Unlock()
+	conn, err := net.Dial("tcp", cli.addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	line, err := cli.rd.ReadBytes('\n')
-	cli.mu.Unlock()
-	if err != nil || !strings.Contains(string(line), "malformed") {
-		t.Fatalf("garbage handling: %q %v", line, err)
+	defer conn.Close()
+	rd := bufio.NewReader(conn)
+	exchange := func(frame string) string {
+		t.Helper()
+		if _, err := conn.Write([]byte(frame)); err != nil {
+			t.Fatal(err)
+		}
+		line, err := rd.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		return line
 	}
-	// The connection keeps working.
-	if _, err := cli.Types(); err != nil {
-		t.Fatalf("connection dead after garbage: %v", err)
+	if line := exchange("this is not json\n"); !strings.Contains(line, "malformed") || strings.Contains(line, `"id"`) {
+		t.Fatalf("garbage handling: %q, want an id-less malformed-request error", line)
+	}
+	// The connection keeps working, and answers under the request's id.
+	if line := exchange(`{"id":7,"op":"types"}` + "\n"); !strings.Contains(line, `"id":7`) || strings.Contains(line, `"error":`) {
+		t.Fatalf("connection dead after garbage: %q", line)
 	}
 }

@@ -4,8 +4,9 @@ package parcel
 // transport failures the client stops touching the network and
 // fast-fails with ErrCircuitOpen, until BreakerCooldown elapses and one
 // probe request is let through (half-open). A successful probe closes
-// the breaker; a failed one re-opens it. Server-reported errors never
-// count — only the transport's health is judged.
+// the breaker; a failed one re-opens it; one that never reports back
+// forfeits to the next call a cooldown later. Server-reported errors
+// never count — only the transport's health is judged.
 
 import (
 	"errors"
@@ -63,7 +64,8 @@ func newBreaker(threshold int, cooldown time.Duration, gauge *core.RawCounter) *
 // allow reports whether a request may touch the network now. While
 // open it flips to half-open once the cooldown has elapsed, admitting
 // exactly one probe; concurrent calls keep fast-failing until the probe
-// reports back.
+// reports back — or, its caller having given up without an outcome to
+// record, another cooldown has passed and the next call probes instead.
 func (b *breaker) allow() bool {
 	if b.threshold <= 0 {
 		return true
@@ -73,13 +75,12 @@ func (b *breaker) allow() bool {
 	switch b.st {
 	case BreakerClosed:
 		return true
-	case BreakerOpen:
+	default: // open, or half-open since openedAt with the probe still out
 		if time.Since(b.openedAt) >= b.cooldown {
+			b.openedAt = time.Now()
 			b.setLocked(BreakerHalfOpen)
 			return true
 		}
-		return false
-	default: // BreakerHalfOpen: a probe is already in flight
 		return false
 	}
 }

@@ -7,6 +7,7 @@ package parcel
 
 import (
 	"context"
+	"io"
 	"testing"
 	"time"
 
@@ -146,9 +147,7 @@ func TestEvaluateBulkRebindAfterReconnect(t *testing.T) {
 	firstID := set.id
 
 	// Sever the connection behind the client's back.
-	cli.mu.Lock()
-	cli.dropConnLocked()
-	cli.mu.Unlock()
+	cli.drop(cli.link.Load(), io.ErrUnexpectedEOF)
 
 	vals, err := set.Evaluate(false)
 	if err != nil {

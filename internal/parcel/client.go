@@ -2,9 +2,10 @@ package parcel
 
 // The fault-tolerant client side of the parcel transport. Every remote
 // call runs under a deadline (context and/or per-attempt timeout), the
-// single TCP connection is re-established transparently after a
-// failure, idempotent requests are retried with exponential backoff and
-// jitter, a circuit breaker fast-fails a persistently dead endpoint,
+// single full-duplex TCP connection (calls overlap, matched to responses
+// by request id) is re-established transparently after a failure,
+// idempotent requests are retried with exponential backoff and jitter,
+// a circuit breaker fast-fails a persistently dead endpoint,
 // and — when enabled — Evaluate serves last-known values tagged
 // core.StatusStale while the endpoint is unreachable, so a monitor
 // degrades instead of dying with the thing it observes.
@@ -53,9 +54,9 @@ func (e *DialError) Unwrap() error { return e.Err }
 // ClientOptions tunes the client's fault tolerance. The zero value
 // selects the defaults noted on each field.
 type ClientOptions struct {
-	// Timeout is the per-attempt deadline covering write + read of one
-	// exchange (and a reconnect, if needed). Default 10s; negative
-	// disables. A context deadline, when earlier, wins.
+	// Timeout is the per-attempt deadline covering one call's write and
+	// the wait for its response (and a reconnect, if needed). Default
+	// 10s; negative disables. A context deadline, when earlier, wins.
 	Timeout time.Duration
 	// Retries is how many times an idempotent request is re-sent after a
 	// transport failure (total attempts = Retries+1). Default 2;
@@ -117,46 +118,60 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
-// Client queries a remote registry. It is safe for concurrent use; each
-// request/response pair is serialised on the single connection, which
-// is re-dialled transparently after transport failures.
+// Client queries a remote registry. It is safe for concurrent use: calls
+// share the single connection without waiting for each other, and it is
+// re-dialled transparently after transport failures.
 type Client struct {
 	addr    string
 	opts    ClientOptions
 	meters  *meters
 	breaker *breaker
 
-	mu   sync.Mutex // serialises exchanges; guards conn, rd
-	conn net.Conn
-	rd   *bufio.Reader
+	// wsem (one slot) serialises dials, frame writes and a fresh link's
+	// first exchange; a call waits for it no longer than its own deadline.
+	// link is nil from a failure to the next re-dial.
+	wsem   chan struct{}
+	link   atomic.Pointer[link]
+	nextID atomic.Uint64
+	wg     sync.WaitGroup // the links' readers and the heartbeat
 
-	// rngMu guards the jitter PRNG alone: mu is held across a whole
-	// exchange, and a retry's backoff must not wait for somebody else's
-	// in-flight round trip before it can even start sleeping.
+	// rngMu guards the jitter PRNG alone: a retry's backoff must not wait
+	// for somebody else's dial or blocked write to start sleeping.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
 	// connGen counts connection establishments. Bulk sets record the
-	// generation they were bound on; a mismatch means the server-side
-	// set died with the old connection and the client re-binds before
-	// sampling instead of burning a round trip on a known failure.
+	// generation they were bound on (spawn keys: attached on); a mismatch
+	// means the server-side state died with the old connection and the
+	// client re-binds (re-attaches) instead of finding out by failing.
 	connGen atomic.Uint64
 
 	bulkMu   sync.Mutex
 	bulkSets map[string]*BulkSet // EvaluateBulk's cache, keyed by joined names
 
-	// The spawn plane (spawn.go): the manager multiplexing in-flight
-	// spawn polls, and the idempotency-key source.
-	spawnMu    sync.Mutex
-	spawns     *spawnMgr
+	// The spawn plane (spawn.go): spawns awaiting their pushed
+	// completion, and the idempotency-key source.
+	spawns     spawnWaits
 	spawnEpoch int64
 	spawnSeq   atomic.Int64
 
 	cacheMu sync.Mutex
 	cache   map[string]core.Value
 
+	// life ends at Close; closeMu orders that against installing a link,
+	// so Close sees the one it must drop.
 	closeMu sync.Mutex
-	closed  bool
+	life    context.Context
+	stop    context.CancelFunc
+}
+
+// link is one established connection and the calls in flight on it.
+type link struct {
+	conn   net.Conn
+	mu     sync.Mutex
+	calls  map[uint64]chan response // 1-buffered each; nil once the link failed
+	err    error                    // why it failed
+	proven atomic.Bool              // the server has answered on it
 }
 
 // Dial connects to a parcel server with default fault tolerance. Pass a
@@ -187,43 +202,131 @@ func DialContext(ctx context.Context, addr string, reg *core.Registry, locality 
 		opts:       opts,
 		meters:     m,
 		breaker:    newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, gauge),
+		wsem:       make(chan struct{}, 1),
 		rng:        rand.New(rand.NewSource(opts.Seed)),
 		cache:      make(map[string]core.Value),
+		spawns:     spawnWaits{entries: make(map[string]*spawnEntry), kick: make(chan struct{}, 1)},
 		spawnEpoch: time.Now().UnixNano(),
 	}
+	c.life, c.stop = context.WithCancel(context.Background())
 	dctx, cancel := c.attemptContext(ctx)
 	defer cancel()
-	conn, err := opts.Dialer(dctx, addr)
-	if err != nil {
+	if _, err := c.connect(dctx); err != nil {
 		return nil, err
 	}
-	c.conn = conn
-	c.rd = bufio.NewReader(conn)
-	c.connGen.Add(1)
 	return c, nil
 }
 
-// Close closes the connection; in-flight calls fail and future calls
-// return ErrClientClosed.
-func (c *Client) Close() error {
+// Close closes the connection first — calls in flight and pending
+// WaitSpawns resolve ErrClientClosed — then waits for its goroutines.
+func (c *Client) Close() (err error) {
 	c.closeMu.Lock()
-	c.closed = true
+	c.stop()
+	l := c.link.Load()
 	c.closeMu.Unlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil
+	if l != nil {
+		err = c.drop(l, ErrClientClosed)
 	}
-	err := c.conn.Close()
-	c.conn = nil
-	c.rd = nil
+	c.spawns.failAll(codeClientClosed, "")
+	c.wg.Wait()
 	return err
 }
 
-func (c *Client) isClosed() bool {
+func (c *Client) isClosed() bool { return c.life.Err() != nil }
+
+// connect returns the live link, dialling one (and starting its reader)
+// if there is none. The caller holds wsem, or is the constructor.
+func (c *Client) connect(ctx context.Context) (*link, error) {
+	if l := c.link.Load(); l != nil {
+		return l, nil
+	}
+	conn, err := c.opts.Dialer(ctx, c.addr)
+	if err != nil {
+		return nil, err
+	}
+	l := &link{conn: conn, calls: make(map[uint64]chan response)}
 	c.closeMu.Lock()
 	defer c.closeMu.Unlock()
-	return c.closed
+	if c.isClosed() {
+		conn.Close()
+		return nil, ErrClientClosed
+	}
+	c.connGen.Add(1)
+	c.link.Store(l)
+	c.wg.Add(1)
+	go c.read(l)
+	return l, nil
+}
+
+// read demultiplexes a link: it routes every frame the server sends until
+// the stream fails, then fails the link.
+func (c *Client) read(l *link) {
+	defer c.wg.Done()
+	rd := bufio.NewReader(l.conn)
+	for {
+		line, err := rd.ReadBytes('\n')
+		if err == nil {
+			c.meters.received.Inc()
+			c.meters.dataReceived.Add(int64(len(line)))
+			err = c.deliver(l, line)
+		}
+		if err != nil {
+			c.drop(l, err)
+			return
+		}
+	}
+}
+
+// deliver routes one server frame: a response to the call holding its
+// id, a pushed completion to the spawn table. A frame for an id nobody
+// holds (its call gave up) is dropped; an error means the stream can no
+// longer be trusted.
+func (c *Client) deliver(l *link, line []byte) error {
+	var resp response
+	if err := json.Unmarshal(line, &resp); err != nil {
+		return err // a garbled frame leaves the stream unframed; reconnect
+	}
+	c.breaker.record(true) // any well-formed frame proves the endpoint alive,
+	l.proven.Store(true)   // and the link
+	if resp.ID == 0 && resp.Spawn != nil {
+		c.spawns.complete(*resp.Spawn)
+		return nil
+	}
+	l.mu.Lock()
+	id := resp.ID
+	if id == 0 && len(l.calls) == 1 {
+		// An unreadable request's error: the one call in flight's.
+		for id = range l.calls {
+		}
+	}
+	ch := l.calls[id]
+	delete(l.calls, id)
+	l.mu.Unlock()
+	if ch != nil {
+		ch <- resp
+	} else if id == 0 {
+		return &ProtocolError{Reason: "server rejected an unidentified request: " + resp.Error}
+	}
+	return nil
+}
+
+// drop fails a link: every call in flight on it resolves with err, the
+// socket closes (stopping its reader) and the next call re-dials, so
+// that any failure leaves the next attempt a clean start.
+func (c *Client) drop(l *link, err error) error {
+	c.link.CompareAndSwap(l, nil)
+	l.mu.Lock()
+	if l.calls != nil {
+		c.breaker.record(false) // once per link, however many calls shared it
+		l.err = err
+		for _, ch := range l.calls {
+			close(ch)
+		}
+		l.calls = nil
+	}
+	l.mu.Unlock()
+	c.spawns.beatNow() // pending waits must attach to the next link
+	return l.conn.Close()
 }
 
 // attemptContext derives the deadline of one attempt: the earlier of
@@ -235,9 +338,11 @@ func (c *Client) attemptContext(ctx context.Context) (context.Context, context.C
 	return context.WithCancel(ctx)
 }
 
-// roundTripContext performs one request/response exchange with
+// roundTripContext performs one call — request out, response in — with
 // reconnect, retry (idempotent requests only), backoff and breaker.
 func (c *Client) roundTripContext(ctx context.Context, req request) (response, error) {
+	// One id serves every attempt: a failed attempt's link is gone.
+	req.ID = c.nextID.Add(1)
 	out, err := json.Marshal(req)
 	if err != nil {
 		return response{}, err
@@ -260,9 +365,8 @@ func (c *Client) roundTripContext(ctx context.Context, req request) (response, e
 			// open. Not counted as a transport error — nothing was sent.
 			return response{}, ErrCircuitOpen
 		}
-		resp, err := c.attempt(ctx, out)
+		resp, err := c.attempt(ctx, req.ID, out)
 		if err == nil {
-			c.breaker.record(true)
 			if resp.Error != "" {
 				// The server answered: transport is healthy, the request
 				// itself failed. Never retried.
@@ -270,12 +374,14 @@ func (c *Client) roundTripContext(ctx context.Context, req request) (response, e
 			}
 			return resp, nil
 		}
+		if errors.Is(err, context.Canceled) || errors.Is(err, ErrClientClosed) {
+			return response{}, err // given up, not failed
+		}
 		lastErr = err
 		c.meters.errors.Inc()
 		if isTimeout(err) {
 			c.meters.timeouts.Inc()
 		}
-		c.breaker.record(false)
 		if ctx.Err() != nil {
 			return response{}, ctx.Err()
 		}
@@ -289,60 +395,66 @@ func (c *Client) roundTripContext(ctx context.Context, req request) (response, e
 	return response{}, lastErr
 }
 
-// attempt performs exactly one exchange on the current connection,
-// dialling a fresh one if needed; any failure tears the connection down
-// so the next attempt starts clean.
-func (c *Client) attempt(ctx context.Context, frame []byte) (response, error) {
+// attempt sends the frame once on the current link, dialling a fresh one
+// if needed, and waits for the response carrying its id. A deadline miss
+// drops the link like any other failure; a cancelled caller only
+// abandons its id.
+func (c *Client) attempt(ctx context.Context, id uint64, frame []byte) (response, error) {
 	actx, cancel := c.attemptContext(ctx)
 	defer cancel()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		if c.isClosed() {
-			return response{}, ErrClientClosed
-		}
-		conn, err := c.opts.Dialer(actx, c.addr)
-		if err != nil {
-			// Typed: nothing was sent, so the request definitely did not
-			// execute — the spawn plane's licence to fail over.
-			return response{}, &DialError{Err: mapDeadline(ctx, err)}
-		}
-		c.conn = conn
-		c.rd = bufio.NewReader(conn)
-		c.connGen.Add(1)
+	ch := make(chan response, 1)
+	select {
+	case c.wsem <- struct{}{}:
+	case <-actx.Done():
+		return response{}, mapDeadline(ctx, actx.Err()) // nothing sent
 	}
-	if dl, ok := actx.Deadline(); ok {
-		c.conn.SetDeadline(dl)
+	l, err := c.connect(actx)
+	if err != nil {
+		<-c.wsem
+		if !errors.Is(err, context.Canceled) {
+			c.breaker.record(false) // a failed link tells the breaker in drop
+		}
+		// Typed: nothing was sent, so the request definitely did not
+		// execute — the spawn plane's licence to fail over.
+		return response{}, &DialError{Err: mapDeadline(ctx, err)}
+	}
+	l.mu.Lock()
+	if l.calls != nil {
+		l.calls[id] = ch
 	} else {
-		c.conn.SetDeadline(time.Time{})
+		close(ch) // the link failed under us
 	}
-	if _, err := c.conn.Write(frame); err != nil {
-		c.dropConnLocked()
+	l.mu.Unlock()
+	dl, _ := actx.Deadline() // zero: no deadline
+	l.conn.SetWriteDeadline(dl)
+	_, err = l.conn.Write(frame)
+	if l.proven.Load() {
+		<-c.wsem
+	} else {
+		// Slow start: a link carries one call at a time until the server
+		// has answered on it, so no burst dies with a stillborn link.
+		defer func() { <-c.wsem }()
+	}
+	if err != nil {
+		c.drop(l, err)
 		return response{}, mapDeadline(ctx, err)
 	}
 	c.meters.sent.Inc()
 	c.meters.dataSent.Add(int64(len(frame)))
-	line, err := c.rd.ReadBytes('\n')
-	if err != nil {
-		c.dropConnLocked()
+	select {
+	case resp, ok := <-ch:
+		if !ok {
+			return response{}, mapDeadline(ctx, l.err)
+		}
+		return resp, nil
+	case <-actx.Done():
+		l.mu.Lock()
+		delete(l.calls, id)
+		l.mu.Unlock()
+		if err = actx.Err(); errors.Is(err, context.DeadlineExceeded) {
+			c.drop(l, net.ErrClosed) // for the calls sharing it: a transport error, not a timeout
+		}
 		return response{}, mapDeadline(ctx, err)
-	}
-	c.meters.received.Inc()
-	c.meters.dataReceived.Add(int64(len(line)))
-	var resp response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		// A garbled response leaves the stream unframed; reconnect.
-		c.dropConnLocked()
-		return response{}, err
-	}
-	return resp, nil
-}
-
-func (c *Client) dropConnLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-		c.rd = nil
 	}
 }
 

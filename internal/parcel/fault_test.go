@@ -316,6 +316,77 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
+// TestAbandonedProbeForfeits: the caller of the half-open probe gives up
+// while its re-dial hangs. That proves nothing about the endpoint and
+// must not leave the breaker half-open with no probe in flight,
+// fast-failing every later call against a healthy server: a cooldown
+// later the next call probes instead.
+func TestAbandonedProbeForfeits(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", core.NewRegistry(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const cooldown = 20 * time.Millisecond
+	const (
+		dial = iota
+		refuse
+		hang
+	)
+	var mode atomic.Int32
+	hanging := make(chan struct{})
+	var d net.Dialer
+	cli, err := DialContext(context.Background(), srv.Addr(), nil, 1, ClientOptions{
+		Retries: -1, BreakerThreshold: 1, BreakerCooldown: cooldown,
+		Dialer: func(ctx context.Context, addr string) (net.Conn, error) {
+			switch mode.Load() {
+			case refuse:
+				return nil, errors.New("refused")
+			case hang:
+				hanging <- struct{}{}
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+			return d.DialContext(ctx, "tcp", addr)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	mode.Store(refuse)
+	cli.drop(cli.link.Load(), net.ErrClosed)
+	if _, err := cli.Types(); err == nil || cli.BreakerState() != BreakerOpen {
+		t.Fatalf("call through a refused dial = %v, breaker %v, want open", err, cli.BreakerState())
+	}
+	time.Sleep(cooldown + 10*time.Millisecond)
+
+	mode.Store(hang)
+	ctx, cancel := context.WithCancel(context.Background())
+	probe := make(chan error, 1)
+	go func() {
+		_, err := cli.TypesContext(ctx)
+		probe <- err
+	}()
+	<-hanging
+	if st := cli.BreakerState(); st != BreakerHalfOpen {
+		t.Fatalf("breaker with the probe dialling = %v, want half-open", st)
+	}
+	cancel()
+	if err := <-probe; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled probe = %v, want context.Canceled", err)
+	}
+
+	mode.Store(dial)
+	time.Sleep(cooldown + 10*time.Millisecond)
+	if _, err := cli.Types(); err != nil {
+		t.Fatalf("call a cooldown after an abandoned probe = %v, want it to probe and succeed", err)
+	}
+	if st := cli.BreakerState(); st != BreakerClosed {
+		t.Fatalf("breaker after a successful probe = %v, want closed", st)
+	}
+}
+
 // TestPartitionDuringEvaluateLoop: the satellite's "partition during
 // Evaluate loop" row — a sampling loop keeps producing values (stale
 // through the outage, fresh after) without a single error.
@@ -453,7 +524,7 @@ func TestIdempotencyClassification(t *testing.T) {
 		{request{Op: "types"}, true},
 		{request{Op: "bind_bulk"}, true},
 		{request{Op: "spawn"}, false},
-		{request{Op: "spawn_poll"}, true},
+		{request{Op: "spawn_attach"}, true},
 		{request{Op: "spawn_cancel"}, true},
 		{request{Op: "tree_push"}, true},
 		{request{Op: "tree_pull"}, true},
@@ -515,14 +586,14 @@ func TestSpawnSentExactlyOnce(t *testing.T) {
 }
 
 // TestBackoffDoesNotWaitForExchange: a retry's backoff sleeps on its own
-// clock. The connection lock is held across a whole exchange (a parked
-// spawn_poll holds it for 150 ms), so a backoff that needed it to draw
-// its jitter could not even start until that exchange returned.
+// clock. The write lock is held across a re-dial or a write into a full
+// socket, so a backoff that needed it to draw its jitter could not even
+// start until that returned.
 func TestBackoffDoesNotWaitForExchange(t *testing.T) {
 	const base = 40 * time.Millisecond
 	_, _, _, cli := newFaultFixture(t, chaos.Config{}, ClientOptions{BackoffBase: base})
-	cli.mu.Lock() // somebody else's exchange is in flight
-	defer cli.mu.Unlock()
+	cli.wsem <- struct{}{} // somebody else's dial or write is in flight
+	defer func() { <-cli.wsem }()
 	done := make(chan time.Duration, 1)
 	start := time.Now()
 	go func() {
@@ -537,7 +608,7 @@ func TestBackoffDoesNotWaitForExchange(t *testing.T) {
 			t.Fatalf("backoff(0) took %v, want within [%v, %v)", d, base/2, 3*base/2)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("backoff blocked behind the connection lock")
+		t.Fatal("backoff blocked behind the write lock")
 	}
 }
 

@@ -4,12 +4,16 @@ package parcel
 // processLine, exactly what a connection handler feeds it — with
 // arbitrary bytes. The contract under fuzzing: a malformed parcel
 // yields a ProtocolError-coded response, a well-formed one yields a
-// normal response, and NOTHING panics or wedges the handler. The spawn
-// ops ride the same path, so hostile keys, key lists and budgets are
-// covered too.
+// normal response under the request's id, and NOTHING panics or wedges
+// the handler. The spawn ops ride the same path, so hostile keys, key
+// lists, budgets and request ids are covered too.
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"sort"
 	"strings"
 	"testing"
@@ -35,7 +39,7 @@ var opSeeds = map[string][]request{
 		{Action: "echo"},
 		{Action: "missing", Key: "k2"},
 	},
-	"spawn_poll":   {{Keys: []string{"k1", "k2"}}, {Keys: []string{}}},
+	"spawn_attach": {{Attach: []string{"k1", "k2"}}, {}},
 	"spawn_cancel": {{Key: "k1"}},
 	"tree_push":    {{Tree: &TreeDigest{Root: 1, Gen: 1, Localities: 1, Entries: []core.Digest{}}}, {}},
 	"tree_pull":    {{}},
@@ -62,6 +66,12 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	}
 	for _, s := range []string{
 		`{"op":"nonsense"}`,
+		// Request ids: missing (every seed above), zero, given twice,
+		// and the largest a signed peer could send.
+		`{"id":0,"op":"types"}`,
+		`{"id":3,"op":"types","id":4}`,
+		`{"id":9223372036854775807,"op":"spawn_cancel","key":"k1"}`,
+		`{"id":-1,"op":"types"}`,
 		`{"op":"spawn","key":` + strings.Repeat(`[`, 64) + strings.Repeat(`]`, 64) + `}`,
 		`not json at all`,
 		`{"op":"spawn",`,
@@ -79,7 +89,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 // an op the table does not hold.
 func TestOpTable(t *testing.T) {
 	want := []string{"bind_bulk", "discover", "evaluate", "evaluate_bulk", "spawn",
-		"spawn_cancel", "spawn_poll", "tree_pull", "tree_push", "types"}
+		"spawn_attach", "spawn_cancel", "tree_pull", "tree_push", "types"}
 	var got []string
 	for name, op := range ops {
 		got = append(got, name)
@@ -129,11 +139,22 @@ func FuzzParcelDecode(f *testing.F) {
 	srv.WithActions(actions)
 	srv.SetTreeNode(&stubTreeNode{})
 
+	// Pushed states (spawn_attach answers with them) go to a peer that
+	// reads and discards.
+	peer, conn := net.Pipe()
+	f.Cleanup(func() { peer.Close(); conn.Close() })
+	go io.Copy(io.Discard, peer)
+	w := &connWriter{s: srv, conn: conn, wr: bufio.NewWriter(conn)}
+
 	f.Fuzz(func(t *testing.T, line []byte) {
-		st := &connState{}
+		st := &connState{w: w}
 		resp := srv.processLine(line, st)
 		var probe request
-		if json.Unmarshal(line, &probe) != nil {
+		if json.Unmarshal(line, &probe) == nil {
+			if resp.ID != probe.ID {
+				t.Fatalf("line %q answered under id %d, want %d", line, resp.ID, probe.ID)
+			}
+		} else {
 			// Malformed JSON MUST come back as a protocol error the
 			// client can classify — never a silent success.
 			if resp.Code != codeProtocol || resp.Error == "" {
@@ -144,6 +165,84 @@ func FuzzParcelDecode(f *testing.F) {
 		// the handler performs next.
 		if _, err := json.Marshal(resp); err != nil {
 			t.Fatalf("unmarshalable response for %q: %v", line, err)
+		}
+	})
+}
+
+// nopConn stands in for a socket where only Close is ever called.
+type nopConn struct{ net.Conn }
+
+func (nopConn) Close() error { return nil }
+
+// FuzzClientFrame drives the client's demultiplexer — deliver, exactly
+// what a link's reader feeds it — with arbitrary server frames while one
+// call and one WaitSpawn are pending. The contract: a garbled or
+// unsolicited frame costs the frame or the link, and NOTHING panics,
+// loses the call, or wedges the waiter.
+func FuzzClientFrame(f *testing.F) {
+	for _, s := range []string{
+		`{"id":1,"value":{"name":"x","status":"valid"}}`,
+		`{"id":1,"error":"parcel: unknown op"}`,
+		`{"error":"parcel: protocol: malformed request","code":"protocol"}`,
+		`{"spawn":{"key":"k","state":"done","result":42}}`,
+		`{"spawn":{"key":"k","state":"done","error":"boom","code":"action_error"}}`,
+		`{"spawn":{"key":"k","state":"running"}}`,
+		`{"spawn":{"key":"other","state":"done"}}`,
+		`{"id":1,"spawn":{"key":"k","state":"done"}}`,
+		`{"id":2}`,
+		`{"id":9223372036854775807}`,
+		`{"id":-1}`,
+		`{"id":1,"id":0}`,
+		`{}`,
+		`[`,
+		``,
+		"\x00\xff\xfe",
+	} {
+		f.Add([]byte(s))
+	}
+	peer, conn := net.Pipe()
+	f.Cleanup(func() { peer.Close() })
+	cli, err := DialContext(context.Background(), "pipe", nil, 1, ClientOptions{
+		Dialer: func(context.Context, string) (net.Conn, error) { return conn, nil }})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { cli.Close() })
+
+	f.Fuzz(func(t *testing.T, line []byte) {
+		call := make(chan response, 1)
+		l := &link{conn: nopConn{}, calls: map[uint64]chan response{1: call}}
+		wait := &spawnEntry{ch: make(chan spawnState, 1), waited: true}
+		cli.spawns.mu.Lock()
+		cli.spawns.entries = map[string]*spawnEntry{"k": wait}
+		cli.spawns.mu.Unlock()
+
+		err := cli.deliver(l, line)
+		if err != nil {
+			cli.drop(l, err) // what the reader does next
+		}
+		l.mu.Lock()
+		held := l.calls[1] == call
+		l.mu.Unlock()
+		fates := 0 // of the pending call: answered, failed with the link, or still held
+		select {
+		case _, open := <-call:
+			if fates++; open == (err != nil) {
+				t.Fatalf("frame %q (err %v): call answered=%v", line, err, open)
+			}
+		default:
+		}
+		if held {
+			fates++
+		}
+		if fates != 1 || held && err != nil {
+			t.Fatalf("frame %q (err %v): pending call has %d fates (held=%v), want exactly one and none held by a dropped link", line, err, fates, held)
+		}
+		cli.spawns.mu.Lock()
+		tracked := cli.spawns.entries["k"] == wait
+		cli.spawns.mu.Unlock()
+		if tracked == (len(wait.ch) == 1) {
+			t.Fatalf("frame %q: waiter tracked=%v with %d completions — lost or delivered twice", line, tracked, len(wait.ch))
 		}
 	})
 }

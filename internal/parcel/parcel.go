@@ -1,8 +1,9 @@
 // Package parcel is the network transport of the reproduction: a small
-// TCP protocol (newline-delimited JSON parcels) that lets one process
-// query the performance counters of another — the paper's remote
-// counter access and the transport a distributed monitor (cmd/perfmon)
-// attaches through.
+// TCP protocol (newline-delimited JSON parcels on one full-duplex,
+// id-multiplexed connection: calls overlap, the server pushes spawn
+// completions) that lets one process query the performance counters of
+// another — the paper's remote counter access and the transport a
+// distributed monitor (cmd/perfmon) attaches through.
 //
 // The transport is built to be *non-fatal to the application it
 // observes* (docs/FAULTS.md): every remote call carries a deadline, the
@@ -37,7 +38,8 @@ import (
 
 // request is one parcel from client to server.
 type request struct {
-	Op      string          `json:"op"` // a key of ops
+	ID      uint64          `json:"id,omitempty"` // echoed by the response: calls are matched by id, not by order
+	Op      string          `json:"op"`           // a key of ops
 	Name    string          `json:"name,omitempty"`
 	Pattern string          `json:"pattern,omitempty"`
 	Reset   bool            `json:"reset,omitempty"`
@@ -48,9 +50,8 @@ type request struct {
 
 	// Distributed-spawn fields (docs/FAULTS.md, "Remote spawn").
 	Key      string   `json:"key,omitempty"`       // spawn/spawn_cancel: per-spawn idempotency key
-	Keys     []string `json:"keys,omitempty"`      // spawn_poll: keys to report on
+	Attach   []string `json:"attach,omitempty"`    // spawn_attach: keys whose completions this connection wants
 	BudgetMS int64    `json:"budget_ms,omitempty"` // spawn: client's remaining deadline budget
-	WaitMS   int64    `json:"wait_ms,omitempty"`   // spawn_poll: server-side completion wait window
 
 	// Aggregation-tree field (tree.go): tree_push carries one subtree
 	// digest from a child to its parent.
@@ -88,8 +89,8 @@ var ops = map[string]struct {
 	// dedupe table, but that retry is owned (and counted) by the spawn
 	// plane, not re-sent blindly by the transport.
 	"spawn": {(*Server).spawn, retryNever},
-	// Polling is a read; cancelling twice cancels once.
-	"spawn_poll":   {(*Server).spawnPoll, retryAlways},
+	// Attaching (the heartbeat) or cancelling twice does it once.
+	"spawn_attach": {(*Server).spawnAttach, retryAlways},
 	"spawn_cancel": {(*Server).spawnCancel, retryAlways},
 	// Generation-keyed: the receiver keeps only the newest digest per
 	// child subtree, so re-delivering one after a lost response is a
@@ -106,8 +107,10 @@ func (r request) idempotent() bool {
 	return class == retryAlways || class == retryUnlessReset && !r.Reset
 }
 
-// response is one parcel from server to client.
+// response is one parcel from server to client. ID is the request's: 0
+// on a pushed completion (Spawn set) or an unreadable request's error.
 type response struct {
+	ID     uint64       `json:"id,omitempty"`
 	Error  string       `json:"error,omitempty"`
 	Code   string       `json:"code,omitempty"` // machine-readable error class (codeActionUnknown, ...)
 	Value  *core.Value  `json:"value,omitempty"`
@@ -115,8 +118,7 @@ type response struct {
 	Names  []string     `json:"names,omitempty"`
 	Infos  []core.Info  `json:"infos,omitempty"`
 	SetID  int64        `json:"set_id,omitempty"` // bind_bulk: id of the compiled set
-	Spawn  *spawnState  `json:"spawn,omitempty"`  // spawn/spawn_cancel: state of that spawn
-	Spawns []spawnState `json:"spawns,omitempty"` // spawn_poll: state per polled key
+	Spawn  *spawnState  `json:"spawn,omitempty"`  // spawn/spawn_cancel: state of that spawn; pushed when it completes
 	Tree   *TreeDigest  `json:"tree,omitempty"`   // tree_pull: the receiver's folded view
 }
 
@@ -218,12 +220,13 @@ type ServerOptions struct {
 	// discarded. Default 1 MiB.
 	MaxParcelSize int
 	// SpawnLease is the orphan threshold for remote spawns: a running
-	// spawn whose client has not touched it (spawn/poll/cancel) for this
-	// long is cancelled and counted orphaned. Default 30s; negative
-	// disables reaping.
+	// spawn whose client has neither touched it (spawn/attach/cancel) nor
+	// sent a heartbeat on the connection it is attached to for this long
+	// is cancelled and counted orphaned. Default 30s; negative disables
+	// reaping.
 	SpawnLease time.Duration
 	// SpawnRetention is how long a completed spawn's result stays
-	// available for dedupe and late polls. Default 2m.
+	// available for dedupe and late attaches. Default 2m.
 	SpawnRetention time.Duration
 	// MaxSpawnTasks bounds the spawn table (running + retained entries);
 	// further spawns are refused with codeSpawnLimit. Default 4096.
@@ -412,11 +415,48 @@ const errUnknownBulkSet = "parcel: unknown bulk set"
 
 // connState is the per-connection server state: compiled bulk sets and
 // a reused evaluation buffer. It lives and dies with one handler
-// goroutine, so no locking is needed.
+// goroutine, so no locking is needed (w is shared, and locks itself).
 type connState struct {
 	bulkSets  map[int64]*core.BindSet
 	nextSetID int64
 	bulkBuf   []core.Value
+	w         *connWriter
+}
+
+// connWriter serialises the frames of one server connection: the read
+// loop's responses and the completions that action goroutines push.
+type connWriter struct {
+	s    *Server
+	conn net.Conn
+	mu   sync.Mutex
+	wr   *bufio.Writer
+	beat atomic.Int64 // unix nanos of the last spawn_attach: the lease of every spawn attached here
+}
+
+// send writes one frame; flush=false leaves it buffered so a burst of
+// requests is answered in one write. A failed write closes the
+// connection, which ends its read loop.
+func (w *connWriter) send(resp response, flush bool) error {
+	out, err := json.Marshal(resp)
+	if err != nil {
+		out = []byte(fmt.Sprintf(`{"id":%d,"error":"parcel: response marshal failure"}`, resp.ID))
+	}
+	out = append(out, '\n')
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.s.opts.WriteTimeout > 0 {
+		w.conn.SetWriteDeadline(time.Now().Add(w.s.opts.WriteTimeout))
+	}
+	if _, err = w.wr.Write(out); err == nil && flush {
+		err = w.wr.Flush()
+	}
+	if err != nil {
+		w.conn.Close()
+		return err
+	}
+	w.s.meters.sent.Inc()
+	w.s.meters.dataSent.Add(int64(len(out)))
+	return nil
 }
 
 func (s *Server) handle(conn net.Conn) {
@@ -424,8 +464,7 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
 	rd := bufio.NewReader(conn)
-	wr := bufio.NewWriter(conn)
-	st := &connState{}
+	st := &connState{w: &connWriter{s: s, conn: conn, wr: bufio.NewWriter(conn)}}
 	for {
 		if s.opts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
@@ -444,22 +483,11 @@ func (s *Server) handle(conn net.Conn) {
 		default:
 			return // connection gone or idle deadline hit
 		}
-		out, err := json.Marshal(resp)
-		if err != nil {
-			out = []byte(`{"error":"parcel: response marshal failure"}`)
-		}
-		out = append(out, '\n')
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
-		if _, err := wr.Write(out); err != nil {
+		// No handler blocks, so dispatch stays inline; flush once per
+		// burst of already-buffered requests.
+		if st.w.send(resp, rd.Buffered() == 0) != nil {
 			return
 		}
-		if err := wr.Flush(); err != nil {
-			return
-		}
-		s.meters.sent.Inc()
-		s.meters.dataSent.Add(int64(len(out)))
 	}
 }
 
@@ -516,7 +544,9 @@ func (s *Server) processLine(line []byte, st *connState) response {
 		perr := &ProtocolError{Reason: "malformed request: " + jerr.Error()}
 		return response{Error: perr.Error(), Code: codeProtocol}
 	}
-	return s.dispatch(req, st)
+	resp := s.dispatch(req, st)
+	resp.ID = req.ID
+	return resp
 }
 
 func (s *Server) dispatch(req request, st *connState) response {

@@ -15,10 +15,12 @@ package parcel
 //   - tasks whose client stopped touching them past a lease are reaped
 //     as orphans (counted in /runtime{...}/remote/count/orphaned).
 //
-// Completion is observed by polling, but not one round trip per future:
-// each Client runs a single spawn manager goroutine that folds every
-// pending key into one spawn_poll op per tick, the same
-// one-exchange-per-sample shape the bulk counter plane uses.
+// Completion is pushed, not polled: the server sends a task's final
+// state to the connection that last attached its key (spawn attaches;
+// spawn_attach re-attaches after a reconnect) and the client keeps it
+// for the key's WaitSpawn. While waits are pending spawn_attach is also
+// the client's heartbeat: it renews the connection's leases and bounds
+// how long an unreachable server goes unnoticed.
 
 import (
 	"context"
@@ -47,14 +49,8 @@ const (
 	spawnDone    = "done"
 )
 
-// maxSpawnWait caps the server-side spawn_poll completion wait so a
-// poll can never hold a handler (and the client's serialised
-// connection) hostage.
-const maxSpawnWait = 2 * time.Second
-
-// maxSpawnPollKeys bounds one spawn_poll's key list, mirroring
-// maxBulkNames.
-const maxSpawnPollKeys = 4096
+// maxAttachKeys bounds one spawn_attach's key list, like maxBulkNames.
+const maxAttachKeys = 4096
 
 // ---------------------------------------------------------------------------
 // Server side: the keyed task table.
@@ -64,43 +60,55 @@ type spawnTask struct {
 	key    string
 	action string
 	cancel context.CancelFunc
-	done   chan struct{}
 
-	// Written exactly once (completeOnce) before done closes.
+	// Written exactly once (completeOnce), before doneAt publishes them.
 	completeOnce sync.Once
 	result       json.RawMessage
 	errMsg       string
 	errCode      string
 
-	lastTouch atomic.Int64 // unix nanos of the client's last spawn/poll/cancel
+	lastTouch atomic.Int64 // unix nanos of the client's last spawn/attach/cancel
 	doneAt    atomic.Int64 // unix nanos of completion; 0 while running
 	orphaned  atomic.Bool
+	// attached last asked for this key: its heartbeats renew the lease,
+	// and the completion is pushed to it.
+	attached atomic.Pointer[connWriter]
 }
 
 func (t *spawnTask) running() bool { return t.doneAt.Load() == 0 }
 
-// complete resolves the task once; later calls (a cancelled action body
-// returning after the reaper force-completed it) are no-ops.
+// complete resolves the task once and pushes its state to the attached
+// connection; later calls (a cancelled action body returning after the
+// reaper force-completed it) are no-ops.
 func (t *spawnTask) complete(result json.RawMessage, errMsg, errCode string) {
 	t.completeOnce.Do(func() {
 		t.result = result
 		t.errMsg = errMsg
 		t.errCode = errCode
 		t.doneAt.Store(time.Now().UnixNano())
-		close(t.done)
+		t.push(t.attached.Load())
 	})
+}
+
+// push sends the finished task's state to w unasked (response ID 0); if
+// w died, its client re-attaches the key after reconnecting. spawnAttach
+// stores attached then loads doneAt, complete stores doneAt then loads
+// attached, so one of the two always pushes.
+func (t *spawnTask) push(w *connWriter) {
+	if w != nil {
+		st := t.state()
+		_ = w.send(response{Spawn: &st}, true)
+	}
 }
 
 // state snapshots the task for the wire.
 func (t *spawnTask) state() spawnState {
 	st := spawnState{Key: t.key, Action: t.action, State: spawnRunning}
-	select {
-	case <-t.done:
+	if !t.running() {
 		st.State = spawnDone
 		st.Result = t.result
 		st.Error = t.errMsg
 		st.Code = t.errCode
-	default:
 	}
 	return st
 }
@@ -114,18 +122,10 @@ type spawnTable struct {
 
 	mu    sync.Mutex
 	tasks map[string]*spawnTask
-	// completedCh is closed and replaced whenever any task completes —
-	// the broadcast spawn_poll waits on.
-	completedCh chan struct{}
 }
 
 func newSpawnTable(opts ServerOptions, orphaned *core.RawCounter) *spawnTable {
-	return &spawnTable{
-		opts:        opts,
-		orphaned:    orphaned,
-		tasks:       make(map[string]*spawnTask),
-		completedCh: make(chan struct{}),
-	}
+	return &spawnTable{opts: opts, orphaned: orphaned, tasks: make(map[string]*spawnTask)}
 }
 
 // lookup returns the task for key, refreshing its lease.
@@ -137,21 +137,6 @@ func (tb *spawnTable) lookup(key string) *spawnTask {
 		t.lastTouch.Store(time.Now().UnixNano())
 	}
 	return t
-}
-
-// notifyCompleted wakes every poller blocked on any key.
-func (tb *spawnTable) notifyCompleted() {
-	tb.mu.Lock()
-	close(tb.completedCh)
-	tb.completedCh = make(chan struct{})
-	tb.mu.Unlock()
-}
-
-// waitCh returns the current broadcast channel.
-func (tb *spawnTable) waitCh() <-chan struct{} {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	return tb.completedCh
 }
 
 // reap is the orphan/retention sweep loop; it exits when closed closes.
@@ -183,7 +168,12 @@ func (tb *spawnTable) sweep(now time.Time) {
 	tb.mu.Lock()
 	for key, t := range tb.tasks {
 		if t.running() {
-			if tb.opts.SpawnLease > 0 && now.UnixNano()-t.lastTouch.Load() > int64(tb.opts.SpawnLease) {
+			// Leased from the last touch of the key or heartbeat of its connection.
+			touch := t.lastTouch.Load()
+			if w := t.attached.Load(); w != nil {
+				touch = max(touch, w.beat.Load())
+			}
+			if tb.opts.SpawnLease > 0 && now.UnixNano()-touch > int64(tb.opts.SpawnLease) {
 				orphans = append(orphans, t)
 			}
 			continue
@@ -201,13 +191,13 @@ func (tb *spawnTable) sweep(now time.Time) {
 			// the entry "running" (and re-orphanable) forever; if the body
 			// later returns, its complete() is a no-op.
 			t.complete(nil, "parcel: spawn orphaned: client lease expired", codeCancelled)
-			tb.notifyCompleted()
 		}
 	}
 }
 
-// spawn handles the spawn op: dedupe by key, or admit and launch.
-func (s *Server) spawn(req request, _ *connState) response {
+// spawn handles the spawn op: dedupe by key, or admit and launch. Either
+// way the key is now attached to this connection.
+func (s *Server) spawn(req request, cs *connState) response {
 	if req.Key == "" {
 		return response{Error: "parcel: spawn needs an idempotency key", Code: codeProtocol}
 	}
@@ -227,6 +217,7 @@ func (s *Server) spawn(req request, _ *connState) response {
 		// the one existing execution instead of starting a second.
 		tb.mu.Unlock()
 		t.lastTouch.Store(time.Now().UnixNano())
+		t.attached.Store(cs.w)
 		st := t.state()
 		return response{Spawn: &st}
 	}
@@ -243,13 +234,14 @@ func (s *Server) spawn(req request, _ *connState) response {
 	} else {
 		ctx, cancel = context.WithCancel(s.baseCtx)
 	}
-	t := &spawnTask{key: req.Key, action: req.Action, cancel: cancel, done: make(chan struct{})}
+	t := &spawnTask{key: req.Key, action: req.Action, cancel: cancel}
 	t.lastTouch.Store(time.Now().UnixNano())
+	t.attached.Store(cs.w)
 	tb.tasks[req.Key] = t
 	tb.mu.Unlock()
 
 	// The action body runs off the handler goroutine so the connection
-	// stays responsive (polls, cancels, other spawns). Not on s.wg: a
+	// stays responsive (cancels, counter reads, other spawns). Not on s.wg: a
 	// stuck body must not wedge Close — its scope dies with baseCtx.
 	go func() {
 		defer cancel()
@@ -267,65 +259,33 @@ func (s *Server) spawn(req request, _ *connState) response {
 			}
 			t.complete(nil, err.Error(), code)
 		}
-		tb.notifyCompleted()
 	}()
 	st := t.state()
 	return response{Spawn: &st}
 }
 
-// spawnPoll handles the spawn_poll op: report the state of every listed
-// key, waiting up to WaitMS (capped) for at least one of the running
-// ones to complete first.
-func (s *Server) spawnPoll(req request, _ *connState) response {
-	if len(req.Keys) == 0 {
-		return response{Error: "parcel: spawn_poll needs at least one key", Code: codeProtocol}
+// spawnAttach handles the spawn_attach op, also the client's heartbeat:
+// it renews the lease of every spawn attached to this connection and
+// attaches the listed keys to it. A listed key that has finished, or
+// that the table lacks, is answered at once with a pushed state.
+func (s *Server) spawnAttach(req request, cs *connState) response {
+	if len(req.Attach) > maxAttachKeys {
+		return response{Error: fmt.Sprintf("parcel: spawn_attach limited to %d keys", maxAttachKeys), Code: codeProtocol}
 	}
-	if len(req.Keys) > maxSpawnPollKeys {
-		return response{Error: fmt.Sprintf("parcel: spawn_poll limited to %d keys", maxSpawnPollKeys), Code: codeProtocol}
-	}
-	wait := time.Duration(req.WaitMS) * time.Millisecond
-	if wait > maxSpawnWait {
-		wait = maxSpawnWait
-	}
-	deadline := time.Now().Add(wait)
-	for {
-		states := make([]spawnState, len(req.Keys))
-		anyDone := false
-		ch := s.spawns.waitCh()
-		for i, key := range req.Keys {
-			t := s.spawns.lookup(key)
-			if t == nil {
-				states[i] = spawnState{Key: key, State: spawnDone,
-					Error: "parcel: no spawn with key " + key, Code: codeSpawnUnknown}
-				anyDone = true
-				continue
-			}
-			states[i] = t.state()
-			if states[i].State == spawnDone {
-				anyDone = true
-			}
+	cs.w.beat.Store(time.Now().UnixNano())
+	for _, key := range req.Attach {
+		t := s.spawns.lookup(key)
+		if t == nil {
+			_ = cs.w.send(response{Spawn: &spawnState{Key: key, State: spawnDone,
+				Error: "parcel: no spawn with key " + key, Code: codeSpawnUnknown}}, false)
+			continue
 		}
-		remaining := time.Until(deadline)
-		if anyDone || remaining <= 0 {
-			return response{Spawns: states}
-		}
-		// Nothing resolved yet: block on the table-wide completion
-		// broadcast (or the wait budget) and re-examine. The channel was
-		// captured before the scan, so a completion between scan and wait
-		// is not lost.
-		timer := time.NewTimer(remaining)
-		select {
-		case <-ch:
-		case <-timer.C:
-		case <-s.closed:
-		}
-		timer.Stop()
-		select {
-		case <-s.closed:
-			return response{Spawns: states}
-		default:
+		t.attached.Store(cs.w)
+		if !t.running() {
+			t.push(cs.w)
 		}
 	}
+	return response{}
 }
 
 // spawnCancel handles the spawn_cancel op — best-effort, idempotent.
@@ -339,7 +299,6 @@ func (s *Server) spawnCancel(req request, _ *connState) response {
 	}
 	t.cancel()
 	t.complete(nil, "parcel: spawn cancelled by client", codeCancelled)
-	s.spawns.notifyCompleted()
 	st := t.state()
 	return response{Spawn: &st}
 }
@@ -356,16 +315,15 @@ var (
 	// ErrSpawnCancelled reports a spawn the server abandoned: client
 	// cancel op, shipped budget expiry, or orphan lease.
 	ErrSpawnCancelled = errors.New("parcel: remote spawn cancelled")
-	// ErrSpawnUnknown reports a poll/cancel for a key the server does not
+	// ErrSpawnUnknown reports a wait/cancel for a key the server does not
 	// hold — after a server restart or retention eviction. The spawn
 	// definitely is not running there; re-spawning under the same key is
 	// safe.
 	ErrSpawnUnknown = errors.New("parcel: unknown spawn key")
 	// ErrSpawnLimit reports a refused spawn: the server's table is full.
 	ErrSpawnLimit = errors.New("parcel: spawn table full")
-	// ErrSpawnLost reports a spawn whose server became unreachable for
-	// longer than the client poller's patience; whether it ran is
-	// unknowable from this side.
+	// ErrSpawnLost reports a spawn whose server answered no heartbeat for
+	// spawnLostAfter; whether it ran is unknowable from this side.
 	ErrSpawnLost = errors.New("parcel: spawn lost: server unreachable")
 )
 
@@ -415,6 +373,10 @@ func (c *Client) spawnErr(action string, code, msg string) error {
 		return fmt.Errorf("%w: %s", ErrSpawnUnknown, msg)
 	case codeSpawnLimit:
 		return fmt.Errorf("%w: %s", ErrSpawnLimit, msg)
+	case codeSpawnLost:
+		return fmt.Errorf("%w: %s", ErrSpawnLost, msg)
+	case codeClientClosed:
+		return ErrClientClosed
 	default:
 		return &ServerError{Msg: msg}
 	}
@@ -453,7 +415,17 @@ func budgetMS(ctx context.Context) int64 {
 // transport error leaves the execution ambiguous and the caller decides:
 // re-issuing SpawnAction with the same key is always safe (the server
 // dedupes), which is how the spawn plane retries non-idempotent actions.
-func (c *Client) SpawnAction(ctx context.Context, action string, arg json.RawMessage, key string) (SpawnStatus, error) {
+func (c *Client) SpawnAction(ctx context.Context, action string, arg json.RawMessage, key string) (st SpawnStatus, err error) {
+	// Tracked first: the completion may be pushed ahead of the acknowledgement.
+	gen := c.connGen.Load()
+	c.spawns.open(key)
+	defer func() {
+		if err != nil || st.Done {
+			c.spawns.forget(key)
+		} else {
+			c.spawns.settle([]string{key}, gen)
+		}
+	}()
 	resp, err := c.roundTripContext(ctx, request{
 		Op: "spawn", Action: action, Arg: arg, Key: key, BudgetMS: budgetMS(ctx),
 	})
@@ -471,25 +443,10 @@ func (c *Client) SpawnAction(ctx context.Context, action string, arg json.RawMes
 	return stateToStatus(c, action, *resp.Spawn), nil
 }
 
-// PollSpawns reports the state of every key in one round trip, letting
-// the server hold the request up to wait for a completion first.
-func (c *Client) PollSpawns(ctx context.Context, keys []string, wait time.Duration) (map[string]SpawnStatus, error) {
-	resp, err := c.roundTripContext(ctx, request{
-		Op: "spawn_poll", Keys: keys, WaitMS: wait.Milliseconds(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]SpawnStatus, len(resp.Spawns))
-	for _, st := range resp.Spawns {
-		out[st.Key] = stateToStatus(c, st.Action, st)
-	}
-	return out, nil
-}
-
 // CancelSpawn asks the server to abandon a spawn — best effort: an
 // unreachable server just means the orphan lease will reap it.
 func (c *Client) CancelSpawn(ctx context.Context, key string) error {
+	c.spawns.forget(key)
 	_, err := c.roundTripContext(ctx, request{Op: "spawn_cancel", Key: key})
 	var se *ServerError
 	if errors.As(err, &se) {
@@ -500,153 +457,210 @@ func (c *Client) CancelSpawn(ctx context.Context, key string) error {
 }
 
 // ---------------------------------------------------------------------------
-// The spawn manager: one poll loop per client multiplexing every
-// pending spawn into a single spawn_poll per tick.
+// Pushed completions: the client's table of spawns, and the heartbeat.
 
-// spawnPollPatience is how many consecutive failed poll exchanges the
-// manager tolerates before declaring every pending spawn lost — the
-// never-hang backstop for futures waited on without any deadline.
-const spawnPollPatience = 50
+const (
+	// heartbeatPeriod paces spawn_attach while waits are pending;
+	// SpawnLease must comfortably exceed it.
+	heartbeatPeriod = 100 * time.Millisecond
+	// spawnLostAfter of unanswered heartbeats resolves every pending wait
+	// ErrSpawnLost: the never-hang backstop for futures without a deadline.
+	spawnLostAfter = 5 * time.Second
+	// maxIdleSpawns bounds the spawns tracked without a waiter (WaitSpawn
+	// attaches an evicted key afresh).
+	maxIdleSpawns = 4096
+	// Terminal codes the client itself assigns, never on the wire.
+	codeSpawnLost    = "spawn_lost"
+	codeClientClosed = "client_closed"
+)
 
-// spawnMgr tracks this client's in-flight spawns.
-type spawnMgr struct {
-	c *Client
+// spawnEntry tracks one spawn until its terminal state reaches a waiter.
+type spawnEntry struct {
+	ch       chan spawnState // 1-buffered: the terminal state, kept for the key's WaitSpawn
+	gen      uint64          // connection the key is attached on; 0: none
+	spawning bool            // its spawn op is in flight: not to be attached yet
+	waited   bool
+}
 
+// spawnWaits is every spawn this client may still hear a completion for.
+type spawnWaits struct {
 	mu      sync.Mutex
-	pending map[string]chan SpawnStatus // key → 1-buffered delivery channel
-	running bool
-	pollErr int // consecutive failed poll exchanges
+	entries map[string]*spawnEntry
+	idle    []string      // keys opened by a spawn op, oldest first: eviction order
+	beating bool          // the heartbeat goroutine is running
+	kick    chan struct{} // 1-buffered: beat now — a key or the link went stale
 }
 
-func (c *Client) mgr() *spawnMgr {
-	c.spawnMu.Lock()
-	defer c.spawnMu.Unlock()
-	if c.spawns == nil {
-		c.spawns = &spawnMgr{c: c, pending: make(map[string]chan SpawnStatus)}
-	}
-	return c.spawns
-}
-
-// register enrols a key; the returned channel delivers its terminal
-// status exactly once. Starts the poll loop if it is not running.
-func (m *spawnMgr) register(key string) chan SpawnStatus {
-	ch := make(chan SpawnStatus, 1)
-	m.mu.Lock()
-	m.pending[key] = ch
-	if !m.running {
-		m.running = true
-		go m.loop()
-	}
-	m.mu.Unlock()
-	return ch
-}
-
-// deregister abandons a key (the waiter gave up); no delivery follows.
-func (m *spawnMgr) deregister(key string) {
-	m.mu.Lock()
-	delete(m.pending, key)
-	m.mu.Unlock()
-}
-
-// snapshot returns up to maxSpawnPollKeys pending keys.
-func (m *spawnMgr) snapshot() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := make([]string, 0, len(m.pending))
-	for k := range m.pending {
-		if len(keys) == maxSpawnPollKeys {
-			break
-		}
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// deliver resolves one pending key.
-func (m *spawnMgr) deliver(key string, st SpawnStatus) {
-	m.mu.Lock()
-	ch := m.pending[key]
-	delete(m.pending, key)
-	m.mu.Unlock()
-	if ch != nil {
-		ch <- st
-	}
-}
-
-// loop polls while anything is pending, then parks (running=false).
-func (m *spawnMgr) loop() {
-	const pollWait = 150 * time.Millisecond
-	for {
-		keys := m.snapshot()
-		if len(keys) == 0 {
-			m.mu.Lock()
-			if len(m.pending) == 0 {
-				m.running = false
-				m.mu.Unlock()
-				return
+// open starts (or restarts) tracking key for a spawn op about to be sent.
+func (t *spawnWaits) open(key string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.entries[key]
+	if e == nil {
+		e = &spawnEntry{ch: make(chan spawnState, 1)}
+		t.entries[key] = e
+		if t.idle = append(t.idle, key); len(t.idle) > maxIdleSpawns {
+			if old := t.entries[t.idle[0]]; old != nil && !old.waited && !old.spawning {
+				delete(t.entries, t.idle[0])
 			}
-			m.mu.Unlock()
-			continue
-		}
-		if m.c.isClosed() {
-			for _, k := range keys {
-				m.deliver(k, SpawnStatus{Done: true, Err: ErrClientClosed})
-			}
-			continue
-		}
-		states, err := m.c.PollSpawns(context.Background(), keys, pollWait)
-		if err != nil {
-			m.mu.Lock()
-			m.pollErr++
-			exhausted := m.pollErr >= spawnPollPatience
-			m.mu.Unlock()
-			if exhausted {
-				// The endpoint has been unreachable for the whole patience
-				// window: every pending spawn resolves as lost rather than
-				// hanging a deadline-less waiter forever.
-				for _, k := range keys {
-					m.deliver(k, SpawnStatus{Done: true,
-						Err: fmt.Errorf("%w: %v", ErrSpawnLost, err)})
-				}
-				m.mu.Lock()
-				m.pollErr = 0
-				m.mu.Unlock()
-				continue
-			}
-			// Transient (or breaker-open fast-fail): pace the retry so an
-			// open breaker does not spin the loop.
-			time.Sleep(pollWait)
-			continue
-		}
-		m.mu.Lock()
-		m.pollErr = 0
-		m.mu.Unlock()
-		for key, st := range states {
-			if st.Done {
-				m.deliver(key, st)
-			}
+			t.idle = t.idle[1:]
 		}
 	}
+	e.spawning = true
 }
 
-// WaitSpawn waits for the spawn under key to reach a terminal state,
-// sharing the client's single multiplexed poll loop with every other
-// in-flight spawn. If ctx ends first, a best-effort cancel op is sent
-// and ctx's error returned. The wait itself can never hang: an endpoint
-// that stays unreachable resolves the status as ErrSpawnLost.
-func (c *Client) WaitSpawn(ctx context.Context, key string) (SpawnStatus, error) {
-	m := c.mgr()
-	ch := m.register(key)
+// settle records that the server attached keys to connection gen.
+func (t *spawnWaits) settle(keys []string, gen uint64) {
+	t.mu.Lock()
+	for _, key := range keys {
+		if e := t.entries[key]; e != nil {
+			e.gen, e.spawning = gen, false
+		}
+	}
+	t.mu.Unlock()
+}
+
+// forget stops tracking a key whose spawn op failed or finished it, or
+// that was cancelled; one with a waiter is left to be attached again.
+func (t *spawnWaits) forget(key string) {
+	t.mu.Lock()
+	if e := t.entries[key]; e != nil && e.waited {
+		e.gen, e.spawning = 0, false
+	} else {
+		delete(t.entries, key)
+	}
+	t.mu.Unlock()
+}
+
+// complete hands a pushed terminal state to its key's waiter, or keeps
+// it for one. An untracked key's is dropped: a later WaitSpawn attaches
+// the key and the server pushes it again.
+func (t *spawnWaits) complete(st spawnState) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.entries[st.Key]
+	if e == nil || st.State != spawnDone || len(e.ch) > 0 {
+		return // untracked, not terminal, or pushed twice
+	}
+	if e.waited {
+		delete(t.entries, st.Key)
+	}
+	e.ch <- st
+}
+
+// failAll resolves every waited key with code and empties the table.
+func (t *spawnWaits) failAll(code, msg string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for key, e := range t.entries {
+		if e.waited && len(e.ch) == 0 {
+			e.ch <- spawnState{Key: key, State: spawnDone, Code: code, Error: msg}
+		}
+	}
+	t.entries, t.idle = make(map[string]*spawnEntry), nil
+}
+
+// stale lists the keys (one frame's worth) not attached to connection
+// gen and reports whether anybody waits; if not, the heartbeat stops.
+func (t *spawnWaits) stale(gen uint64) (keys []string, waiting bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for key, e := range t.entries {
+		waiting = waiting || e.waited
+		if e.gen != gen && !e.spawning && len(keys) < maxAttachKeys {
+			keys = append(keys, key)
+		}
+	}
+	t.beating = waiting
+	return keys, waiting
+}
+
+// beatNow wakes the heartbeat ahead of its period.
+func (t *spawnWaits) beatNow() {
 	select {
-	case st := <-ch:
-		return st, nil
-	case <-ctx.Done():
-		m.deregister(key)
-		// Drain a delivery that raced the deregistration.
+	case t.kick <- struct{}{}:
+	default:
+	}
+}
+
+// heartbeat runs while waits are pending. Each beat is one spawn_attach:
+// it renews the server-side leases of this connection's spawns, attaches
+// the keys a reconnect left unattached, and proves the link answers.
+func (c *Client) heartbeat() {
+	defer c.wg.Done()
+	tick := time.NewTicker(heartbeatPeriod)
+	defer tick.Stop()
+	lastAck := time.Now()
+	for {
 		select {
-		case st := <-ch:
-			return st, nil
-		default:
+		case <-tick.C:
+		case <-c.spawns.kick:
+		case <-c.life.Done():
+			return // Close resolves the waits
+		}
+		gen := c.connGen.Load()
+		keys, waiting := c.spawns.stale(gen)
+		if !waiting {
+			return
+		}
+		ctx, cancel := context.WithDeadline(c.life, lastAck.Add(spawnLostAfter))
+		_, err := c.roundTripContext(ctx, request{Op: "spawn_attach", Attach: keys})
+		cancel()
+		switch {
+		case err == nil:
+			lastAck = time.Now()
+			c.spawns.settle(keys, gen)
+		case time.Since(lastAck) >= spawnLostAfter && !c.isClosed():
+			c.spawns.failAll(codeSpawnLost, err.Error())
+			lastAck = time.Now()
+		}
+		if c.connGen.Load() != gen {
+			c.spawns.beatNow() // re-dialled meanwhile: every key is stale again, attach at once
+		}
+	}
+}
+
+// WaitSpawn waits for the completion the server pushes for key — no
+// request at all for a key spawned on this connection. If ctx ends
+// first, a best-effort cancel op is sent and ctx's error returned. The
+// wait itself can never hang: a server that stops answering heartbeats
+// resolves the status as ErrSpawnLost, Close as ErrClientClosed.
+func (c *Client) WaitSpawn(ctx context.Context, key string) (SpawnStatus, error) {
+	t := &c.spawns
+	t.mu.Lock()
+	if c.isClosed() { // under t.mu: Close's failAll, then its wg.Wait, come after
+		t.mu.Unlock()
+		return SpawnStatus{Done: true, Err: ErrClientClosed}, nil
+	}
+	e := t.entries[key]
+	if e == nil {
+		e = &spawnEntry{ch: make(chan spawnState, 1)}
+		t.entries[key] = e
+	}
+	e.waited = true
+	if len(e.ch) > 0 {
+		delete(t.entries, key) // completed before anybody waited
+	} else if e.gen != c.connGen.Load() && !e.spawning {
+		t.beatNow()
+	}
+	if !t.beating && len(e.ch) == 0 {
+		t.beating = true
+		c.wg.Add(1)
+		go c.heartbeat()
+	}
+	t.mu.Unlock()
+	select {
+	case st := <-e.ch:
+		return stateToStatus(c, st.Action, st), nil
+	case <-ctx.Done():
+		t.mu.Lock()
+		if t.entries[key] == e {
+			delete(t.entries, key)
+		}
+		t.mu.Unlock()
+		if len(e.ch) > 0 { // delivered just before the removal
+			st := <-e.ch
+			return stateToStatus(c, st.Action, st), nil
 		}
 		cctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()

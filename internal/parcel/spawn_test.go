@@ -2,9 +2,10 @@ package parcel
 
 // The spawn plane's contract, tested without chaos first: exactly-once
 // execution under key dedupe and retries, deadline/cancel propagation
-// into the action body, orphan reaping, typed failures, and the
-// multiplexed poll loop under fan-out. The chaos-driven soak lives in
-// package agas (it needs the router on top).
+// into the action body, orphan reaping, typed failures, and pushed
+// completions under fan-out. The chaos-driven soak lives in package agas
+// (it needs the router on top); the connection itself is tested in
+// duplex_test.go.
 
 import (
 	"context"
@@ -199,7 +200,7 @@ func TestSpawnOrphanReaped(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Spawn, then never poll again: the client "dies". Past the lease
+	// Spawn, then never wait: no heartbeat, the client "died". Past the lease
 	// the reaper must cancel the body and count the orphan.
 	if _, err := cli.SpawnAction(context.Background(), "stall", nil, "abandoned"); err != nil {
 		t.Fatal(err)
@@ -293,13 +294,9 @@ func TestSpawnTypedFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Polling a key the server never admitted: typed ErrSpawnUnknown.
-	sts, err := cli.PollSpawns(ctx, []string{"never-was"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := sts["never-was"]; !st.Done || !errors.Is(st.Err, ErrSpawnUnknown) {
-		t.Fatalf("unknown key status = %+v", st)
+	// Waiting on a key the server never admitted: typed ErrSpawnUnknown.
+	if st, err := cli.WaitSpawn(ctx, "never-was"); err != nil || !st.Done || !errors.Is(st.Err, ErrSpawnUnknown) {
+		t.Fatalf("unknown key status = %+v, %v", st, err)
 	}
 }
 
@@ -311,8 +308,8 @@ func TestSpawnFanOutMultiplexed(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// 200 concurrent futures share ONE poll loop on ONE connection; a
-	// per-future blocking poll would serialize into minutes.
+	// 200 concurrent futures share ONE connection, each a spawn frame out
+	// and an acknowledgement and a pushed completion back.
 	const fan = 200
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
