@@ -55,8 +55,7 @@ type Engine struct {
 	mu       sync.Mutex
 	policies []*Policy
 	events   []Event
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	tickers  []*core.Ticker // one per policy; nil while stopped
 }
 
 // NewEngine creates an engine over a counter registry.
@@ -83,26 +82,27 @@ func (e *Engine) AddPolicy(p *Policy) error {
 func (e *Engine) Start() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.stop != nil {
+	if e.tickers != nil {
 		return
 	}
-	e.stop = make(chan struct{})
+	e.tickers = make([]*core.Ticker, 0, len(e.policies))
 	for _, p := range e.policies {
 		p := p
-		e.wg.Add(1)
-		go e.run(p)
+		e.tickers = append(e.tickers, core.Every(p.Period, func(time.Time) time.Duration {
+			e.tick(p)
+			return p.Period
+		}))
 	}
 }
 
 // Stop halts all sampling loops and waits for them.
 func (e *Engine) Stop() {
 	e.mu.Lock()
-	stop := e.stop
-	e.stop = nil
+	tickers := e.tickers
+	e.tickers = nil
 	e.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		e.wg.Wait()
+	for _, t := range tickers {
+		t.Stop()
 	}
 }
 
@@ -111,23 +111,6 @@ func (e *Engine) Events() []Event {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]Event(nil), e.events...)
-}
-
-func (e *Engine) run(p *Policy) {
-	defer e.wg.Done()
-	e.mu.Lock()
-	stop := e.stop
-	e.mu.Unlock()
-	ticker := time.NewTicker(p.Period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			e.tick(p)
-		}
-	}
 }
 
 // tick samples the policy's counter once and applies the rule; exported

@@ -151,6 +151,34 @@ func TestPanicIsolatedEvaluateConcurrent(t *testing.T) {
 	}
 }
 
+// TestPanicIsolatedStatisticsBase: a statistics counter sampling a
+// panicking base — from its own ticker or a direct Sample — contains
+// the panic, counts it in EvalErrors and reports no data, instead of
+// taking the process down.
+func TestPanicIsolatedStatisticsBase(t *testing.T) {
+	r := NewRegistry()
+	bad := &panicCounter{name: testName(t, "/test{locality#0/total}/bad"), panicValue: true}
+	if err := r.Register(bad); err != nil {
+		t.Fatal(err)
+	}
+	name := "/statistics{/test{locality#0/total}/bad}/average@1"
+	if _, err := r.AddActive(name); err != nil {
+		t.Fatal(err)
+	}
+	defer r.RemoveActive(name)
+	getStats(t, r, name).Sample()
+	if r.EvalErrors() == 0 {
+		t.Fatal("base panic not accounted in EvalErrors")
+	}
+	v, err := r.Evaluate(name, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Valid() {
+		t.Fatalf("statistics over a panicking base = %+v, want no data", v)
+	}
+}
+
 // closableCounter records whether it was closed.
 type closableCounter struct {
 	name   Name

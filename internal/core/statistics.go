@@ -51,14 +51,15 @@ func registerStatistics(r *Registry) {
 }
 
 // StatisticsCounter aggregates periodic samples of a base counter. It
-// implements Startable: while active, a background goroutine samples the
-// base counter at the configured interval. Sample may also be called
+// implements Startable: while active, an Every ticker samples the base
+// counter at the configured interval. Sample may also be called
 // directly, which the tests and the simulator (virtual time) use.
 type StatisticsCounter struct {
 	name     Name
 	nameStr  string
 	info     Info
 	kind     string
+	reg      *Registry // evaluates base with panic isolation
 	base     Counter
 	interval time.Duration
 	window   int // rolling window size; 0 = unbounded
@@ -68,7 +69,7 @@ type StatisticsCounter struct {
 	last    float64 // previous sample, for "rate"
 	lastT   time.Time
 	haveOne bool
-	stop    chan struct{}
+	ticker  *Ticker
 
 	// quantile is the requested percentile (0..100) for the
 	// "percentile" kind; direct marks a histogram-backed base that
@@ -127,6 +128,7 @@ func newStatisticsCounter(n Name, kind string, r *Registry) (*StatisticsCounter,
 		nameStr:  n.String(),
 		info:     Info{TypeName: n.TypeName(), HelpText: "statistics/" + kind + " of " + n.BaseCounter, Unit: base.Info().Unit},
 		kind:     kind,
+		reg:      r,
 		base:     base,
 		interval: interval,
 		window:   window,
@@ -148,12 +150,13 @@ func (c *StatisticsCounter) Info() Info { return c.info }
 
 // Sample reads the base counter once and folds the observation into the
 // aggregation state. A no-op for histogram-backed percentile counters,
-// which answer from the base's own distribution.
+// which answer from the base's own distribution. A base whose Value
+// panics yields no sample and counts in the registry's EvalErrors.
 func (c *StatisticsCounter) Sample() {
 	if c.direct != nil {
 		return
 	}
-	v := c.base.Value(false)
+	v := c.reg.safeValue(c.base, false)
 	if !v.Valid() {
 		return
 	}
@@ -183,35 +186,23 @@ func (c *StatisticsCounter) Start() {
 		return
 	}
 	c.mu.Lock()
-	if c.stop != nil {
-		c.mu.Unlock()
-		return
+	defer c.mu.Unlock()
+	if c.ticker == nil {
+		c.ticker = Every(c.interval, func(time.Time) time.Duration {
+			c.Sample()
+			return c.interval
+		})
 	}
-	stop := make(chan struct{})
-	c.stop = stop
-	c.mu.Unlock()
-	go func() {
-		t := time.NewTicker(c.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				c.Sample()
-			}
-		}
-	}()
 }
 
-// Stop implements Startable: ends periodic sampling.
+// Stop implements Startable: ends periodic sampling, returning once a
+// sample in flight has been folded in.
 func (c *StatisticsCounter) Stop() {
 	c.mu.Lock()
-	if c.stop != nil {
-		close(c.stop)
-		c.stop = nil
-	}
+	t := c.ticker
+	c.ticker = nil
 	c.mu.Unlock()
+	t.Stop()
 }
 
 // Value implements Counter. Raw carries the statistic in fixed-point

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -156,6 +158,63 @@ func TestStatisticsStartStop(t *testing.T) {
 	}
 	sc.Stop()
 	sc.Stop() // idempotent
+}
+
+// blockingCounter's Value blocks until release closes, announcing the
+// first call on entered.
+type blockingCounter struct {
+	name    Name
+	entered chan struct{}
+	once    sync.Once
+	release chan struct{}
+}
+
+func (c *blockingCounter) Name() Name { return c.name }
+func (c *blockingCounter) Info() Info {
+	return Info{TypeName: c.name.TypeName(), Unit: UnitEvents, Version: "1.0"}
+}
+func (c *blockingCounter) Value(bool) Value {
+	c.once.Do(func() { close(c.entered) })
+	<-c.release
+	return Value{Name: c.name.String(), Raw: 1, Scaling: 1, Time: time.Now(), Status: StatusValid}
+}
+func (c *blockingCounter) Reset() {}
+
+// TestStatisticsStopWaitsForSample: RemoveActive (Stop) must not return
+// while the sampler is blocked in the base's Value — otherwise that
+// sample lands after the counter was stopped.
+func TestStatisticsStopWaitsForSample(t *testing.T) {
+	r := NewRegistry()
+	base := &blockingCounter{name: mustName(t, "/test{locality#0/total}/slow"),
+		entered: make(chan struct{}), release: make(chan struct{})}
+	r.MustRegister(base)
+	name := "/statistics{/test{locality#0/total}/slow}/average@1"
+	if _, err := r.AddActive(name); err != nil {
+		t.Fatal(err)
+	}
+	<-base.entered
+
+	var released atomic.Bool
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		r.RemoveActive(name)
+		if !released.Load() {
+			t.Error("RemoveActive returned while a sample was blocked in the base")
+		}
+	}()
+	// A Stop that does not wait returns straight away; give it the
+	// chance before releasing the base. A correct Stop is still blocked.
+	select {
+	case <-stopped:
+	case <-time.After(20 * time.Millisecond):
+	}
+	released.Store(true)
+	close(base.release)
+	<-stopped
+	if got := getStats(t, r, name).Value(false).Count; got != 1 {
+		t.Fatalf("stopped counter holds %d samples, want exactly the one in flight", got)
+	}
 }
 
 func TestStatisticsErrors(t *testing.T) {

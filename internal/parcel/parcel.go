@@ -276,6 +276,7 @@ type Server struct {
 	// idempotency key, leased against orphaning. baseCtx parents every
 	// spawned action so Close cancels them all.
 	spawns     *spawnTable
+	reaper     *core.Ticker
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -324,8 +325,7 @@ func NewServer(ln net.Listener, reg *core.Registry, locality int64, opts ServerO
 	s.spawns = newSpawnTable(s.opts, orphaned)
 	s.wg.Add(1)
 	go s.acceptLoop()
-	s.wg.Add(1)
-	go s.spawns.reap(&s.wg, s.closed)
+	s.reaper = s.spawns.reaper()
 	return s, nil
 }
 
@@ -339,6 +339,7 @@ func (s *Server) Close() error {
 	select {
 	case <-s.closed:
 		s.mu.Unlock()
+		s.reaper.Stop()
 		s.wg.Wait()
 		return nil
 	default:
@@ -355,6 +356,7 @@ func (s *Server) Close() error {
 	// the waitgroup (a stuck action must not wedge Close), but their
 	// scopes die with the server.
 	s.baseCancel()
+	s.reaper.Stop()
 	s.wg.Wait()
 	return err
 }

@@ -139,9 +139,8 @@ func (tb *spawnTable) lookup(key string) *spawnTask {
 	return t
 }
 
-// reap is the orphan/retention sweep loop; it exits when closed closes.
-func (tb *spawnTable) reap(wg *sync.WaitGroup, closed <-chan struct{}) {
-	defer wg.Done()
+// reaper starts the orphan/retention sweep loop; the server stops it.
+func (tb *spawnTable) reaper() *core.Ticker {
 	period := tb.opts.SpawnLease / 4
 	if tb.opts.SpawnLease <= 0 || period > time.Second {
 		period = time.Second
@@ -149,16 +148,10 @@ func (tb *spawnTable) reap(wg *sync.WaitGroup, closed <-chan struct{}) {
 	if period < 5*time.Millisecond {
 		period = 5 * time.Millisecond
 	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-closed:
-			return
-		case <-tick.C:
-			tb.sweep(time.Now())
-		}
-	}
+	return core.Every(period, func(now time.Time) time.Duration {
+		tb.sweep(now)
+		return period
+	})
 }
 
 // sweep cancels orphaned running tasks and evicts completed entries past

@@ -80,10 +80,9 @@ type Session struct {
 	reset  bool
 	header sync.Once
 
-	mu   sync.Mutex
-	buf  []core.Value // reused per sample; a sampling tick allocates nothing
-	stop chan struct{}
-	wg   sync.WaitGroup
+	mu     sync.Mutex
+	buf    []core.Value // reused per sample; a sampling tick allocates nothing
+	ticker *core.Ticker // periodic sampler; nil without an interval
 }
 
 // ListTo writes the counter-type listing (--list-counters output).
@@ -132,25 +131,11 @@ func (o *Options) Start(reg *core.Registry) (*Session, error) {
 			return nil, err
 		}
 	}
-	if o.Interval > 0 {
-		// The goroutine must watch the channel made here, not re-read
-		// s.stop (Close nils the field before closing the channel).
-		stop := make(chan struct{})
-		s.stop = stop
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			t := time.NewTicker(o.Interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					s.Sample()
-				}
-			}
-		}()
+	if d := o.Interval; d > 0 {
+		s.ticker = core.Every(d, func(time.Time) time.Duration {
+			s.Sample()
+			return d
+		})
 	}
 	return s, nil
 }
@@ -173,14 +158,7 @@ func (s *Session) Sample() {
 // Close stops periodic sampling, prints the final sample, and releases
 // the output file.
 func (s *Session) Close() error {
-	s.mu.Lock()
-	stop := s.stop
-	s.stop = nil
-	s.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		s.wg.Wait()
-	}
+	s.ticker.Stop()
 	s.Sample()
 	return s.closeFile()
 }

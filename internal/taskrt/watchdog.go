@@ -12,6 +12,8 @@ package taskrt
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/core"
 )
 
 // HealthKind classifies a watchdog health event.
@@ -111,13 +113,12 @@ func (c *WatchdogConfig) setDefaults() {
 	}
 }
 
-// watchdog is the monitor state. All fields are touched only by the
-// watchdog goroutine (or by a test driving sweep directly).
+// watchdog is the monitor state. Apart from ticker, all fields are
+// touched only by the sweep loop (or by a test driving sweep directly).
 type watchdog struct {
-	rt   *Runtime
-	cfg  WatchdogConfig
-	stop chan struct{}
-	done chan struct{}
+	rt     *Runtime
+	cfg    WatchdogConfig
+	ticker *core.Ticker
 
 	// Deduplication: one event per episode, keyed on the episode's
 	// start timestamp — a new task (new taskStartNs) or a new park
@@ -147,8 +148,11 @@ func (rt *Runtime) StartWatchdog(cfg WatchdogConfig) {
 	}
 	cfg.setDefaults()
 	wd := newWatchdog(rt, cfg)
+	wd.ticker = core.Every(cfg.Interval, func(now time.Time) time.Duration {
+		wd.sweep(now)
+		return cfg.Interval
+	})
 	rt.wd = wd
-	go wd.loop()
 }
 
 // StopWatchdog stops the monitor and waits for its goroutine to exit.
@@ -158,35 +162,17 @@ func (rt *Runtime) StopWatchdog() {
 	wd := rt.wd
 	rt.wd = nil
 	rt.wdMu.Unlock()
-	if wd == nil {
-		return
+	if wd != nil {
+		wd.ticker.Stop()
 	}
-	close(wd.stop)
-	<-wd.done
 }
 
 func newWatchdog(rt *Runtime, cfg WatchdogConfig) *watchdog {
 	return &watchdog{
 		rt:             rt,
 		cfg:            cfg,
-		stop:           make(chan struct{}),
-		done:           make(chan struct{}),
 		lastStallStart: make([]int64, len(rt.workers)),
 		lastParkStart:  make([]int64, len(rt.workers)),
-	}
-}
-
-func (wd *watchdog) loop() {
-	defer close(wd.done)
-	tick := time.NewTicker(wd.cfg.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-wd.stop:
-			return
-		case now := <-tick.C:
-			wd.sweep(now)
-		}
 	}
 }
 
@@ -222,8 +208,8 @@ func (wd *watchdog) safeOnEvent(ev HealthEvent) {
 	wd.cfg.OnEvent(ev)
 }
 
-// sweep takes one sample of the runtime's health. Separated from loop so
-// tests can drive it with a synthetic clock.
+// sweep takes one sample of the runtime's health. Separated from the
+// ticker so tests can drive it with a synthetic clock.
 func (wd *watchdog) sweep(now time.Time) {
 	rt := wd.rt
 	nowNs := now.UnixNano()

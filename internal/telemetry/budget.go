@@ -555,8 +555,7 @@ type BudgetedCollector struct {
 	tiers *tieredSource
 
 	mu      sync.Mutex
-	stopCtl chan struct{}
-	wg      sync.WaitGroup
+	control *core.Ticker
 }
 
 // NewBudgetedCollector samples reg's active set into s every interval,
@@ -602,39 +601,24 @@ func (bc *BudgetedCollector) Start() {
 	bc.Collector.Start()
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
-	if bc.stopCtl != nil {
-		return
-	}
-	stop := make(chan struct{})
-	bc.stopCtl = stop
-	bc.wg.Add(1)
-	go func() {
-		defer bc.wg.Done()
+	if bc.control == nil {
 		// Tick at half the window so a full window is always seen
 		// within one period of elapsing; the controller itself acts
 		// at most once per window.
-		t := time.NewTicker(bc.Controller.budget.Window / 2)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case now := <-t.C:
-				bc.Controller.Tick(now)
-			}
-		}
-	}()
+		period := bc.Controller.budget.Window / 2
+		bc.control = core.Every(period, func(now time.Time) time.Duration {
+			bc.Controller.Tick(now)
+			return period
+		})
+	}
 }
 
 // Stop ends the control loop and sampling (idempotent).
 func (bc *BudgetedCollector) Stop() {
 	bc.mu.Lock()
-	stop := bc.stopCtl
-	bc.stopCtl = nil
+	t := bc.control
+	bc.control = nil
 	bc.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		bc.wg.Wait()
-	}
+	t.Stop()
 	bc.Collector.Stop()
 }

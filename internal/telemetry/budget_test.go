@@ -311,3 +311,14 @@ func TestBudgetConvergence(t *testing.T) {
 		t.Fatal("budget self-counters not sampled")
 	}
 }
+
+// TestBudgetTinyWindow: a one-nanosecond window halves to a zero tick
+// period, which must run the control loop at the floor rather than
+// panic it; Start and Stop stay clean.
+func TestBudgetTinyWindow(t *testing.T) {
+	reg := newTestRegistry(t)
+	bcol := NewBudgetedCollector(NewSampler(16), reg, time.Millisecond, Budget{Window: 1}, false)
+	bcol.Start()
+	bcol.Stop()
+	bcol.Stop() // idempotent
+}

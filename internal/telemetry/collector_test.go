@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,7 +57,16 @@ func TestCollectorSetIntervalRuntime(t *testing.T) {
 func TestCollectorStopStartReuse(t *testing.T) {
 	reg := newTestRegistry(t)
 	s := NewSampler(128)
-	c := NewCollector(s, RegistrySource(reg, false), 5*time.Millisecond)
+	// Stop waits out a pull in flight, so none may be running once it
+	// has returned.
+	inner := RegistrySource(reg, false)
+	var inFlight atomic.Bool
+	src := func() []core.Value {
+		inFlight.Store(true)
+		defer inFlight.Store(false)
+		return inner()
+	}
+	c := NewCollector(s, src, 5*time.Millisecond)
 
 	waitPoints := func(min int) {
 		t.Helper()
@@ -71,11 +81,10 @@ func TestCollectorStopStartReuse(t *testing.T) {
 	c.Start()
 	waitPoints(2)
 	c.Stop()
-	mark := pointCount(s.Snapshot())
-	time.Sleep(30 * time.Millisecond)
-	if got := pointCount(s.Snapshot()); got != mark {
-		t.Fatalf("stopped collector still sampling: %d -> %d", mark, got)
+	if inFlight.Load() {
+		t.Fatal("Stop returned with a sample in flight")
 	}
+	mark := pointCount(s.Snapshot())
 
 	c.Start() // reuse: same sampler, same source
 	waitPoints(mark + 2)

@@ -198,7 +198,6 @@ type Collector struct {
 	src     Source
 
 	interval atomic.Int64 // current steady-state interval, ns
-	kick     chan struct{}
 	flight   atomic.Pointer[FlightRecorder]
 
 	// sampleMu serializes pulls from the source: SampleOnce is public
@@ -206,9 +205,8 @@ type Collector struct {
 	// buffer across calls.
 	sampleMu sync.Mutex
 
-	mu   sync.Mutex
-	stop chan struct{}
-	wg   sync.WaitGroup
+	mu     sync.Mutex // serializes Start and Stop
+	ticker atomic.Pointer[core.Ticker]
 }
 
 // NewCollector creates a collector sampling src into s every interval
@@ -220,7 +218,7 @@ func NewCollector(s *Sampler, src Source, interval time.Duration) *Collector {
 	if interval < MinInterval {
 		interval = MinInterval
 	}
-	c := &Collector{sampler: s, src: src, kick: make(chan struct{}, 1)}
+	c := &Collector{sampler: s, src: src}
 	c.interval.Store(int64(interval))
 	return c
 }
@@ -268,11 +266,11 @@ func (c *Collector) TriggerFlight(reason string) bool {
 	return ok
 }
 
-// kickLoop wakes the sampling loop to re-evaluate its interval.
+// kickLoop re-arms a running sampling loop to the current effective
+// interval.
 func (c *Collector) kickLoop() {
-	select {
-	case c.kick <- struct{}{}:
-	default:
+	if t := c.ticker.Load(); t != nil {
+		t.Reset(c.effectiveInterval())
 	}
 }
 
@@ -307,49 +305,21 @@ func (c *Collector) SampleOnce() {
 // history are kept.
 func (c *Collector) Start() {
 	c.mu.Lock()
-	if c.stop != nil {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if c.ticker.Load() != nil {
 		return
 	}
-	stop := make(chan struct{})
-	c.stop = stop
-	c.mu.Unlock()
 	c.SampleOnce()
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		t := time.NewTimer(c.effectiveInterval())
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-c.kick:
-				if !t.Stop() {
-					select {
-					case <-t.C:
-					default:
-					}
-				}
-				t.Reset(c.effectiveInterval())
-			case <-t.C:
-				c.SampleOnce()
-				t.Reset(c.effectiveInterval())
-			}
-		}
-	}()
+	c.ticker.Store(core.Every(c.effectiveInterval(), func(time.Time) time.Duration {
+		c.SampleOnce()
+		return c.effectiveInterval()
+	}))
 }
 
-// Stop ends periodic sampling (idempotent). It does not take the sample
-// lock, so it cannot deadlock against an in-flight SampleOnce; it
-// returns once the loop goroutine has exited.
+// Stop ends periodic sampling (idempotent); it returns once a sample in
+// flight has been taken.
 func (c *Collector) Stop() {
 	c.mu.Lock()
-	stop := c.stop
-	c.stop = nil
-	c.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		c.wg.Wait()
-	}
+	defer c.mu.Unlock()
+	c.ticker.Swap(nil).Stop()
 }
