@@ -66,23 +66,13 @@ func (l *Locality) Name() string { return l.name }
 // Registry returns the locality's counter registry.
 func (l *Locality) Registry() *core.Registry { return l.registry }
 
-// CounterProvider is the minimal capability AGAS needs to route a
-// counter query: local registries and remote parcel clients both
-// provide it, so in-process and over-the-wire localities resolve
-// identically.
+// CounterProvider is the capability AGAS needs to read counters on a
+// locality in another process — *parcel.Client provides it through the
+// evaluate_bulk wire op. In-process localities are read from their
+// registries directly.
 type CounterProvider interface {
-	// Evaluate reads one counter by full name, optionally resetting it.
-	Evaluate(fullName string, reset bool) (core.Value, error)
-}
-
-// BulkProvider is the optional capability of sampling many counters in
-// one exchange — *parcel.Client implements it via the evaluate_bulk
-// wire op. EvaluateAcross groups names by locality and uses it when
-// available, turning K counters per remote into one round trip per
-// sample instead of K.
-type BulkProvider interface {
-	// EvaluateBulk reads the named counters together, results in input
-	// order, optionally resetting each as part of the same read.
+	// EvaluateBulk reads the named counters in one exchange, results in
+	// input order, optionally resetting each as part of the same read.
 	EvaluateBulk(fullNames []string, reset bool) ([]core.Value, error)
 }
 
@@ -271,29 +261,12 @@ func LocalityOf(n core.Name) (int64, error) {
 
 // EvaluateCounter resolves a full counter name across localities and
 // evaluates it on its owner — local access and access to any other
-// locality in the process are indistinguishable, as in HPX.
+// locality in the process are indistinguishable, as in HPX. It fails for
+// an unparsable name, an unknown locality, a failed exchange with a
+// remote owner and a counter its owner does not have.
 func (r *Resolver) EvaluateCounter(fullName string, reset bool) (core.Value, error) {
-	n, err := core.ParseName(fullName)
-	if err != nil {
-		return core.Value{Name: fullName, Status: core.StatusCounterUnknown}, err
-	}
-	id, err := LocalityOf(n)
-	if err != nil {
-		return core.Value{Name: fullName, Status: core.StatusCounterUnknown}, err
-	}
-	r.mu.RLock()
-	remote := r.remotes[id]
-	r.mu.RUnlock()
-	if remote != nil {
-		v, err := remote.Evaluate(fullName, reset)
-		r.recordHealth(id, err, v.Status == core.StatusStale)
-		return v, err
-	}
-	l, err := r.Resolve(id)
-	if err != nil {
-		return core.Value{Name: fullName, Status: core.StatusCounterUnknown}, err
-	}
-	return l.registry.Evaluate(fullName, reset)
+	vals, errs := r.evaluate([]string{fullName}, reset)
+	return vals[0], errs[0]
 }
 
 // EvaluateAcross evaluates one counter per full name, across however
@@ -301,115 +274,103 @@ func (r *Resolver) EvaluateCounter(fullName string, reset bool) (core.Value, err
 // name whose locality is down or unknown yields a gap — a Value whose
 // Status says why (stale, unknown, invalid) — so aggregation degrades
 // to partial results instead of erroring because one locality died.
-//
-// Names owned by a bulk-capable remote (BulkProvider) are grouped and
-// sampled in one exchange per locality; everything else takes the
-// per-name path. Results keep input order either way.
+// Each remote locality is read in one exchange; results keep input
+// order.
 //
 // Repeated full names (same spelling) are de-duplicated before routing:
 // the counter is evaluated once and the result fanned out to every
-// occurrence, so one careless caller cannot double-charge the bulk wire
-// — or, with reset, read-and-reset the same counter twice in one batch.
+// occurrence, so one careless caller cannot double-charge the wire — or,
+// with reset, read-and-reset the same counter twice in one batch.
 func (r *Resolver) EvaluateAcross(fullNames []string, reset bool) []core.Value {
-	out := make([]core.Value, len(fullNames))
-
-	// firstIdx maps each distinct name to its first occurrence; dupsOf
-	// collects the later occurrences to copy into after evaluation.
-	firstIdx := make(map[string]int, len(fullNames))
-	var dupsOf map[int][]int
-
-	// Group names by bulk-capable remote locality; indices not routable
-	// that way fall through to the per-name path below.
-	type group struct {
-		bp    BulkProvider
-		names []string
-		idxs  []int
-	}
-	groups := make(map[int64]*group)
-	var rest []int
+	slot := make([]int, len(fullNames)) // input index → index into distinct
+	index := make(map[string]int, len(fullNames))
+	var distinct []string
 	for i, name := range fullNames {
-		if j, seen := firstIdx[name]; seen {
-			if dupsOf == nil {
-				dupsOf = make(map[int][]int)
-			}
-			dupsOf[j] = append(dupsOf[j], i)
-			continue
+		j, seen := index[name]
+		if !seen {
+			j = len(distinct)
+			index[name] = j
+			distinct = append(distinct, name)
 		}
-		firstIdx[name] = i
-		id, bp, ok := r.bulkRouteFor(name)
-		if !ok {
-			rest = append(rest, i)
-			continue
-		}
-		g := groups[id]
-		if g == nil {
-			g = &group{bp: bp}
-			groups[id] = g
-		}
-		g.names = append(g.names, name)
-		g.idxs = append(g.idxs, i)
+		slot[i] = j
 	}
-
-	for id, g := range groups {
-		vals, err := g.bp.EvaluateBulk(g.names, reset)
-		if err != nil || len(vals) != len(g.names) {
-			// The whole exchange failed (or answered malformed): fall
-			// back to per-name queries, which record health themselves.
-			rest = append(rest, g.idxs...)
-			continue
-		}
-		for j, v := range vals {
-			if v.Name == "" {
-				v.Name = g.names[j]
-			}
-			out[g.idxs[j]] = v
-			r.recordHealth(id, valueErr(v), v.Status == core.StatusStale)
-		}
-	}
-
-	for _, i := range rest {
-		v, err := r.EvaluateCounter(fullNames[i], reset)
-		if err != nil {
-			if v.Name == "" {
-				v.Name = fullNames[i]
-			}
-			if v.Valid() {
-				v.Status = core.StatusInvalidData
-			}
-		}
-		out[i] = v
-	}
-
-	for j, idxs := range dupsOf {
-		for _, i := range idxs {
-			out[i] = out[j]
-		}
+	vals, _ := r.evaluate(distinct, reset)
+	out := make([]core.Value, len(fullNames))
+	for i, j := range slot {
+		out[i] = vals[j]
 	}
 	return out
 }
 
-// bulkRouteFor resolves a full name to its owning locality's
-// BulkProvider, if it has one.
-func (r *Resolver) bulkRouteFor(fullName string) (int64, BulkProvider, bool) {
-	n, err := core.ParseName(fullName)
-	if err != nil {
-		return 0, nil, false
+// evaluate reads distinct full names grouped by owning locality: one
+// EvaluateBulk per remote locality, registry reads for in-process ones.
+// It never fails as a whole; errs[i] says why vals[i] is a gap — an
+// unparsable name, an unknown locality, a failed exchange (recorded as
+// one Health failure per name) or a counter its locality does not have.
+func (r *Resolver) evaluate(names []string, reset bool) (vals []core.Value, errs []error) {
+	vals = make([]core.Value, len(names))
+	errs = make([]error, len(names))
+	groups := make(map[int64][]int) // locality id → indices of the names it owns
+	for i, name := range names {
+		n, err := core.ParseName(name)
+		var id int64
+		if err == nil {
+			id, err = LocalityOf(n)
+		}
+		if err != nil {
+			vals[i], errs[i] = core.Value{Name: name, Status: core.StatusCounterUnknown}, err
+			continue
+		}
+		groups[id] = append(groups[id], i)
 	}
-	id, err := LocalityOf(n)
-	if err != nil {
-		return 0, nil, false
+	for id, idxs := range groups {
+		r.mu.RLock()
+		remote := r.remotes[id]
+		r.mu.RUnlock()
+		if remote == nil {
+			for _, i := range idxs {
+				vals[i], errs[i] = r.evaluateLocal(id, names[i], reset)
+			}
+			continue
+		}
+		group := make([]string, len(idxs))
+		for j, i := range idxs {
+			group[j] = names[i]
+		}
+		got, err := remote.EvaluateBulk(group, reset)
+		if err == nil && len(got) != len(group) {
+			err = fmt.Errorf("agas: locality#%d answered %d values for %d names", id, len(got), len(group))
+		}
+		for j, i := range idxs {
+			v := core.Value{Name: names[i], Status: core.StatusCounterUnknown}
+			if err == nil {
+				if v = got[j]; v.Name == "" {
+					v.Name = names[i]
+				}
+				errs[i] = valueErr(v)
+			} else {
+				errs[i] = err
+			}
+			vals[i] = v
+			r.recordHealth(id, errs[i], v.Status == core.StatusStale)
+		}
 	}
-	r.mu.RLock()
-	remote := r.remotes[id]
-	r.mu.RUnlock()
-	bp, ok := remote.(BulkProvider)
-	return id, bp, ok
+	return vals, errs
 }
 
-// valueErr maps a gap Value from a bulk result onto the error shape the
-// per-name health accounting expects: unknown/invalid slots count as
-// failures with a descriptive LastError, valid and stale ones do not
-// (stale is handled by the caller's stale flag).
+// evaluateLocal reads one counter from an in-process locality.
+func (r *Resolver) evaluateLocal(id int64, fullName string, reset bool) (core.Value, error) {
+	l, err := r.Resolve(id)
+	if err != nil {
+		return core.Value{Name: fullName, Status: core.StatusCounterUnknown}, err
+	}
+	return l.registry.Evaluate(fullName, reset)
+}
+
+// valueErr maps a gap in a remote reply onto the error its health record
+// carries: unknown/invalid slots count as failures with a descriptive
+// LastError, valid and stale ones do not (stale is handled by the
+// caller's stale flag).
 func valueErr(v core.Value) error {
 	switch v.Status {
 	case core.StatusCounterUnknown:

@@ -1,38 +1,11 @@
 package agas
 
 import (
-	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
-
-// bulkProvider is a CounterProvider+BulkProvider double that records how
-// it was called, so tests can assert one exchange per locality.
-type bulkProvider struct {
-	flakyProvider
-	bulkCalls  int
-	lastNames  []string
-	bulkErr    error
-	shortReply bool
-}
-
-func (b *bulkProvider) EvaluateBulk(names []string, reset bool) ([]core.Value, error) {
-	b.bulkCalls++
-	b.lastNames = append([]string(nil), names...)
-	if b.bulkErr != nil {
-		return nil, b.bulkErr
-	}
-	vals := make([]core.Value, len(names))
-	for i, n := range names {
-		v, _ := b.flakyProvider.Evaluate(n, reset)
-		vals[i] = v
-	}
-	if b.shortReply {
-		vals = vals[:len(vals)-1]
-	}
-	return vals, nil
-}
 
 func TestEvaluateAcrossBulkGrouping(t *testing.T) {
 	r := NewResolver()
@@ -47,7 +20,7 @@ func TestEvaluateAcrossBulkGrouping(t *testing.T) {
 	l0.Registry().MustRegister(c)
 	c.Add(5)
 
-	bp := &bulkProvider{flakyProvider: flakyProvider{v: core.Value{Raw: 9, Status: core.StatusValid}}}
+	bp := &flakyProvider{v: core.Value{Raw: 9, Status: core.StatusValid}}
 	if err := r.BindRemote(2, bp); err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +29,8 @@ func TestEvaluateAcrossBulkGrouping(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interleaved on purpose: three names for the bulk remote must
-	// collapse into ONE EvaluateBulk call while keeping input order.
+	// Interleaved on purpose: three names for remote 2 must collapse into
+	// ONE EvaluateBulk call while keeping input order.
 	names := []string{
 		"/threads{locality#2/worker-thread#0}/count/cumulative",
 		"/threads{locality#0/total}/count/cumulative",
@@ -66,11 +39,11 @@ func TestEvaluateAcrossBulkGrouping(t *testing.T) {
 		"/threads{locality#2/worker-thread#2}/count/cumulative",
 	}
 	vals := r.EvaluateAcross(names, false)
-	if bp.bulkCalls != 1 {
-		t.Fatalf("bulk remote called %d times, want 1", bp.bulkCalls)
+	if bp.calls != 1 || plain.calls != 1 {
+		t.Fatalf("remotes called %d and %d times, want 1 each", bp.calls, plain.calls)
 	}
 	if len(bp.lastNames) != 3 {
-		t.Fatalf("bulk call carried %d names, want 3: %v", len(bp.lastNames), bp.lastNames)
+		t.Fatalf("exchange carried %d names, want 3: %v", len(bp.lastNames), bp.lastNames)
 	}
 	for i, v := range vals {
 		if v.Name != names[i] {
@@ -79,11 +52,11 @@ func TestEvaluateAcrossBulkGrouping(t *testing.T) {
 	}
 	for _, i := range []int{0, 2, 4} {
 		if vals[i].Raw != 9 || !vals[i].Valid() {
-			t.Fatalf("bulk slot %d = %+v", i, vals[i])
+			t.Fatalf("remote-2 slot %d = %+v", i, vals[i])
 		}
 	}
 	if vals[1].Raw != 5 || vals[3].Raw != 3 {
-		t.Fatalf("non-bulk slots = %+v / %+v", vals[1], vals[3])
+		t.Fatalf("local / remote-4 slots = %+v / %+v", vals[1], vals[3])
 	}
 	h, _ := r.Health(2)
 	if !h.Healthy() || h.Successes != 3 {
@@ -91,12 +64,12 @@ func TestEvaluateAcrossBulkGrouping(t *testing.T) {
 	}
 }
 
+// TestEvaluateAcrossBulkFallback: a failed or malformed exchange is not
+// retried name by name — the locality's group becomes gaps after one
+// exchange, with one Health failure per name.
 func TestEvaluateAcrossBulkFallback(t *testing.T) {
 	r := NewResolver()
-	bp := &bulkProvider{
-		flakyProvider: flakyProvider{v: core.Value{Raw: 7, Status: core.StatusValid}},
-		bulkErr:       errors.New("bulk: wire down"),
-	}
+	bp := &flakyProvider{v: core.Value{Raw: 7, Status: core.StatusValid}, fail: true}
 	if err := r.BindRemote(1, bp); err != nil {
 		t.Fatal(err)
 	}
@@ -104,39 +77,37 @@ func TestEvaluateAcrossBulkFallback(t *testing.T) {
 		"/threads{locality#1/worker-thread#0}/count/cumulative",
 		"/threads{locality#1/worker-thread#1}/count/cumulative",
 	}
-
-	// Bulk exchange fails → per-name path still answers.
-	vals := r.EvaluateAcross(names, false)
-	if bp.bulkCalls != 1 {
-		t.Fatalf("bulk attempted %d times, want 1", bp.bulkCalls)
-	}
-	for i, v := range vals {
-		if v.Raw != 7 || !v.Valid() {
-			t.Fatalf("fallback slot %d = %+v", i, v)
+	assertGaps := func(what string, calls int, failures int64, lastErr string) {
+		t.Helper()
+		vals := r.EvaluateAcross(names, false)
+		if bp.calls != calls {
+			t.Fatalf("%s: %d exchanges in all, want %d", what, bp.calls, calls)
+		}
+		for i, v := range vals {
+			if v.Valid() || v.Name != names[i] {
+				t.Fatalf("%s: slot %d = %+v, want a named gap", what, i, v)
+			}
+		}
+		h, _ := r.Health(1)
+		if h.Failures != failures || h.Consecutive != int(failures) || !strings.Contains(h.LastError, lastErr) {
+			t.Fatalf("%s: health = %+v, want %d failures ending in %q", what, h, failures, lastErr)
 		}
 	}
-
+	assertGaps("failed exchange", 1, 2, "flaky: endpoint down")
 	// A malformed (short) reply is treated the same as a failure.
-	bp.bulkErr = nil
-	bp.shortReply = true
-	vals = r.EvaluateAcross(names, false)
-	for i, v := range vals {
-		if v.Raw != 7 || !v.Valid() {
-			t.Fatalf("short-reply fallback slot %d = %+v", i, v)
-		}
-	}
+	bp.fail, bp.short = false, true
+	assertGaps("short reply", 2, 4, "answered 1 values for 2 names")
 }
 
 func TestEvaluateAcrossBulkGapsAndHealth(t *testing.T) {
 	r := NewResolver()
-	bp := &bulkProvider{flakyProvider: flakyProvider{v: core.Value{Raw: 1, Status: core.StatusValid}}}
+	bp := &flakyProvider{v: core.Value{Raw: 1, Status: core.StatusValid}}
 	if err := r.BindRemote(6, bp); err != nil {
 		t.Fatal(err)
 	}
 	names := []string{"/threads{locality#6/total}/count/cumulative"}
 
-	// Stale values flow through but count against health, exactly like
-	// the per-name path.
+	// Stale values flow through but count against health.
 	bp.stale = true
 	vals := r.EvaluateAcross(names, false)
 	if vals[0].Status != core.StatusStale || vals[0].Raw != 1 {
@@ -177,7 +148,7 @@ func TestEvaluateAcrossDeduplicatesNames(t *testing.T) {
 	l0.Registry().MustRegister(c)
 	c.Add(5)
 
-	bp := &bulkProvider{flakyProvider: flakyProvider{v: core.Value{Raw: 9, Status: core.StatusValid}}}
+	bp := &flakyProvider{v: core.Value{Raw: 9, Status: core.StatusValid}}
 	if err := r.BindRemote(2, bp); err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +158,12 @@ func TestEvaluateAcrossDeduplicatesNames(t *testing.T) {
 	names := []string{remote, local, remote, remote, local}
 	vals := r.EvaluateAcross(names, true)
 
-	// The bulk wire carried the remote name exactly once.
-	if bp.bulkCalls != 1 {
-		t.Fatalf("bulk remote called %d times, want 1", bp.bulkCalls)
+	// The wire carried the remote name exactly once.
+	if bp.calls != 1 {
+		t.Fatalf("bulk remote called %d times, want 1", bp.calls)
 	}
 	if len(bp.lastNames) != 1 || bp.lastNames[0] != remote {
-		t.Fatalf("bulk call carried %v, want exactly [%s]", bp.lastNames, remote)
+		t.Fatalf("exchange carried %v, want exactly [%s]", bp.lastNames, remote)
 	}
 
 	// Every occurrence got the single evaluation's result — including the

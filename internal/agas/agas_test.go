@@ -114,25 +114,34 @@ func TestEvaluateCounterCrossLocality(t *testing.T) {
 	}
 }
 
-// flakyProvider is a CounterProvider whose behaviour the test flips:
-// healthy, erroring, or serving stale values.
+// flakyProvider is a CounterProvider whose behaviour the test flips —
+// healthy, failing, serving stale values or answering short — and which
+// records its exchanges, so tests can assert one per locality.
 type flakyProvider struct {
-	fail  bool
-	stale bool
-	v     core.Value
+	fail, stale, short bool
+	v                  core.Value
+	calls              int
+	lastNames          []string
 }
 
-func (f *flakyProvider) Evaluate(name string, reset bool) (core.Value, error) {
+func (f *flakyProvider) EvaluateBulk(names []string, reset bool) ([]core.Value, error) {
+	f.calls++
+	f.lastNames = append([]string(nil), names...)
 	if f.fail {
-		return core.Value{Name: name, Status: core.StatusCounterUnknown},
-			errors.New("flaky: endpoint down")
+		return nil, errors.New("flaky: endpoint down")
 	}
-	v := f.v
-	v.Name = name
-	if f.stale {
-		v.Status = core.StatusStale
+	vals := make([]core.Value, len(names))
+	for i, name := range names {
+		vals[i] = f.v
+		vals[i].Name = name
+		if f.stale {
+			vals[i].Status = core.StatusStale
+		}
 	}
-	return v, nil
+	if f.short {
+		vals = vals[:len(vals)-1]
+	}
+	return vals, nil
 }
 
 func TestRemoteEndpointHealthTracking(t *testing.T) {

@@ -287,60 +287,10 @@ func (r *Resolver) spawnOn(ctx context.Context, m *remoteMeters, id int64, sp Ac
 	return nil, lastErr, false
 }
 
-// SpawnFuture carries an in-flight routed remote spawn.
-type SpawnFuture[R any] struct {
-	done  chan struct{}
-	value R
-	err   error
-}
-
-// GetContext waits for the result until ctx is done, whichever comes
-// first. Abandoning the wait does not cancel the remote work — the
-// context the spawn was launched under governs that.
-func (f *SpawnFuture[R]) GetContext(ctx context.Context) (R, error) {
-	select {
-	case <-f.done:
-		return f.value, f.err
-	case <-ctx.Done():
-		var zero R
-		return zero, ctx.Err()
-	}
-}
-
-// Get waits for the result.
-//
-// Deprecated: Get blocks unboundedly even when the caller holds a
-// deadline; prefer GetContext. It remains safe — the router never
-// leaves a future unresolved, even with every replica partitioned —
-// but GetContext makes the bound explicit at the wait site.
-func (f *SpawnFuture[R]) Get() (R, error) {
-	<-f.done
-	return f.value, f.err
-}
-
-// Err waits for the future and reports how it completed: nil, a typed
-// action failure (*parcel.ActionError, parcel.ErrActionUnknown), a
-// cancellation (context errors, parcel.ErrSpawnCancelled, ErrNoReplica)
-// or a transport failure.
-func (f *SpawnFuture[R]) Err() error {
-	<-f.done
-	return f.err
-}
-
-// Ready reports whether Get would not block.
-func (f *SpawnFuture[R]) Ready() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // SpawnRemote routes a remote action spawn to a locality registering it
 // and returns a future — HPX's async(locality, action) with the
 // locality chosen, and failed over, by AGAS.
-func SpawnRemote[A, R any](r *Resolver, action string, arg A) *SpawnFuture[R] {
+func SpawnRemote[A, R any](r *Resolver, action string, arg A) *parcel.RemoteFuture[R] {
 	return SpawnRemoteCtx[A, R](context.Background(), r, action, arg)
 }
 
@@ -348,25 +298,10 @@ func SpawnRemote[A, R any](r *Resolver, action string, arg A) *SpawnFuture[R] {
 // deadline budget ships with the spawn and bounds the action body on
 // the remote side, and cancelling ctx sends a best-effort remote
 // cancel. Pass a taskrt scope context (Runtime.CurrentContext) to tie
-// the remote task's life to the local task tree's.
-func SpawnRemoteCtx[A, R any](ctx context.Context, r *Resolver, action string, arg A) *SpawnFuture[R] {
-	f := &SpawnFuture[R]{done: make(chan struct{})}
-	raw, err := json.Marshal(arg)
-	if err != nil {
-		f.err = fmt.Errorf("agas: spawn %q argument marshal: %w", action, err)
-		close(f.done)
-		return f
-	}
-	go func() {
-		defer close(f.done)
-		res, err := r.runSpawn(ctx, action, raw)
-		if err != nil {
-			f.err = err
-			return
-		}
-		if len(res) > 0 {
-			f.err = json.Unmarshal(res, &f.value)
-		}
-	}()
-	return f
+// the remote task's life to the local task tree's. The router never
+// leaves the future unresolved, even with every replica partitioned.
+func SpawnRemoteCtx[A, R any](ctx context.Context, r *Resolver, action string, arg A) *parcel.RemoteFuture[R] {
+	return parcel.Launch[A, R](action, arg, func(raw json.RawMessage) (json.RawMessage, error) {
+		return r.runSpawn(ctx, action, raw)
+	})
 }

@@ -402,7 +402,7 @@ func TestChaosSoakRemoteSpawns(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
-	futs := make([]*SpawnFuture[int], fan)
+	futs := make([]*parcel.RemoteFuture[int], fan)
 	for i := range futs {
 		futs[i] = SpawnRemoteCtx[int, int](ctx, r, "work", i)
 	}

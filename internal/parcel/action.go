@@ -111,7 +111,8 @@ func runAction(ctx context.Context, name string, fn ActionCtxFunc, arg json.RawM
 	return raw, nil
 }
 
-// RemoteFuture carries an in-flight remote invocation.
+// RemoteFuture carries an in-flight remote invocation — a SpawnOn, or an
+// agas.SpawnRemoteCtx routed across replicas.
 type RemoteFuture[R any] struct {
 	done  chan struct{}
 	value R
@@ -146,7 +147,8 @@ func (f *RemoteFuture[R]) GetContext(ctx context.Context) (R, error) {
 
 // Err waits for the future and reports how the invocation completed:
 // nil, a typed action failure (*ActionError, ErrActionUnknown), a spawn
-// outcome (ErrSpawnCancelled, ErrSpawnLost) or a transport error.
+// outcome (ErrSpawnCancelled, ErrSpawnLost, a context error,
+// agas.ErrNoReplica) or a transport error.
 func (f *RemoteFuture[R]) Err() error {
 	<-f.done
 	return f.err

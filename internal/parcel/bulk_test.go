@@ -1,9 +1,10 @@
 package parcel
 
-// Tests of the bulk counter sampling path: bind_bulk/evaluate_bulk wire
-// ops, the one-round-trip-per-sample guarantee (asserted against the
-// client's own parcel meters), re-binding across reconnects, and stale
-// partial results during a partition.
+// Tests of the remote read path: bind_bulk/evaluate_bulk wire ops over
+// bound sets and ad hoc name lists, the one-round-trip-per-sample
+// guarantee (asserted against the client's own parcel meters),
+// re-binding across reconnects, and stale partial results during a
+// partition.
 
 import (
 	"context"
@@ -97,21 +98,50 @@ func TestEvaluateBulkOneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEvaluateBulkConvenience exercises Client.EvaluateBulk's cached
-// set: repeated calls with the same names reuse one server-side set.
+// TestEvaluateBulkConvenience: Client.EvaluateBulk ships its names with
+// the request, so every call — the first included — is one round trip.
 func TestEvaluateBulkConvenience(t *testing.T) {
 	names, _, _, cli := newBulkFixture(t, 4, ClientOptions{})
-	if _, err := cli.EvaluateBulk(names, false); err != nil {
-		t.Fatalf("EvaluateBulk: %v", err)
-	}
 	before := cli.meters.sent.Load()
 	for i := 0; i < 5; i++ {
-		if _, err := cli.EvaluateBulk(names, false); err != nil {
-			t.Fatal(err)
+		vals, err := cli.EvaluateBulk(names, false)
+		if err != nil {
+			t.Fatalf("EvaluateBulk: %v", err)
+		}
+		if len(vals) != len(names) || vals[3].Name != names[3] || vals[3].Raw != 103 {
+			t.Fatalf("EvaluateBulk = %+v", vals)
 		}
 	}
 	if got := cli.meters.sent.Load() - before; got != 5 {
-		t.Fatalf("cached bulk set sent %d parcels for 5 samples, want 5", got)
+		t.Fatalf("5 EvaluateBulk calls sent %d parcels, want 5", got)
+	}
+}
+
+// TestEvaluateBulkKeepsNoServerState: ad hoc name lists bind nothing on
+// the server, so the per-connection set limit never applies to them —
+// any number of distinct lists on one connection succeed at one parcel
+// each.
+func TestEvaluateBulkKeepsNoServerState(t *testing.T) {
+	const calls = 100
+	names, _, _, cli := newBulkFixture(t, calls, ClientOptions{})
+	for i, name := range names {
+		before := cli.meters.sent.Load()
+		vals, err := cli.EvaluateBulk([]string{name}, false)
+		if err != nil {
+			t.Fatalf("call %d: %v", i+1, err)
+		}
+		if vals[0].Raw != int64(100+i) {
+			t.Fatalf("call %d = %+v", i+1, vals[0])
+		}
+		if got := cli.meters.sent.Load() - before; got != 1 {
+			t.Fatalf("call %d sent %d parcels, want 1", i+1, got)
+		}
+	}
+	// The connection's first explicit bind gets the first set id: no set
+	// was bound before it.
+	resp, err := cli.roundTripContext(context.Background(), request{Op: "bind_bulk", Names: names[:1]})
+	if err != nil || resp.SetID != 1 {
+		t.Fatalf("first bind_bulk after %d ad hoc reads = set %d, %v; want set 1", calls, resp.SetID, err)
 	}
 }
 
@@ -235,20 +265,34 @@ func TestEvaluateBulkStaleDuringPartition(t *testing.T) {
 	}
 }
 
-// TestBulkLimits: the server bounds per-connection bulk state.
+// TestBulkLimits: the server bounds per-connection bulk state and the
+// length of any names list, bound or ad hoc.
 func TestBulkLimits(t *testing.T) {
 	names, _, _, cli := newBulkFixture(t, 1, ClientOptions{})
-	// Empty set refused.
-	if _, err := cli.roundTripContext(context.Background(), request{Op: "bind_bulk"}); err == nil {
-		t.Fatal("empty bind_bulk accepted")
+	ctx := context.Background()
+	// Empty lists refused.
+	for _, op := range []string{"bind_bulk", "evaluate_bulk"} {
+		if _, err := cli.roundTripContext(ctx, request{Op: op}); err == nil {
+			t.Fatalf("empty %s accepted", op)
+		}
+	}
+	// Names lists bounded.
+	long := make([]string, maxBulkNames+1)
+	for i := range long {
+		long[i] = names[0]
+	}
+	for _, op := range []string{"bind_bulk", "evaluate_bulk"} {
+		if _, err := cli.roundTripContext(ctx, request{Op: op, Names: long}); err == nil {
+			t.Fatalf("%s of %d names accepted", op, len(long))
+		}
 	}
 	// Set count per connection bounded.
 	for i := 0; i < maxBulkSetsPerConn; i++ {
-		if _, err := cli.roundTripContext(context.Background(), request{Op: "bind_bulk", Names: names}); err != nil {
+		if _, err := cli.roundTripContext(ctx, request{Op: "bind_bulk", Names: names}); err != nil {
 			t.Fatalf("bind %d: %v", i, err)
 		}
 	}
-	if _, err := cli.roundTripContext(context.Background(), request{Op: "bind_bulk", Names: names}); err == nil {
+	if _, err := cli.roundTripContext(ctx, request{Op: "bind_bulk", Names: names}); err == nil {
 		t.Fatalf("bind beyond the %d-set limit accepted", maxBulkSetsPerConn)
 	}
 }

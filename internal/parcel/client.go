@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"os"
@@ -145,9 +146,6 @@ type Client struct {
 	// means the server-side state died with the old connection and the
 	// client re-binds (re-attaches) instead of finding out by failing.
 	connGen atomic.Uint64
-
-	bulkMu   sync.Mutex
-	bulkSets map[string]*BulkSet // EvaluateBulk's cache, keyed by joined names
 
 	// The spawn plane (spawn.go): spawns awaiting their pushed
 	// completion, and the idempotency-key source.
@@ -396,9 +394,10 @@ func (c *Client) roundTripContext(ctx context.Context, req request) (response, e
 }
 
 // attempt sends the frame once on the current link, dialling a fresh one
-// if needed, and waits for the response carrying its id. A deadline miss
-// drops the link like any other failure; a cancelled caller only
-// abandons its id.
+// if needed, and waits for the response carrying its id. A caller that
+// gives up — cancelled, or past its own deadline — only abandons its id;
+// the link is dropped when the per-attempt Timeout elapses under a
+// caller still waiting, the sign of a black-holed connection.
 func (c *Client) attempt(ctx context.Context, id uint64, frame []byte) (response, error) {
 	actx, cancel := c.attemptContext(ctx)
 	defer cancel()
@@ -451,10 +450,10 @@ func (c *Client) attempt(ctx context.Context, id uint64, frame []byte) (response
 		l.mu.Lock()
 		delete(l.calls, id)
 		l.mu.Unlock()
-		if err = actx.Err(); errors.Is(err, context.DeadlineExceeded) {
+		if !callerExpired(ctx) {
 			c.drop(l, net.ErrClosed) // for the calls sharing it: a transport error, not a timeout
 		}
-		return response{}, mapDeadline(ctx, err)
+		return response{}, mapDeadline(ctx, actx.Err())
 	}
 }
 
@@ -491,19 +490,26 @@ func isTimeout(err error) bool {
 // context into context.DeadlineExceeded, so deadline misses surface
 // uniformly regardless of which layer noticed first.
 func mapDeadline(ctx context.Context, err error) error {
-	if !isTimeout(err) {
+	if !isTimeout(err) || !callerExpired(ctx) {
 		return err
 	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return context.DeadlineExceeded
+}
+
+// callerExpired reports whether the caller's context is done or past its
+// deadline. The net poller and a timer can observe the shared deadline
+// instant before the context's own timer callback has run, so ctx.Err()
+// may still be nil for a miss that is genuinely the caller's: decide by
+// clock.
+func callerExpired(ctx context.Context) bool {
 	if ctx.Err() != nil {
-		return ctx.Err()
+		return true
 	}
-	// The net poller can observe the shared deadline instant before the
-	// context's own timer callback has run, so ctx.Err() may still be
-	// nil for a miss that is genuinely the caller's: decide by clock.
-	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return context.DeadlineExceeded
-	}
-	return err
+	d, ok := ctx.Deadline()
+	return ok && !time.Now().Before(d)
 }
 
 // cacheStore remembers the last good reading of one counter.
@@ -533,27 +539,19 @@ func (c *Client) Evaluate(name string, reset bool) (core.Value, error) {
 	return c.EvaluateContext(context.Background(), name, reset)
 }
 
-// EvaluateContext is Evaluate under a caller deadline. With ServeStale
-// enabled, an unreachable endpoint yields the last-known value with
-// Status core.StatusStale (original capture Time preserved) and a nil
-// error instead of failing.
+// EvaluateContext is Evaluate under a caller deadline: a one-name
+// EvaluateBulkContext, so it serves stale values exactly as that does. A
+// name the server does not know is a *ServerError — never retried, never
+// served stale.
 func (c *Client) EvaluateContext(ctx context.Context, name string, reset bool) (core.Value, error) {
-	resp, err := c.roundTripContext(ctx, request{Op: "evaluate", Name: name, Reset: reset})
-	if err == nil {
-		if resp.Value == nil {
-			return core.Value{Name: name, Status: core.StatusInvalidData},
-				errors.New("parcel: empty evaluate response")
-		}
-		c.cacheStore(name, *resp.Value)
-		return *resp.Value, nil
+	vals, err := c.EvaluateBulkContext(ctx, []string{name}, reset)
+	if err != nil {
+		return core.Value{Name: name, Status: core.StatusCounterUnknown}, err
 	}
-	if c.opts.ServeStale && staleOK(err) {
-		if v, ok := c.cacheLoad(name); ok {
-			v.Status = core.StatusStale
-			return v, nil
-		}
+	if vals[0].Status == core.StatusCounterUnknown {
+		return vals[0], &ServerError{Msg: fmt.Sprintf("parcel: counter %q unknown on the server", name)}
 	}
-	return core.Value{Name: name, Status: core.StatusCounterUnknown}, err
+	return vals[0], nil
 }
 
 // Discover expands a counter pattern remotely.

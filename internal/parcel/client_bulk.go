@@ -1,14 +1,15 @@
 package parcel
 
-// Bulk counter sampling: a BulkSet ships its counter names to the server
-// once (bind_bulk) and thereafter samples all of them in a single
-// request/response round trip per call (evaluate_bulk) — K counters for
-// the wire cost of one, instead of the K round trips of per-counter
-// Evaluate.
+// Remote counter reads. Every read is one evaluate_bulk exchange: K
+// counters for the wire cost of one. Client.EvaluateBulk (and Evaluate,
+// its one-name case) ships the names inline and keeps nothing on either
+// side; a BulkSet ships its names once (bind_bulk) and thereafter sends
+// only the set id — the form for long-lived sampling loops.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 
 	"repro/internal/core"
@@ -83,27 +84,22 @@ func (s *BulkSet) EvaluateContext(ctx context.Context, reset bool) ([]core.Value
 	for attempt := 0; attempt < 2; attempt++ {
 		if !s.bound || s.gen != s.c.connGen.Load() {
 			if err := s.bindLocked(ctx); err != nil {
-				return s.maybeStale(err)
+				return s.c.maybeStale(s.names, err)
 			}
 		}
-		resp, err := s.c.roundTripContext(ctx, request{Op: "evaluate_bulk", SetID: s.id, Reset: reset})
+		vals, err := s.c.evaluateBulk(ctx, request{SetID: s.id, Reset: reset}, s.names)
 		switch {
 		case err == nil:
-			for _, v := range resp.Values {
-				if v.Status == core.StatusValid || v.Status == core.StatusNewData {
-					s.c.cacheStore(v.Name, v)
-				}
-			}
-			return resp.Values, nil
+			return vals, nil
 		case isUnknownBulkSet(err):
 			// The server lost the set (reconnect landed between our
 			// generation check and the exchange); bind again and retry.
 			s.bound = false
 		default:
-			return s.maybeStale(err)
+			return s.c.maybeStale(s.names, err)
 		}
 	}
-	return s.maybeStale(&ServerError{Msg: errUnknownBulkSet})
+	return s.c.maybeStale(s.names, &ServerError{Msg: errUnknownBulkSet})
 }
 
 // bindLocked ships the name set to the server. Caller holds the state
@@ -122,20 +118,39 @@ func (s *BulkSet) bindLocked(ctx context.Context) error {
 	return nil
 }
 
-// maybeStale serves the whole set from the client's last-known-value
-// cache after a transport failure, mirroring EvaluateContext's stale
-// semantics across a batch: cached names come back as StatusStale with
-// their original capture time, uncached names as StatusCounterUnknown.
-// The error is swallowed only if stale serving is on, the failure is a
-// transport one, and at least one counter could be served.
-func (s *BulkSet) maybeStale(err error) ([]core.Value, error) {
-	if !s.c.opts.ServeStale || !staleOK(err) {
+// evaluateBulk performs one evaluate_bulk exchange for names and
+// remembers every good reading, under the name asked for, for stale
+// serving.
+func (c *Client) evaluateBulk(ctx context.Context, req request, names []string) ([]core.Value, error) {
+	req.Op = "evaluate_bulk"
+	resp, err := c.roundTripContext(ctx, req)
+	if err != nil {
 		return nil, err
 	}
-	values := make([]core.Value, len(s.names))
+	if len(resp.Values) != len(names) {
+		return nil, &ServerError{Msg: fmt.Sprintf("parcel: evaluate_bulk answered %d values for %d names", len(resp.Values), len(names))}
+	}
+	for i, v := range resp.Values {
+		if v.Status == core.StatusValid || v.Status == core.StatusNewData {
+			c.cacheStore(names[i], v)
+		}
+	}
+	return resp.Values, nil
+}
+
+// maybeStale serves names from the last-known-value cache after a
+// transport failure: cached names come back as StatusStale with their
+// original capture time, uncached names as StatusCounterUnknown. The
+// error is swallowed only if stale serving is on, the failure is a
+// transport one, and at least one counter could be served.
+func (c *Client) maybeStale(names []string, err error) ([]core.Value, error) {
+	if !c.opts.ServeStale || !staleOK(err) {
+		return nil, err
+	}
+	values := make([]core.Value, len(names))
 	served := 0
-	for i, name := range s.names {
-		if v, ok := s.c.cacheLoad(name); ok {
+	for i, name := range names {
+		if v, ok := c.cacheLoad(name); ok {
 			v.Status = core.StatusStale
 			values[i] = v
 			served++
@@ -149,29 +164,22 @@ func (s *BulkSet) maybeStale(err error) ([]core.Value, error) {
 	return values, nil
 }
 
-// EvaluateBulk samples the named counters in one round trip (after a
-// one-time bind per connection), caching the compiled set for repeated
-// calls with the same name list — the convenience entry point used by
-// agas.EvaluateAcross. For a long-lived sampling loop, hold a NewBulkSet
-// directly.
+// EvaluateBulk samples the named counters in one round trip, results in
+// input order, optionally resetting each as part of the same read. The
+// names travel with the request and nothing is kept on either side; for
+// a long-lived sampling loop, hold a NewBulkSet instead. Binding is
+// lenient and stale serving follows BulkSet.EvaluateContext.
 func (c *Client) EvaluateBulk(names []string, reset bool) ([]core.Value, error) {
 	return c.EvaluateBulkContext(context.Background(), names, reset)
 }
 
 // EvaluateBulkContext is EvaluateBulk under a caller deadline.
 func (c *Client) EvaluateBulkContext(ctx context.Context, names []string, reset bool) ([]core.Value, error) {
-	key := strings.Join(names, "\x00")
-	c.bulkMu.Lock()
-	if c.bulkSets == nil {
-		c.bulkSets = make(map[string]*BulkSet)
+	vals, err := c.evaluateBulk(ctx, request{Names: names, Reset: reset}, names)
+	if err != nil {
+		return c.maybeStale(names, err)
 	}
-	s, ok := c.bulkSets[key]
-	if !ok {
-		s = c.NewBulkSet(names)
-		c.bulkSets[key] = s
-	}
-	c.bulkMu.Unlock()
-	return s.EvaluateContext(ctx, reset)
+	return vals, nil
 }
 
 // isUnknownBulkSet matches the server error for a bulk set id the

@@ -187,7 +187,7 @@ func TestClientCloseWithPendingWait(t *testing.T) {
 func TestClientCloseFailsInFlightCalls(t *testing.T) {
 	addr := scriptedServer(t, func(_ int, conn net.Conn, rd *bufio.Reader) {
 		if req, err := readRequest(rd); err == nil {
-			answer(conn, req.ID, req.Name) // the warm-up; silence after
+			answer(conn, req.ID, req.Names...) // the warm-up; silence after
 		}
 		for {
 			if _, err := rd.ReadBytes('\n'); err != nil {

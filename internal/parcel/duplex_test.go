@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,10 +75,14 @@ func warmUp(t *testing.T, c *Client) {
 	}
 }
 
-// answer writes an evaluate response under id whose value names the
-// counter that was asked for.
-func answer(conn net.Conn, id uint64, name string) {
-	out, _ := json.Marshal(response{ID: id, Value: &core.Value{Name: name, Status: core.StatusValid}})
+// answer writes an evaluate_bulk response under id whose values name
+// the counters that were asked for.
+func answer(conn net.Conn, id uint64, names ...string) {
+	vals := make([]core.Value, len(names))
+	for i, name := range names {
+		vals[i] = core.Value{Name: name, Status: core.StatusValid}
+	}
+	out, _ := json.Marshal(response{ID: id, Values: vals})
 	conn.Write(append(out, '\n'))
 }
 
@@ -118,7 +123,7 @@ func TestResponsesDemuxOutOfOrder(t *testing.T) {
 	const calls = 8
 	addr := scriptedServer(t, func(_ int, conn net.Conn, rd *bufio.Reader) {
 		if req, err := readRequest(rd); err == nil {
-			answer(conn, req.ID, req.Name) // the warm-up
+			answer(conn, req.ID, req.Names...) // the warm-up
 		}
 		// Collect every request first, then answer newest to oldest.
 		reqs := make([]request, calls)
@@ -129,7 +134,7 @@ func TestResponsesDemuxOutOfOrder(t *testing.T) {
 			}
 		}
 		for i := calls - 1; i >= 0; i-- {
-			answer(conn, reqs[i].ID, reqs[i].Name)
+			answer(conn, reqs[i].ID, reqs[i].Names...)
 		}
 		rd.ReadByte() // hold the connection until the client closes it
 	})
@@ -169,7 +174,7 @@ func TestFreshLinkSlowStart(t *testing.T) {
 				first <- req
 				<-release
 			}
-			answer(conn, req.ID, req.Name)
+			answer(conn, req.ID, req.Names...)
 		}
 	})
 	cli, err := DialContext(context.Background(), addr, nil, 1, ClientOptions{})
@@ -252,7 +257,7 @@ func TestDroppedLinkCountsOnceOnBreaker(t *testing.T) {
 				return // the first connection dies with every call on it
 			}
 			if n > 1 || i == 0 {
-				answer(conn, req.ID, req.Name)
+				answer(conn, req.ID, req.Names...)
 			}
 		}
 	})
@@ -299,7 +304,7 @@ func TestLateFrameForAbandonedID(t *testing.T) {
 			if err != nil {
 				return
 			}
-			answer(conn, req.ID, req.Name)
+			answer(conn, req.ID, req.Names...)
 		}
 	})
 	cli, err := DialContext(context.Background(), addr, nil, 1, ClientOptions{Timeout: 5 * time.Second})
@@ -330,23 +335,27 @@ func TestLateFrameForAbandonedID(t *testing.T) {
 	}
 }
 
-// TestTimeoutDropsLinkForEveryCall: one call's deadline miss tears the
-// link down; the call sharing it fails with a transport error and, being
-// idempotent, is retried on the next connection.
-func TestTimeoutDropsLinkForEveryCall(t *testing.T) {
-	addr := scriptedServer(t, func(n int, conn net.Conn, rd *bufio.Reader) {
+// TestCallerDeadlineKeepsLink: a call that misses its own deadline only
+// abandons its id — the call sharing the link is answered on it, with no
+// reconnect and no retry.
+func TestCallerDeadlineKeepsLink(t *testing.T) {
+	release := make(chan struct{})
+	addr := scriptedServer(t, func(_ int, conn net.Conn, rd *bufio.Reader) {
 		for {
 			req, err := readRequest(rd)
 			if err != nil {
 				return
 			}
-			if n > 1 || req.Name == "warm-up" { // the first connection falls silent
-				answer(conn, req.ID, req.Name)
+			switch {
+			case slices.Contains(req.Names, "bystander"):
+				<-release // answered once the impatient call has given up
+			case slices.Contains(req.Names, "impatient"):
+				continue // never answered
 			}
+			answer(conn, req.ID, req.Names...)
 		}
 	})
-	cli, err := DialContext(context.Background(), addr, nil, 1, ClientOptions{
-		Timeout: 5 * time.Second, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond})
+	cli, err := DialContext(context.Background(), addr, nil, 1, ClientOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,11 +375,61 @@ func TestTimeoutDropsLinkForEveryCall(t *testing.T) {
 	if _, err := cli.EvaluateContext(ctx, "impatient", false); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("impatient call = %v, want context.DeadlineExceeded", err)
 	}
+	close(release)
 	if err := <-bystander; err != nil {
-		t.Fatalf("bystander call = %v, want success on the second connection", err)
+		t.Fatalf("bystander call = %v, want success on the same connection", err)
 	}
-	if fc := cli.FaultCounts(); fc != (FaultCounts{Errors: 2, Retries: 1, Timeouts: 1}) {
-		t.Fatalf("fault counters = %+v, want 2 errors / 1 retry / 1 timeout", fc)
+	if fc := cli.FaultCounts(); fc != (FaultCounts{Errors: 1, Timeouts: 1}) {
+		t.Fatalf("fault counters = %+v, want 1 error / 0 retries / 1 timeout", fc)
+	}
+	if gen := cli.connGen.Load(); gen != 1 {
+		t.Fatalf("connection generation = %d: a caller's deadline cost the link", gen)
+	}
+}
+
+// TestTimeoutDropsLinkForEveryCall: a per-attempt Timeout that elapses
+// under a caller still waiting marks the link black-holed and tears it
+// down; the call sharing it fails with a transport error and, being
+// idempotent, is retried on the next connection.
+func TestTimeoutDropsLinkForEveryCall(t *testing.T) {
+	addr := scriptedServer(t, func(n int, conn net.Conn, rd *bufio.Reader) {
+		for {
+			req, err := readRequest(rd)
+			if err != nil {
+				return
+			}
+			if n > 1 || slices.Contains(req.Names, "warm-up") { // the first connection falls silent
+				answer(conn, req.ID, req.Names...)
+			}
+		}
+	})
+	cli, err := DialContext(context.Background(), addr, nil, 1, ClientOptions{
+		Timeout: 300 * time.Millisecond, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	warmUp(t, cli)
+	call := func(name string, done chan<- error) {
+		v, err := cli.Evaluate(name, false)
+		if err == nil && v.Name != name {
+			err = fmt.Errorf("answered %q", v.Name)
+		}
+		done <- err
+	}
+	timedOut, bystander := make(chan error, 1), make(chan error, 1)
+	go call("timed-out", timedOut)
+	awaitSent(cli, 2)
+	time.Sleep(100 * time.Millisecond) // the bystander's own Timeout runs out well after
+	go call("bystander", bystander)
+	awaitSent(cli, 3)
+	for name, ch := range map[string]chan error{"timed-out": timedOut, "bystander": bystander} {
+		if err := <-ch; err != nil {
+			t.Fatalf("%s call = %v, want success on the second connection", name, err)
+		}
+	}
+	if fc := cli.FaultCounts(); fc != (FaultCounts{Errors: 2, Retries: 2, Timeouts: 1}) {
+		t.Fatalf("fault counters = %+v, want 2 errors / 2 retries / 1 timeout", fc)
 	}
 	if gen := cli.connGen.Load(); gen != 2 {
 		t.Fatalf("connection generation = %d, want 2", gen)

@@ -516,8 +516,6 @@ func TestIdempotencyClassification(t *testing.T) {
 		req  request
 		want bool
 	}{
-		{request{Op: "evaluate"}, true},
-		{request{Op: "evaluate", Reset: true}, false},
 		{request{Op: "evaluate_bulk"}, true},
 		{request{Op: "evaluate_bulk", Reset: true}, false},
 		{request{Op: "discover"}, true},

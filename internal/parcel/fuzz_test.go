@@ -26,14 +26,15 @@ import (
 // path. They are marshalled from the request struct itself: a seed
 // cannot misspell a wire field. TestOpTable fails if an op has none.
 var opSeeds = map[string][]request{
-	"types":    {{}},
-	"discover": {{Pattern: "/threads{locality#0/worker-thread#*}/time/average"}},
-	"evaluate": {
-		{Name: "/threads{locality#0/total}/count/cumulative"},
-		{Name: "/threads{locality#0/total}/count/cumulative", Reset: true},
+	"types":     {{}},
+	"discover":  {{Pattern: "/threads{locality#0/worker-thread#*}/time/average"}},
+	"bind_bulk": {{Names: []string{"/threads{locality#0/total}/count/cumulative"}}},
+	"evaluate_bulk": {
+		{SetID: 1},
+		{SetID: 1, Reset: true},
+		{Names: []string{"/threads{locality#0/total}/count/cumulative", "garbage"}},
+		{Names: make([]string, maxBulkNames+1)}, // refused: over the names bound
 	},
-	"bind_bulk":     {{Names: []string{"/threads{locality#0/total}/count/cumulative"}}},
-	"evaluate_bulk": {{SetID: 1}, {SetID: 1, Reset: true}},
 	"spawn": {
 		{Action: "echo", Arg: json.RawMessage("3"), Key: "k1", BudgetMS: 50},
 		{Action: "echo"},
@@ -84,11 +85,11 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
-// TestOpTable pins the wire protocol to its ten ops and fails when one
+// TestOpTable pins the wire protocol to its nine ops and fails when one
 // lacks a handler, a retry class or a fuzz seed — or when a seed names
 // an op the table does not hold.
 func TestOpTable(t *testing.T) {
-	want := []string{"bind_bulk", "discover", "evaluate", "evaluate_bulk", "spawn",
+	want := []string{"bind_bulk", "discover", "evaluate_bulk", "spawn",
 		"spawn_attach", "spawn_cancel", "tree_pull", "tree_push", "types"}
 	var got []string
 	for name, op := range ops {
@@ -181,7 +182,7 @@ func (nopConn) Close() error { return nil }
 // loses the call, or wedges the waiter.
 func FuzzClientFrame(f *testing.F) {
 	for _, s := range []string{
-		`{"id":1,"value":{"name":"x","status":"valid"}}`,
+		`{"id":1,"values":[{"name":"x","status":"valid"}]}`,
 		`{"id":1,"error":"parcel: unknown op"}`,
 		`{"error":"parcel: protocol: malformed request","code":"protocol"}`,
 		`{"spawn":{"key":"k","state":"done","result":42}}`,

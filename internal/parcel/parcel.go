@@ -40,13 +40,12 @@ import (
 type request struct {
 	ID      uint64          `json:"id,omitempty"` // echoed by the response: calls are matched by id, not by order
 	Op      string          `json:"op"`           // a key of ops
-	Name    string          `json:"name,omitempty"`
 	Pattern string          `json:"pattern,omitempty"`
 	Reset   bool            `json:"reset,omitempty"`
 	Action  string          `json:"action,omitempty"`
 	Arg     json.RawMessage `json:"arg,omitempty"`
-	Names   []string        `json:"names,omitempty"`  // bind_bulk: counter names to compile
-	SetID   int64           `json:"set_id,omitempty"` // evaluate_bulk: bulk set to sample
+	Names   []string        `json:"names,omitempty"`  // bind_bulk, ad hoc evaluate_bulk: counter names
+	SetID   int64           `json:"set_id,omitempty"` // evaluate_bulk: bound set to sample; 0 samples Names
 
 	// Distributed-spawn fields (docs/FAULTS.md, "Remote spawn").
 	Key      string   `json:"key,omitempty"`       // spawn/spawn_cancel: per-spawn idempotency key
@@ -78,7 +77,6 @@ var ops = map[string]struct {
 	handle func(*Server, request, *connState) response
 	retry  retryClass
 }{
-	"evaluate": {(*Server).evaluate, retryUnlessReset},
 	"discover": {(*Server).discover, retryAlways},
 	"types":    {(*Server).types, retryAlways},
 	// bind_bulk only compiles a name set into per-connection state;
@@ -113,7 +111,6 @@ type response struct {
 	ID     uint64       `json:"id,omitempty"`
 	Error  string       `json:"error,omitempty"`
 	Code   string       `json:"code,omitempty"` // machine-readable error class (codeActionUnknown, ...)
-	Value  *core.Value  `json:"value,omitempty"`
 	Values []core.Value `json:"values,omitempty"`
 	Names  []string     `json:"names,omitempty"`
 	Infos  []core.Info  `json:"infos,omitempty"`
@@ -403,8 +400,8 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// Bounds on per-connection bulk-set state, so a misbehaving client
-// cannot grow server memory without limit.
+// Bounds on per-connection bulk-set state and on any one names list, so
+// a misbehaving client cannot grow server memory without limit.
 const (
 	maxBulkSetsPerConn = 64
 	maxBulkNames       = 4096
@@ -559,16 +556,25 @@ func (s *Server) dispatch(req request, st *connState) response {
 	return op.handle(s, req, st)
 }
 
+// bulkNamesError bounds a names list shipped by bind_bulk or by an ad
+// hoc evaluate_bulk; "" means the list is acceptable.
+func bulkNamesError(op string, names []string) string {
+	switch {
+	case len(names) == 0:
+		return "parcel: " + op + " needs at least one name"
+	case len(names) > maxBulkNames:
+		return fmt.Sprintf("parcel: %s limited to %d names", op, maxBulkNames)
+	}
+	return ""
+}
+
 // bindBulk compiles the named counters once for this connection; later
 // evaluate_bulk requests sample the whole set in one exchange. Binding
 // is lenient: an unresolvable name degrades its slot to
 // StatusCounterUnknown instead of failing the set.
 func (s *Server) bindBulk(req request, st *connState) response {
-	if len(req.Names) == 0 {
-		return response{Error: "parcel: bind_bulk needs at least one name"}
-	}
-	if len(req.Names) > maxBulkNames {
-		return response{Error: fmt.Sprintf("parcel: bind_bulk limited to %d names", maxBulkNames)}
+	if msg := bulkNamesError(req.Op, req.Names); msg != "" {
+		return response{Error: msg}
 	}
 	if st.bulkSets == nil {
 		st.bulkSets = make(map[int64]*core.BindSet)
@@ -581,21 +587,21 @@ func (s *Server) bindBulk(req request, st *connState) response {
 	return response{SetID: st.nextSetID, Names: st.bulkSets[st.nextSetID].Names()}
 }
 
+// evaluateBulk samples the bound set req.SetID or, when SetID is 0, the
+// names the request carries: compiled (leniently, as bind_bulk does) for
+// this one request and not kept.
 func (s *Server) evaluateBulk(req request, st *connState) response {
-	set, ok := st.bulkSets[req.SetID]
-	if !ok {
+	var set *core.BindSet
+	if req.SetID == 0 {
+		if msg := bulkNamesError(req.Op, req.Names); msg != "" {
+			return response{Error: msg}
+		}
+		set = s.reg.BindSetLenient(req.Names)
+	} else if set = st.bulkSets[req.SetID]; set == nil {
 		return response{Error: fmt.Sprintf("%s %d", errUnknownBulkSet, req.SetID)}
 	}
 	st.bulkBuf = set.EvaluateBatch(st.bulkBuf, req.Reset)
 	return response{Values: st.bulkBuf}
-}
-
-func (s *Server) evaluate(req request, _ *connState) response {
-	v, err := s.reg.Evaluate(req.Name, req.Reset)
-	if err != nil {
-		return response{Error: err.Error()}
-	}
-	return response{Value: &v}
 }
 
 func (s *Server) discover(req request, _ *connState) response {

@@ -710,6 +710,16 @@ func (c *Client) SpawnJSON(ctx context.Context, action string, arg json.RawMessa
 // Async. For replica failover across localities, use
 // agas.SpawnRemoteCtx instead.
 func SpawnOn[A, R any](ctx context.Context, c *Client, action string, arg A) *RemoteFuture[R] {
+	return Launch[A, R](action, arg, func(raw json.RawMessage) (json.RawMessage, error) {
+		return c.SpawnJSON(ctx, action, raw)
+	})
+}
+
+// Launch marshals arg, runs spawn with it on its own goroutine and
+// returns a future for the result decoded as R — the launcher behind
+// SpawnOn and agas.SpawnRemoteCtx. An argument that cannot be marshalled
+// resolves the future at once.
+func Launch[A, R any](action string, arg A, spawn func(json.RawMessage) (json.RawMessage, error)) *RemoteFuture[R] {
 	f := &RemoteFuture[R]{done: make(chan struct{})}
 	raw, err := json.Marshal(arg)
 	if err != nil {
@@ -719,7 +729,7 @@ func SpawnOn[A, R any](ctx context.Context, c *Client, action string, arg A) *Re
 	}
 	go func() {
 		defer close(f.done)
-		res, err := c.SpawnJSON(ctx, action, raw)
+		res, err := spawn(raw)
 		if err != nil {
 			f.err = err
 			return

@@ -371,9 +371,8 @@ func (bc *BudgetController) RegisterCounters(reg *core.Registry) {
 // registry's active generation changes, so the steady-state sample path
 // stays allocation-free.
 type tieredSource struct {
-	reg      *core.Registry
-	classify func(string) Priority
-	reset    bool
+	reg   *core.Registry
+	reset bool
 	// burst reports whether the flight recorder is bursting: a burst
 	// captures the full set regardless of demotion level — the window
 	// is bounded, so the budget claim stays honest.
@@ -386,53 +385,23 @@ type tieredSource struct {
 
 	level atomic.Int32
 
-	mu        sync.Mutex
-	overrides map[string]Priority
-	gen       uint64
-	built     bool
-	sets      [numPriorities]*core.BindSet
-	scratch   [numPriorities][]core.Value
-	buf       []core.Value
+	mu      sync.Mutex
+	gen     uint64
+	built   bool
+	sets    [numPriorities]*core.BindSet
+	scratch [numPriorities][]core.Value
+	buf     []core.Value
 	// parked holds individually demoted counters (excluded from the
 	// rebuilt sets); parkOrder is the LIFO restore order.
 	parked    map[string]bool
 	parkOrder []string
 }
 
-func newTieredSource(reg *core.Registry, classify func(string) Priority, reset bool) *tieredSource {
-	if classify == nil {
-		classify = DefaultTiers
-	}
-	return &tieredSource{reg: reg, classify: classify, reset: reset}
+func newTieredSource(reg *core.Registry, reset bool) *tieredSource {
+	return &tieredSource{reg: reg, reset: reset}
 }
 
 func (ts *tieredSource) setLevel(l int) { ts.level.Store(int32(l)) }
-
-// setTier pins one counter name to a tier, overriding the classifier,
-// and forces a rebuild on the next sample.
-func (ts *tieredSource) setTier(name string, p Priority) {
-	ts.mu.Lock()
-	if ts.overrides == nil {
-		ts.overrides = make(map[string]Priority)
-	}
-	ts.overrides[name] = p
-	ts.built = false
-	ts.mu.Unlock()
-}
-
-func (ts *tieredSource) tierOf(name string) Priority {
-	if p, ok := ts.overrides[name]; ok {
-		if p >= numPriorities {
-			p = PriorityDebug
-		}
-		return p
-	}
-	p := ts.classify(name)
-	if p >= numPriorities {
-		p = PriorityDebug
-	}
-	return p
-}
 
 func (ts *tieredSource) rebuildLocked(gen uint64) {
 	var names [numPriorities][]string
@@ -440,7 +409,7 @@ func (ts *tieredSource) rebuildLocked(gen uint64) {
 		if ts.parked[n] {
 			continue
 		}
-		p := ts.tierOf(n)
+		p := DefaultTiers(n)
 		names[p] = append(names[p], n)
 	}
 	for p := range ts.sets {
@@ -565,7 +534,7 @@ type BudgetedCollector struct {
 // against the same budget — the controller regulates total observation
 // cost, not just its own.
 func NewBudgetedCollector(s *Sampler, reg *core.Registry, interval time.Duration, b Budget, reset bool) *BudgetedCollector {
-	ts := newTieredSource(reg, DefaultTiers, reset)
+	ts := newTieredSource(reg, reset)
 	ts.attributeCost = true
 	col := NewCollector(s, ts.sample, interval)
 	ctl := NewBudgetController(BudgetControllerConfig{
@@ -588,9 +557,6 @@ func NewBudgetedCollector(s *Sampler, reg *core.Registry, interval time.Duration
 	}
 	return bc
 }
-
-// SetTier pins one counter to a tier, overriding DefaultTiers.
-func (bc *BudgetedCollector) SetTier(name string, p Priority) { bc.tiers.setTier(name, p) }
 
 // DemotedCounters lists the individually parked counters, most recent
 // last (the /telemetry{...}/budget/demoted-counters gauge counts them).

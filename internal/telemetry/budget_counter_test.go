@@ -41,7 +41,7 @@ func newAttributionFixture(t *testing.T) (*core.Registry, string) {
 
 func TestParkMostExpensiveCounter(t *testing.T) {
 	reg, slow := newAttributionFixture(t)
-	ts := newTieredSource(reg, DefaultTiers, false)
+	ts := newTieredSource(reg, false)
 	ts.attributeCost = true
 
 	// Warm the attribution EWMAs.
@@ -105,7 +105,7 @@ func TestParkNeverTakesCritical(t *testing.T) {
 	if _, err := reg.AddActive(n.String()); err != nil {
 		t.Fatal(err)
 	}
-	ts := newTieredSource(reg, DefaultTiers, false)
+	ts := newTieredSource(reg, false)
 	ts.attributeCost = true
 	for i := 0; i < 8; i++ {
 		ts.sample()

@@ -84,7 +84,7 @@ func TestDefaultTiers(t *testing.T) {
 // the generation check.
 func TestTieredSourceLevels(t *testing.T) {
 	reg, _ := budgetTestRegistry(t, 0)
-	ts := newTieredSource(reg, DefaultTiers, false)
+	ts := newTieredSource(reg, false)
 
 	count := func(lvl int, substr string) (total, match int) {
 		ts.setLevel(lvl)
@@ -126,10 +126,9 @@ func TestTieredSourceLevels(t *testing.T) {
 		t.Fatalf("after AddActive: %d values, want 8", got)
 	}
 
-	// setTier override moves a counter between tiers.
-	ts.setTier("/threads{locality#0/total}/idle-rate", PriorityDebug)
-	if got, _ := count(1, ""); got != 2 {
-		t.Fatalf("after override, level 1: %d values, want 2", got)
+	// The new counter lands in DefaultTiers' normal tier.
+	if got, _ := count(1, ""); got != 3 {
+		t.Fatalf("after AddActive, level 1: %d values, want 3", got)
 	}
 }
 
