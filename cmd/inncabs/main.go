@@ -24,6 +24,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/apex"
 	"repro/internal/core"
 	"repro/internal/inncabs"
 	"repro/internal/parcel"
@@ -189,13 +190,16 @@ func main() {
 	// The watchdog runs when asked for, and whenever the flight recorder
 	// is armed — health events are what trigger its bursts.
 	if trt != nil && (*watchdog || (plane != nil && plane.flight != nil)) {
-		trt.StartWatchdog(taskrt.WatchdogConfig{
+		engine := apex.NewEngine()
+		_ = engine.Add(trt.Watchdog(taskrt.WatchdogConfig{
 			StallThreshold: *stallThr,
 			OnEvent: func(ev taskrt.HealthEvent) {
 				fmt.Fprintf(os.Stderr, "inncabs: health: %s\n", ev)
 				plane.trigger(ev.String())
 			},
-		})
+		}))
+		engine.Start()
+		defer engine.Stop()
 	}
 
 	// Fault injection: one extra task that sleeps past the stall

@@ -92,7 +92,7 @@ func newTelemetryPlane(reg *core.Registry, o telemetryOptions) (*telemetryPlane,
 		p.col = telemetry.NewCollector(p.sampler, telemetry.RegistrySource(reg, false), o.Interval)
 	}
 	if o.Flight || o.DumpPath != "" {
-		p.flight = telemetry.NewFlightRecorder(telemetry.FlightConfig{})
+		p.flight = telemetry.NewFlightRecorder()
 		p.flight.RegisterCounters(reg)
 		p.col.EnableFlight(p.flight)
 	}

@@ -164,7 +164,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		var fr *telemetry.FlightRecorder
 		if *flightOn || *flightDump != "" {
-			fr = telemetry.NewFlightRecorder(telemetry.FlightConfig{})
+			fr = telemetry.NewFlightRecorder()
 		}
 		var exp *exporter
 		if *httpAddr != "" || *csvPath != "" {

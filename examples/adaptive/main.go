@@ -24,11 +24,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	engine := apex.NewEngine(reg)
-	// Throttle below 20% utilisation, grow above 90% (idle-rate counter
-	// reports 0.01% units: 8000 = 80% idle).
-	policy := apex.IdleThrottlePolicy(rt, 50*time.Millisecond, 1000, 8000)
-	if err := engine.AddPolicy(policy); err != nil {
+	// Throttle above 80% idle, grow below 10% idle (the idle-rate
+	// counter reports 0.01% units: 8000 = 80% idle).
+	policy, err := rt.IdleThrottle(reg, 50*time.Millisecond, 1000, 8000)
+	if err != nil {
+		log.Fatal(err)
+	}
+	engine := apex.NewEngine()
+	if err := engine.Add(policy); err != nil {
 		log.Fatal(err)
 	}
 	engine.Start()
@@ -62,8 +65,7 @@ func main() {
 
 	fmt.Println("\npolicy actions:")
 	for _, ev := range engine.Events() {
-		fmt.Printf("  %s  %s fired (idle-rate %.1f%%)\n",
-			ev.Time.Format("15:04:05.000"), ev.Policy, ev.Value.Float64()/100)
+		fmt.Printf("  %s  %s: %s\n", ev.Time.Format("15:04:05.000"), ev.Policy, ev.Action)
 	}
 	if n := len(engine.Events()); n == 0 {
 		fmt.Println("  (none)")

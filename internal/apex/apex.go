@@ -1,14 +1,10 @@
 // Package apex is a miniature of the APEX introspection and adaptivity
-// library the paper points to in its outlook (§VII): a policy engine
-// that periodically samples performance counters through the uniform
-// counter framework and executes user-defined actions when rule
-// conditions hold — closing the loop from measurement to runtime
-// adaptation.
-//
-// The shipped IdleThrottlePolicy demonstrates the paper's motivating use
-// case: watch /threads{...}/idle-rate and throttle the task runtime's
-// active worker count when cores mostly idle, releasing them again when
-// the runtime saturates.
+// library the paper points to in its outlook (§VII): the one
+// measure→decide→act loop. An Engine runs each Policy on core.Every
+// behind one recover barrier and keeps a bounded log of what they did;
+// Band is the one hysteresis. The policies live next to what they
+// actuate: taskrt.Runtime.IdleThrottle, taskrt.Runtime.Watchdog and
+// telemetry.BudgetController.Tick.
 package apex
 
 import (
@@ -17,68 +13,64 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/taskrt"
 )
 
-// Policy is one measure→decide→act rule.
+// Policy is one measure→decide→act loop.
 type Policy struct {
-	// Name identifies the policy in the event log.
-	Name string
-	// Counter is the full name of the counter to sample.
-	Counter string
-	// Period is the sampling interval.
-	Period time.Duration
-	// Rule inspects the sampled value and decides whether to act.
-	Rule func(v core.Value) bool
-	// Action executes when Rule returns true.
-	Action func(v core.Value)
+	Name   string        // identifies the policy in the event log
+	Period time.Duration // between steps; core.Every raises one below its floor (0 too) to it
+	// Step measures, decides and acts once at now. It returns what it
+	// did, or "" when it held.
+	Step func(now time.Time) string
 }
 
-// Event records one policy firing.
+// Event records one step that acted, or panicked.
 type Event struct {
-	// Policy names the rule that fired.
-	Policy string
-	// Value is the counter sample that triggered it.
-	Value core.Value
-	// Time is when the action ran.
-	Time time.Time
-	// Panicked marks an event where the rule or action panicked; the
-	// engine contained it and the policy keeps running.
-	Panicked bool
+	Policy   string
+	Action   string    // what the step returned; for a panic, its value
+	Time     time.Time // the time the step was given
+	Panicked bool      // the engine contained a panic; the policy keeps running
 }
 
-// Engine samples counters and drives policies. Create with NewEngine,
-// register policies, then Start.
+// maxEvents bounds the event log: the engine keeps the latest ones.
+const maxEvents = 256
+
+// Engine runs policies. Add policies, then Start; Poll steps them
+// synchronously instead, for deterministic tests and batch tools.
 type Engine struct {
-	reg *core.Registry
-
 	mu       sync.Mutex
-	policies []*Policy
-	events   []Event
+	policies []Policy
 	tickers  []*core.Ticker // one per policy; nil while stopped
+	events   []Event
 }
 
-// NewEngine creates an engine over a counter registry.
-func NewEngine(reg *core.Registry) *Engine {
-	return &Engine{reg: reg}
-}
+// NewEngine creates an empty, stopped engine.
+func NewEngine() *Engine { return &Engine{} }
 
-// AddPolicy validates and registers a policy. Policies added after
-// Start are picked up only by the next Start.
-func (e *Engine) AddPolicy(p *Policy) error {
-	if p.Counter == "" || p.Rule == nil || p.Action == nil || p.Period <= 0 {
-		return fmt.Errorf("apex: policy %q incomplete", p.Name)
-	}
-	if _, err := e.reg.Get(p.Counter); err != nil {
-		return fmt.Errorf("apex: policy %q: %w", p.Name, err)
+// Add registers a policy; on a started engine it starts running at
+// once.
+func (e *Engine) Add(p Policy) error {
+	if p.Step == nil {
+		return fmt.Errorf("apex: policy %q has no Step", p.Name)
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.policies = append(e.policies, p)
-	e.mu.Unlock()
+	if e.tickers != nil {
+		e.tickers = append(e.tickers, e.every(p))
+	}
 	return nil
 }
 
-// Start launches one sampling loop per policy.
+// every schedules p on its own ticker.
+func (e *Engine) every(p Policy) *core.Ticker {
+	return core.Every(p.Period, func(now time.Time) time.Duration {
+		e.step(p, now)
+		return p.Period
+	})
+}
+
+// Start runs every policy on its period (idempotent).
 func (e *Engine) Start() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -87,15 +79,12 @@ func (e *Engine) Start() {
 	}
 	e.tickers = make([]*core.Ticker, 0, len(e.policies))
 	for _, p := range e.policies {
-		p := p
-		e.tickers = append(e.tickers, core.Every(p.Period, func(time.Time) time.Duration {
-			e.tick(p)
-			return p.Period
-		}))
+		e.tickers = append(e.tickers, e.every(p))
 	}
 }
 
-// Stop halts all sampling loops and waits for them.
+// Stop halts every policy and returns once no step is in flight
+// (idempotent).
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	tickers := e.tickers
@@ -106,102 +95,91 @@ func (e *Engine) Stop() {
 	}
 }
 
-// Events returns a copy of the action log.
+// Poll steps every policy once at now, synchronously. It is for an
+// engine that is not started: a policy's steps must not overlap.
+func (e *Engine) Poll(now time.Time) {
+	e.mu.Lock()
+	policies := append([]Policy(nil), e.policies...)
+	e.mu.Unlock()
+	for _, p := range policies {
+		e.step(p, now)
+	}
+}
+
+// Events returns a copy of the log, oldest first: the latest steps that
+// acted or panicked.
 func (e *Engine) Events() []Event {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]Event(nil), e.events...)
 }
 
-// tick samples the policy's counter once and applies the rule; exported
-// through Poll for deterministic tests. A panicking rule or action is
-// contained: the policy keeps running on later ticks and the panic is
-// recorded as a failure event — a broken policy must not take down the
-// application it is tuning.
-func (e *Engine) tick(p *Policy) {
-	c, err := e.reg.Get(p.Counter)
-	if err != nil {
+// step runs p once under the recover barrier — a broken policy must not
+// take down the application it is tuning — and logs it unless it held.
+func (e *Engine) step(p Policy, now time.Time) {
+	ev := Event{Policy: p.Name, Time: now}
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				ev.Action, ev.Panicked = fmt.Sprint(r), true
+			}
+		}()
+		ev.Action = p.Step(now)
+	}()
+	if ev.Action == "" && !ev.Panicked {
 		return
 	}
-	v := c.Value(false)
-	if !v.Valid() {
-		return
-	}
-	fired, panicked := e.apply(p, v)
-	if !fired && !panicked {
-		return
-	}
-	ev := Event{Policy: p.Name, Value: v, Time: time.Now(), Panicked: panicked}
 	e.mu.Lock()
 	e.events = append(e.events, ev)
+	if len(e.events) > maxEvents {
+		e.events = e.events[len(e.events)-maxEvents:]
+	}
 	e.mu.Unlock()
 }
 
-// apply runs rule+action under a recover barrier.
-func (e *Engine) apply(p *Policy, v core.Value) (fired, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			panicked = true
+// maxCalm caps the flap doubling of Band.Calm.
+const maxCalm = 32
+
+// Band is the one hysteresis: it turns a stream of values into Up and
+// Down steps.
+//
+//   - A value above High takes one Down step at once.
+//   - Calm consecutive values below Low take one Up step.
+//   - A value in the dead band between them holds and resets the calm
+//     count.
+//   - A Down within two Periods of an Up means the Up was premature: it
+//     doubles Calm while Calm is below 32.
+//
+// A Band is not safe for concurrent use; a policy's steps never overlap.
+type Band struct {
+	Low, High float64
+	Calm      int           // at least 1
+	Period    time.Duration // time between values: the flap window's unit
+	// Up and Down take one step and return what they did, or "" when
+	// there is no step left to take.
+	Up, Down func() string
+
+	under  int // consecutive values below Low
+	lastUp time.Time
+}
+
+// Step feeds the value observed at now and returns what the step did,
+// or "" when the band held or the step was saturated.
+func (b *Band) Step(now time.Time, v float64) string {
+	switch {
+	case v > b.High:
+		if now.Sub(b.lastUp) <= 2*b.Period && b.Calm < maxCalm {
+			b.Calm *= 2
 		}
-	}()
-	if !p.Rule(v) {
-		return false, false
+		b.under = 0
+		return b.Down()
+	case v < b.Low:
+		if b.under++; b.under >= b.Calm {
+			b.under, b.lastUp = 0, now
+			return b.Up()
+		}
+		return ""
 	}
-	p.Action(v)
-	return true, false
-}
-
-// Poll runs every registered policy once, synchronously — the
-// deterministic path tests and batch tools use instead of Start's
-// timers.
-func (e *Engine) Poll() {
-	e.mu.Lock()
-	policies := append([]*Policy(nil), e.policies...)
-	e.mu.Unlock()
-	for _, p := range policies {
-		e.tick(p)
-	}
-}
-
-// ThresholdPolicy builds the common rule shape: fire action when the
-// counter's value crosses the threshold in the given direction.
-func ThresholdPolicy(name, counter string, period time.Duration, threshold float64, above bool, action func(core.Value)) *Policy {
-	return &Policy{
-		Name:    name,
-		Counter: counter,
-		Period:  period,
-		Rule: func(v core.Value) bool {
-			if above {
-				return v.Float64() > threshold
-			}
-			return v.Float64() < threshold
-		},
-		Action: action,
-	}
-}
-
-// IdleThrottlePolicy builds the paper's motivating adaptation: sample
-// the runtime's total idle-rate (in 0.01% units) every period; when it
-// exceeds highIdle the concurrency limit steps down (never below 1),
-// and when it falls below lowIdle the limit steps back up.
-func IdleThrottlePolicy(rt *taskrt.Runtime, period time.Duration, lowIdle, highIdle float64) *Policy {
-	counter := core.Name{Object: "threads", Counter: "idle-rate"}.
-		WithInstances(core.LocalityInstance(rt.Locality(), "total", -1)...).String()
-	return &Policy{
-		Name:    "idle-throttle",
-		Counter: counter,
-		Period:  period,
-		Rule: func(v core.Value) bool {
-			r := v.Float64()
-			return r > highIdle || r < lowIdle
-		},
-		Action: func(v core.Value) {
-			limit := rt.ConcurrencyLimit()
-			if v.Float64() > highIdle && limit > 1 {
-				rt.SetConcurrencyLimit(limit - 1)
-			} else if v.Float64() < lowIdle && limit < rt.NumWorkers() {
-				rt.SetConcurrencyLimit(limit + 1)
-			}
-		},
-	}
+	b.under = 0
+	return ""
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apex"
 	"repro/internal/taskrt"
 )
 
@@ -127,9 +128,13 @@ func TestWatchdogCleanInncabsRun(t *testing.T) {
 		// The race detector slows the run ~10x, so the fork/join roots
 		// legitimately outlive the production stall threshold.
 		cfg.StallThreshold = time.Minute
-		cfg.StarvationThreshold = time.Minute
 	}
-	trt.StartWatchdog(cfg)
+	engine := apex.NewEngine()
+	if err := engine.Add(trt.Watchdog(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	engine.Start()
+	defer engine.Stop()
 	rt := NewHPX(trt)
 	for _, name := range []string{"fib", "sort"} {
 		b, err := ByName(name)
@@ -140,7 +145,7 @@ func TestWatchdogCleanInncabsRun(t *testing.T) {
 			t.Fatalf("%s Medium checksum %d, want %d", name, got, want)
 		}
 	}
-	trt.StopWatchdog()
+	engine.Stop()
 	mu.Lock()
 	defer mu.Unlock()
 	if len(events) != 0 {

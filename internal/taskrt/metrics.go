@@ -35,19 +35,6 @@ type workerMetrics struct {
 	_              [cacheLineSize]byte
 }
 
-func (m *workerMetrics) reset() {
-	m.tasksExecuted.Store(0)
-	m.taskTimeNs.Store(0)
-	m.overheadNs.Store(0)
-	m.idleNs.Store(0)
-	m.stolen.Store(0)
-	m.pendingPeak.Store(0)
-	m.inlineExecuted.Store(0)
-	m.healthStalled.Store(0)
-	m.healthStarved.Store(0)
-	m.spanMaxNs.Store(0)
-}
-
 func (m *workerMetrics) notePending(n int) {
 	for {
 		old := m.pendingPeak.Load()
@@ -55,19 +42,6 @@ func (m *workerMetrics) notePending(n int) {
 			return
 		}
 	}
-}
-
-// counterSpec describes one thread-manager counter type and how to read
-// it for a single worker. Per-worker instances sum one worker; the total
-// instance sums all workers.
-type counterSpec struct {
-	counter string
-	help    string
-	unit    string
-	read    func(m *workerMetrics) int64
-	reset   func(m *workerMetrics)
-	// derived counters (averages, rates) need the whole metrics set.
-	total func(rt *Runtime, workers []int) int64
 }
 
 // RegisterCounters registers the runtime's full thread-manager counter

@@ -29,6 +29,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apex"
 	"repro/internal/core"
 )
 
@@ -93,7 +94,10 @@ func measureGrain(workers, nTasks int, grain time.Duration, sampled, watchdog, t
 	rt := New(WithWorkers(workers), WithAdaptiveInlining())
 	defer rt.Shutdown()
 	if watchdog {
-		rt.StartWatchdog(WatchdogConfig{})
+		e := apex.NewEngine()
+		_ = e.Add(rt.Watchdog(WatchdogConfig{}))
+		e.Start()
+		defer e.Stop()
 	}
 	if traced {
 		rt.EnableTracing(nTasks + 16) // roomy: no drops during the measurement

@@ -109,13 +109,11 @@ type Runtime struct {
 	grainSpawned   atomic.Int64 // children enqueued while the policy was on
 
 	// Watchdog state: cumulative health-event counts by kind that have
-	// no per-worker attribution, plus the monitor itself.
+	// no per-worker attribution.
 	healthBacklog  atomic.Int64 // backlog_growth events
 	healthDeadlock atomic.Int64 // deadlock_suspected events
 	healthEvents   atomic.Int64 // all health events
 	healthCbErrors atomic.Int64 // OnEvent callbacks that panicked (recovered)
-	wdMu           sync.Mutex
-	wd             *watchdog
 
 	trace     atomic.Value // *tracer; nil when tracing is off
 	lastTrace atomic.Value // *tracer of the previous session
@@ -232,7 +230,6 @@ func (rt *Runtime) Shutdown() {
 	if rt.closed.Swap(true) {
 		return
 	}
-	rt.StopWatchdog()
 	// One waiter goroutine observes the pool exit; the loop just
 	// re-notifies periodically to cover a worker that was between its
 	// closed-flag check and its park when the first notify fired.

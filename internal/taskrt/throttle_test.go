@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apex"
 	"repro/internal/core"
 )
 
@@ -198,5 +199,99 @@ func TestChaos(t *testing.T) {
 	// The runtime still works afterwards.
 	if got := fibRT(rt, 15); got != 610 {
 		t.Fatalf("post-chaos fib = %d", got)
+	}
+}
+
+// idleThrottleEngine registers rt's counters on a fresh registry and
+// returns an engine holding only rt's idle throttle.
+func idleThrottleEngine(t *testing.T, rt *Runtime, period time.Duration, low, high float64) (*core.Registry, *apex.Engine) {
+	t.Helper()
+	reg := core.NewRegistry()
+	if err := rt.RegisterCounters(reg); err != nil {
+		t.Fatal(err)
+	}
+	p, err := rt.IdleThrottle(reg, period, low, high)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := apex.NewEngine()
+	if err := e.Add(p); err != nil {
+		t.Fatal(err)
+	}
+	return reg, e
+}
+
+func TestIdleThrottlePolicy(t *testing.T) {
+	rt := New(WithWorkers(4))
+	defer rt.Shutdown()
+	_, e := idleThrottleEngine(t, rt, time.Millisecond, 1000, 8000)
+	// The runtime idles: the idle-rate is ~100% (10000), so repeated
+	// polls must step the concurrency limit down to 1.
+	time.Sleep(20 * time.Millisecond)
+	now := time.Now()
+	for i := 0; i < 10; i++ {
+		e.Poll(now.Add(time.Duration(i) * time.Millisecond))
+	}
+	if got := rt.ConcurrencyLimit(); got != 1 {
+		t.Fatalf("throttled limit = %d want 1", got)
+	}
+	if len(e.Events()) == 0 {
+		t.Fatal("no throttle events recorded")
+	}
+	// The throttled runtime must still execute tasks correctly.
+	f := AsyncF(rt, func() int { return 11 })
+	if got := f.Get(); got != 11 {
+		t.Fatalf("task under throttle = %d", got)
+	}
+}
+
+// TestIdleThrottleLogsOnlyChanges: an idle runtime polled 10 000 times
+// steps 4 -> 3 -> 2 -> 1 and then holds at the floor — three events,
+// not one per poll.
+func TestIdleThrottleLogsOnlyChanges(t *testing.T) {
+	rt := New(WithWorkers(4))
+	defer rt.Shutdown()
+	_, e := idleThrottleEngine(t, rt, time.Millisecond, 1000, 8000)
+	time.Sleep(20 * time.Millisecond)
+	now := time.Now()
+	for i := 0; i < 10000; i++ {
+		e.Poll(now.Add(time.Duration(i) * time.Millisecond))
+	}
+	if got := rt.ConcurrencyLimit(); got != 1 {
+		t.Fatalf("throttled limit = %d want 1", got)
+	}
+	if got := len(e.Events()); got != 3 {
+		t.Fatalf("10000 polls of an idle runtime logged %d events, want 3: %v", got, e.Events())
+	}
+}
+
+func TestIdleThrottleRaisesUnderLoad(t *testing.T) {
+	rt := New(WithWorkers(4))
+	defer rt.Shutdown()
+	rt.SetConcurrencyLimit(2)
+	// The two throttled workers idle at 100%, so the total idle-rate
+	// sits near 50% while the active pair is saturated; a raise
+	// threshold of 60% captures that state.
+	reg, e := idleThrottleEngine(t, rt, time.Millisecond, 6000, 9999)
+	// Saturate the runtime, then reset the idle accounting so the
+	// sampled window reflects the busy phase.
+	stop := make(chan struct{})
+	var fs []*Future[int]
+	for i := 0; i < 8; i++ {
+		fs = append(fs, AsyncF(rt, func() int { <-stop; return 0 }))
+	}
+	name := core.Name{Object: "threads", Counter: "idle-rate"}.
+		WithInstances(core.LocalityInstance(0, "total", -1)...)
+	if _, err := reg.Evaluate(name.String(), true); err != nil { // reset window
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond)
+	e.Poll(time.Now())
+	if got := rt.ConcurrencyLimit(); got != 3 {
+		t.Fatalf("limit after busy poll = %d want 3", got)
+	}
+	close(stop)
+	for _, f := range fs {
+		f.Get()
 	}
 }

@@ -7,13 +7,14 @@ package taskrt
 // watchdog allocates nothing per sweep and reads only atomics the
 // workers publish anyway, so its overhead is a handful of loads every
 // Interval — measured at well under 1% on the 10 µs-grain benchmark
-// (see overhead_bench_test.go / BENCH_taskrt.json).
+// (see overhead_bench_test.go / BENCH_taskrt.json). It runs as an
+// apex.Policy: whoever owns the apex.Engine starts and stops it.
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/apex"
 )
 
 // HealthKind classifies a watchdog health event.
@@ -24,10 +25,10 @@ const (
 	// longer than StallThreshold.
 	HealthStalledTask HealthKind = iota
 	// HealthStarvedWorker: a worker has been parked past
-	// StarvationThreshold while tasks were pending somewhere.
+	// StallThreshold while tasks were pending somewhere.
 	HealthStarvedWorker
-	// HealthBacklogGrowth: the injector backlog grew over
-	// BacklogSamples consecutive sweeps.
+	// HealthBacklogGrowth: the injector backlog grew over backlogSweeps
+	// consecutive sweeps.
 	HealthBacklogGrowth
 	// HealthDeadlockSuspected: workers are active (inside tasks) but no
 	// task has completed and no work is queued for a full stall
@@ -58,8 +59,8 @@ type HealthEvent struct {
 	// runtime-wide events (backlog growth, suspected deadlock).
 	Worker int
 	// Age is how long the offending condition had lasted when detected
-	// (task runtime for stalls, park time for starvation, observation
-	// window for deadlock suspicion).
+	// (task runtime for stalls, park time for starvation, time since
+	// the first sweep that saw no progress for deadlock suspicion).
 	Age time.Duration
 	// Backlog is the injector length for backlog events, 0 otherwise.
 	Backlog int
@@ -84,41 +85,23 @@ type WatchdogConfig struct {
 	// Interval between sweeps. Default 100ms.
 	Interval time.Duration
 	// StallThreshold: a task running longer than this raises
-	// stalled_task; also the observation window for deadlock suspicion.
-	// Default 1s.
+	// stalled_task, a worker parked longer than this while work is
+	// pending raises starved_worker, and workers making no progress for
+	// this long raise deadlock_suspected. Default 1s.
 	StallThreshold time.Duration
-	// StarvationThreshold: a worker parked longer than this while work
-	// is pending raises starved_worker. Default 1s.
-	StarvationThreshold time.Duration
-	// BacklogSamples: consecutive sweeps of injector growth that raise
-	// backlog_growth. Default 5.
-	BacklogSamples int
-	// OnEvent, if non-nil, is called synchronously from the watchdog
-	// goroutine for every event. It must not block.
+	// OnEvent, if non-nil, is called synchronously from the sweep for
+	// every event. It must not block.
 	OnEvent func(HealthEvent)
 }
 
-func (c *WatchdogConfig) setDefaults() {
-	if c.Interval <= 0 {
-		c.Interval = 100 * time.Millisecond
-	}
-	if c.StallThreshold <= 0 {
-		c.StallThreshold = time.Second
-	}
-	if c.StarvationThreshold <= 0 {
-		c.StarvationThreshold = time.Second
-	}
-	if c.BacklogSamples <= 0 {
-		c.BacklogSamples = 5
-	}
-}
+// backlogSweeps is how many consecutive sweeps of injector growth raise
+// backlog_growth.
+const backlogSweeps = 5
 
-// watchdog is the monitor state. Apart from ticker, all fields are
-// touched only by the sweep loop (or by a test driving sweep directly).
+// watchdog is the monitor state, touched only by its sweeps.
 type watchdog struct {
-	rt     *Runtime
-	cfg    WatchdogConfig
-	ticker *core.Ticker
+	rt  *Runtime
+	cfg WatchdogConfig
 
 	// Deduplication: one event per episode, keyed on the episode's
 	// start timestamp — a new task (new taskStartNs) or a new park
@@ -131,43 +114,29 @@ type watchdog struct {
 
 	lastExecuted     int64
 	lastActiveIdle   int64
-	stuckFor         time.Duration
+	stuckSince       time.Time // first sweep of the current no-progress run
 	deadlockReported bool
+
+	raised int // events emitted by the current sweep
 }
 
-// StartWatchdog launches the background monitor. It is a no-op when a
-// watchdog is already running or the runtime is shut down. Health
-// events increment the /runtime{...}/health/* counters and are passed
-// to cfg.OnEvent when set. Shutdown stops the watchdog; StopWatchdog
-// stops it early.
-func (rt *Runtime) StartWatchdog(cfg WatchdogConfig) {
-	rt.wdMu.Lock()
-	defer rt.wdMu.Unlock()
-	if rt.wd != nil || rt.closed.Load() {
-		return
-	}
-	cfg.setDefaults()
+// Watchdog returns the health monitor as a policy that sweeps every
+// cfg.Interval once added to an apex.Engine. Health events increment
+// the /runtime{...}/health/* counters and are passed to cfg.OnEvent
+// when set.
+func (rt *Runtime) Watchdog(cfg WatchdogConfig) apex.Policy {
 	wd := newWatchdog(rt, cfg)
-	wd.ticker = core.Every(cfg.Interval, func(now time.Time) time.Duration {
-		wd.sweep(now)
-		return cfg.Interval
-	})
-	rt.wd = wd
+	return apex.Policy{Name: "watchdog", Period: wd.cfg.Interval, Step: wd.sweep}
 }
 
-// StopWatchdog stops the monitor and waits for its goroutine to exit.
-// No-op when no watchdog is running.
-func (rt *Runtime) StopWatchdog() {
-	rt.wdMu.Lock()
-	wd := rt.wd
-	rt.wd = nil
-	rt.wdMu.Unlock()
-	if wd != nil {
-		wd.ticker.Stop()
-	}
-}
-
+// newWatchdog applies the config's defaults.
 func newWatchdog(rt *Runtime, cfg WatchdogConfig) *watchdog {
+	if cfg.Interval <= 0 {
+		cfg.Interval = 100 * time.Millisecond
+	}
+	if cfg.StallThreshold <= 0 {
+		cfg.StallThreshold = time.Second
+	}
 	return &watchdog{
 		rt:             rt,
 		cfg:            cfg,
@@ -178,6 +147,7 @@ func newWatchdog(rt *Runtime, cfg WatchdogConfig) *watchdog {
 
 // emit books an event into the counters and forwards it to the callback.
 func (wd *watchdog) emit(ev HealthEvent) {
+	wd.raised++
 	wd.rt.healthEvents.Add(1)
 	switch ev.Kind {
 	case HealthStalledTask:
@@ -208,9 +178,10 @@ func (wd *watchdog) safeOnEvent(ev HealthEvent) {
 	wd.cfg.OnEvent(ev)
 }
 
-// sweep takes one sample of the runtime's health. Separated from the
-// ticker so tests can drive it with a synthetic clock.
-func (wd *watchdog) sweep(now time.Time) {
+// sweep takes one sample of the runtime's health at now — the policy
+// step, which tests drive with a synthetic clock. It reports how many
+// events it raised, or "" when none.
+func (wd *watchdog) sweep(now time.Time) string {
 	rt := wd.rt
 	nowNs := now.UnixNano()
 	pending := rt.pending.Load()
@@ -242,7 +213,7 @@ func (wd *watchdog) sweep(now time.Time) {
 		// Starved worker: parked past the threshold while work was
 		// pending. Throttled workers park by design and are skipped.
 		if parked := m.parkedSince.Load(); parked != 0 && pending > 0 &&
-			nowNs-parked > int64(wd.cfg.StarvationThreshold) && !w.throttled() {
+			nowNs-parked > int64(wd.cfg.StallThreshold) && !w.throttled() {
 			if wd.lastParkStart[i] != parked {
 				wd.lastParkStart[i] = parked
 				wd.emit(HealthEvent{Kind: HealthStarvedWorker, Worker: i,
@@ -252,11 +223,11 @@ func (wd *watchdog) sweep(now time.Time) {
 	}
 
 	// Injector backlog growth: strictly increasing length over
-	// BacklogSamples consecutive sweeps.
+	// backlogSweeps consecutive sweeps.
 	backlog := rt.injector.len()
 	if backlog > wd.lastBacklog {
 		wd.backlogStreak++
-		if wd.backlogStreak >= wd.cfg.BacklogSamples {
+		if wd.backlogStreak >= backlogSweeps {
 			wd.backlogStreak = 0
 			wd.emit(HealthEvent{Kind: HealthBacklogGrowth, Worker: -1,
 				Backlog: backlog, Time: now})
@@ -271,20 +242,29 @@ func (wd *watchdog) sweep(now time.Time) {
 	// workers keep booking help-poll idle time — every active task is
 	// waiting on a future only another waiter could complete. (A task
 	// that is simply slow books no idle time and is reported as a stall
-	// instead.) Observed continuously for a full StallThreshold before
-	// reporting, once per episode (progress rearms it).
+	// instead.) Observed continuously for a full StallThreshold of
+	// clock time before reporting, however late the sweeps land, once
+	// per episode (progress rearms it).
 	if executed == wd.lastExecuted && activeWorkers > 0 && pending == 0 &&
 		activeIdle > wd.lastActiveIdle {
-		wd.stuckFor += wd.cfg.Interval
-		if wd.stuckFor >= wd.cfg.StallThreshold && !wd.deadlockReported {
+		if wd.stuckSince.IsZero() {
+			wd.stuckSince = now
+		}
+		if age := now.Sub(wd.stuckSince); age >= wd.cfg.StallThreshold && !wd.deadlockReported {
 			wd.deadlockReported = true
 			wd.emit(HealthEvent{Kind: HealthDeadlockSuspected, Worker: -1,
-				Age: wd.stuckFor, Time: now})
+				Age: age, Time: now})
 		}
 	} else {
-		wd.stuckFor = 0
+		wd.stuckSince = time.Time{}
 		wd.deadlockReported = false
 	}
 	wd.lastExecuted = executed
 	wd.lastActiveIdle = activeIdle
+
+	if n := wd.raised; n > 0 {
+		wd.raised = 0
+		return fmt.Sprintf("%d health event(s)", n)
+	}
+	return ""
 }

@@ -6,8 +6,22 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apex"
 	"repro/internal/core"
 )
+
+// startWatchdog runs rt's watchdog on an engine of its own; the test
+// stops it early with the returned engine, or at cleanup.
+func startWatchdog(t *testing.T, rt *Runtime, cfg WatchdogConfig) *apex.Engine {
+	t.Helper()
+	e := apex.NewEngine()
+	if err := e.Add(rt.Watchdog(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	t.Cleanup(e.Stop)
+	return e
+}
 
 // eventLog collects watchdog events for assertions.
 type eventLog struct {
@@ -46,11 +60,10 @@ func TestWatchdogCleanRunNoEvents(t *testing.T) {
 		threshold = 10 * time.Second
 	}
 	var log eventLog
-	rt.StartWatchdog(WatchdogConfig{
-		Interval:            2 * time.Millisecond,
-		StallThreshold:      threshold,
-		StarvationThreshold: threshold,
-		OnEvent:             log.add,
+	wd := startWatchdog(t, rt, WatchdogConfig{
+		Interval:       2 * time.Millisecond,
+		StallThreshold: threshold,
+		OnEvent:        log.add,
 	})
 
 	var fib func(n int) int
@@ -65,7 +78,7 @@ func TestWatchdogCleanRunNoEvents(t *testing.T) {
 	if got := fib(22); got != 17711 {
 		t.Fatalf("fib(22) = %d", got)
 	}
-	rt.StopWatchdog()
+	wd.Stop()
 	log.mu.Lock()
 	defer log.mu.Unlock()
 	if len(log.events) != 0 {
@@ -82,7 +95,7 @@ func TestWatchdogCleanRunNoEvents(t *testing.T) {
 func TestWatchdogStalledTask(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	var log eventLog
-	rt.StartWatchdog(WatchdogConfig{
+	wd := startWatchdog(t, rt, WatchdogConfig{
 		Interval:       3 * time.Millisecond,
 		StallThreshold: 25 * time.Millisecond,
 		OnEvent:        log.add,
@@ -92,7 +105,7 @@ func TestWatchdogStalledTask(t *testing.T) {
 		return 1
 	})
 	f.Wait()
-	rt.StopWatchdog()
+	wd.Stop()
 
 	if got := log.count(HealthStalledTask); got != 1 {
 		t.Fatalf("stalled_task events = %d, want exactly 1 (%v)", got, log.events)
@@ -120,7 +133,7 @@ func TestWatchdogDeadlockSuspected(t *testing.T) {
 	defer cancel() // breaks the cycle before Shutdown
 
 	var log eventLog
-	rt.StartWatchdog(WatchdogConfig{
+	wd := startWatchdog(t, rt, WatchdogConfig{
 		Interval:       3 * time.Millisecond,
 		StallThreshold: 30 * time.Millisecond,
 		OnEvent:        log.add,
@@ -144,7 +157,7 @@ func TestWatchdogDeadlockSuspected(t *testing.T) {
 	fa.Wait()
 	fb.Wait()
 	time.Sleep(20 * time.Millisecond) // a few more sweeps after progress
-	rt.StopWatchdog()
+	wd.Stop()
 
 	if got := log.count(HealthDeadlockSuspected); got != 1 {
 		t.Fatalf("deadlock_suspected events = %d, want exactly 1", got)
@@ -178,15 +191,15 @@ func TestWatchdogStarvedWorker(t *testing.T) {
 
 	var log eventLog
 	cfg := WatchdogConfig{OnEvent: log.add}
-	cfg.setDefaults()
 	wd := newWatchdog(rt, cfg)
+	cfg = wd.cfg // with defaults
 
 	// Pretend a task is pending that nobody picks up (the counter is
 	// what sweep consults; the queues stay untouched).
 	rt.pending.Add(1)
 	defer rt.pending.Add(-1)
 
-	future := time.Now().Add(2 * cfg.StarvationThreshold)
+	future := time.Now().Add(2 * cfg.StallThreshold)
 	wd.sweep(future)
 	if got := log.count(HealthStarvedWorker); got != 2 {
 		t.Fatalf("starved_worker events = %d, want 2 (both workers)", got)
@@ -209,26 +222,26 @@ func TestWatchdogStarvedWorker(t *testing.T) {
 }
 
 // TestWatchdogBacklogGrowth drives sweep over a growing injector: the
-// event fires after exactly BacklogSamples consecutive growth samples.
+// event fires after exactly backlogSweeps consecutive growth samples.
 func TestWatchdogBacklogGrowth(t *testing.T) {
 	rt := newTestRuntime(t, 1)
 	release := gateWorkers(t, rt)
 	defer release()
 
 	var log eventLog
-	cfg := WatchdogConfig{BacklogSamples: 3, OnEvent: log.add}
-	cfg.setDefaults()
+	cfg := WatchdogConfig{OnEvent: log.add}
 	wd := newWatchdog(rt, cfg)
+	cfg = wd.cfg // with defaults
 
 	now := time.Now()
 	fs := make([]*Future[int], 0, 8)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < backlogSweeps; i++ {
 		// Spawned from a non-worker goroutine: lands on the injector.
 		fs = append(fs, AsyncF(rt, func() int { return 1 }))
 		wd.sweep(now.Add(time.Duration(i) * cfg.Interval))
 	}
 	if got := log.count(HealthBacklogGrowth); got != 1 {
-		t.Fatalf("backlog_growth events after 3 growth samples = %d, want 1", got)
+		t.Fatalf("backlog_growth events after %d growth samples = %d, want 1", backlogSweeps, got)
 	}
 	// Flat backlog: streak resets, no further events.
 	wd.sweep(now.Add(10 * cfg.Interval))
@@ -240,28 +253,81 @@ func TestWatchdogBacklogGrowth(t *testing.T) {
 	WaitAllOf(fs)
 }
 
-// TestWatchdogStartStop: starting twice is a no-op, stopping twice is
-// safe, and Shutdown stops an active watchdog.
+// TestWatchdogDeadlockAgeIsClockTime drives sweep over a real Wait
+// cycle with sweeps landing 1s apart, ten default Intervals late: the
+// no-progress run is measured by clock, so the deadlock is reported
+// once it has been observed for StallThreshold, at that age.
+func TestWatchdogDeadlockAgeIsClockTime(t *testing.T) {
+	rt := New(WithWorkers(2))
+	defer rt.Shutdown()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // breaks the cycle before Shutdown
+
+	var fa, fb *Future[int]
+	ready := make(chan struct{})
+	fa = AsyncF(rt, func() int { <-ready; _ = fb.WaitContext(ctx); return 1 })
+	fb = AsyncF(rt, func() int { <-ready; _ = fa.WaitContext(ctx); return 2 })
+	close(ready)
+
+	var log eventLog
+	cfg := WatchdogConfig{OnEvent: log.add}
+	wd := newWatchdog(rt, cfg)
+	cfg = wd.cfg // with defaults
+	now := time.Now()
+	for i := 0; i < 5; i++ {
+		time.Sleep(10 * time.Millisecond) // the waiters book help-poll idle time
+		wd.sweep(now.Add(time.Duration(i) * time.Second))
+	}
+	cancel()
+	fa.Wait()
+	fb.Wait()
+
+	// The synthetic clock also ages the two waiting tasks into stalls;
+	// only the deadlock report is under test.
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	var deadlocks []HealthEvent
+	for _, ev := range log.events {
+		if ev.Kind == HealthDeadlockSuspected {
+			deadlocks = append(deadlocks, ev)
+		}
+	}
+	if len(deadlocks) != 1 {
+		t.Fatalf("4s of observed wait cycle raised %v, want one deadlock_suspected", log.events)
+	}
+	if age := deadlocks[0].Age; age < cfg.StallThreshold || age > 4*time.Second {
+		t.Fatalf("deadlock age = %v, want the observed clock time in [%v, 4s]", age, cfg.StallThreshold)
+	}
+}
+
+// TestWatchdogStartStop: the watchdog is a policy on an engine its
+// caller owns — it sweeps once added to a started engine, keeps
+// sweeping harmlessly over a runtime that has shut down, and stops,
+// twice safely, with the engine.
 func TestWatchdogStartStop(t *testing.T) {
 	rt := New(WithWorkers(1))
-	rt.StartWatchdog(WatchdogConfig{Interval: time.Millisecond})
-	first := rt.wd
-	rt.StartWatchdog(WatchdogConfig{Interval: time.Millisecond})
-	if rt.wd != first {
-		t.Fatal("second StartWatchdog replaced the running watchdog")
+	var log eventLog
+	e := apex.NewEngine()
+	e.Start()
+	if err := e.Add(rt.Watchdog(WatchdogConfig{
+		Interval:       time.Millisecond,
+		StallThreshold: 10 * time.Millisecond,
+		OnEvent:        log.add,
+	})); err != nil {
+		t.Fatal(err)
 	}
-	rt.StopWatchdog()
-	rt.StopWatchdog() // idempotent
-	rt.StartWatchdog(WatchdogConfig{Interval: time.Millisecond})
-	rt.Shutdown() // must stop the watchdog
-	rt.wdMu.Lock()
-	if rt.wd != nil {
-		t.Fatal("Shutdown left the watchdog running")
+	AsyncF(rt, func() int { time.Sleep(60 * time.Millisecond); return 1 }).Wait()
+	rt.Shutdown()
+	time.Sleep(5 * time.Millisecond) // sweeps over the closed runtime
+	e.Stop()
+	e.Stop() // idempotent
+	if got := log.count(HealthStalledTask); got != 1 {
+		t.Fatalf("stalled_task events = %d, want 1 (%v)", got, log.events)
 	}
-	rt.wdMu.Unlock()
-	rt.StartWatchdog(WatchdogConfig{}) // after shutdown: no-op
-	if rt.wd != nil {
-		t.Fatal("StartWatchdog ran on a closed runtime")
+	events := rt.healthEvents.Load()
+	time.Sleep(5 * time.Millisecond)
+	if rt.healthEvents.Load() != events {
+		t.Fatal("the watchdog swept after its engine stopped")
 	}
 }
 
@@ -272,7 +338,7 @@ func TestWatchdogStartStop(t *testing.T) {
 func TestWatchdogOnEventPanicIsolated(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	var log eventLog
-	rt.StartWatchdog(WatchdogConfig{
+	wd := startWatchdog(t, rt, WatchdogConfig{
 		Interval:       3 * time.Millisecond,
 		StallThreshold: 25 * time.Millisecond,
 		OnEvent: func(ev HealthEvent) {
@@ -286,7 +352,7 @@ func TestWatchdogOnEventPanicIsolated(t *testing.T) {
 			return 1
 		}).Wait()
 	}
-	rt.StopWatchdog()
+	wd.Stop()
 
 	if got := log.count(HealthStalledTask); got != 2 {
 		t.Fatalf("stalled_task events after panics = %d, want 2 (%v)", got, log.events)

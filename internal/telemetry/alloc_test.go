@@ -68,12 +68,12 @@ func TestFlightRecordAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	fr := NewFlightRecorder(FlightConfig{Frames: 16, MaxCounters: 4})
-	vals := flightVals(8, 7) // > MaxCounters: truncation path included
+	fr := NewFlightRecorder()
+	vals := flightVals(frameValues+4, 7) // truncation path included
 	t0 := time.Unix(100, 0)
 	fr.triggerAt(t0, "alloc test") // burst path included
 	i := 0
-	n := testing.AllocsPerRun(200, func() {
+	n := testing.AllocsPerRun(ringFrames+100, func() { // wraps the ring
 		i++
 		fr.Record(t0.Add(time.Duration(i)*time.Millisecond), vals)
 	})
@@ -100,7 +100,7 @@ func TestCollectorSampleWithFlightAllocs(t *testing.T) {
 	}
 	s := NewSampler(4) // small ring: eviction path included
 	c := NewCollector(s, RegistrySource(reg, false), time.Second)
-	fr := NewFlightRecorder(FlightConfig{Frames: 32, MaxCounters: 16})
+	fr := NewFlightRecorder()
 	c.EnableFlight(fr)
 	c.TriggerFlight("alloc test")
 	for i := 0; i < 8; i++ { // warm the sampler's series map

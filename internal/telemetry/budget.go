@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/apex"
 	"repro/internal/core"
 )
 
@@ -79,34 +80,16 @@ type Budget struct {
 	// over it and at most one degrade/ease action is taken per window.
 	// Defaults to 1s.
 	Window time.Duration
-	// MaxInterval caps interval stretching (the last degradation
-	// stage). Defaults to 64× the collector's base interval.
-	MaxInterval time.Duration
-	// PromoteAfter is how many consecutive under-half-budget windows
-	// must pass before the controller eases one step back. Doubles
-	// (up to 32) every time an ease is followed promptly by another
-	// degrade — the anti-flap hysteresis. Defaults to 3.
-	PromoteAfter int
 }
 
-func (b Budget) withDefaults(base time.Duration) Budget {
-	if b.Fraction <= 0 {
-		b.Fraction = 0.01
-	}
-	if b.Window <= 0 {
-		b.Window = time.Second
-	}
-	if b.MaxInterval <= 0 {
-		b.MaxInterval = 64 * base
-	}
-	if b.MaxInterval < base {
-		b.MaxInterval = base
-	}
-	if b.PromoteAfter <= 0 {
-		b.PromoteAfter = 3
-	}
-	return b
-}
+// The controller's fixed ladder bounds: interval stretching stops at
+// maxStretch times the base interval, and easing needs calmWindows
+// consecutive under-half-budget windows (doubled by the band on a
+// flap).
+const (
+	maxStretch  = 64
+	calmWindows = 3
+)
 
 // BudgetControllerConfig wires a BudgetController to the thing it
 // regulates. Cost and BaseInterval are required; Levels/SetLevel are
@@ -143,22 +126,20 @@ type BudgetControllerConfig struct {
 // BudgetController is the closed loop: feed it Tick(now) at any cadence
 // (it acts at most once per Budget.Window) and it drives the measured
 // sampling overhead back under budget by demoting tiers, then
-// stretching the interval — and eases back out, reverse order, with
-// hysteresis. It is passive and time-explicit, so it works equally for
-// the local budgeted collector and perfmon's remote sampling loop, and
-// is deterministic under test.
+// stretching the interval — and eases back out, reverse order, through
+// an apex.Band: over budget degrades at once, calmWindows windows under
+// half the budget ease one step, and in between it holds. It is passive
+// and time-explicit, so it works equally for the local budgeted
+// collector and perfmon's remote sampling loop, and is deterministic
+// under test.
 type BudgetController struct {
 	cfg    BudgetControllerConfig
 	budget Budget
 
-	mu           sync.Mutex
-	lastTick     time.Time
-	lastCost     int64
-	level        int
-	interval     time.Duration
-	underCount   int
-	promoteAfter int
-	lastEase     time.Time
+	mu       sync.Mutex
+	band     apex.Band
+	lastTick time.Time
+	lastCost int64
 
 	overheadPPM    atomic.Int64
 	headroomPPM    atomic.Int64
@@ -182,123 +163,103 @@ func NewBudgetController(cfg BudgetControllerConfig) *BudgetController {
 	if cfg.Levels > 0 && cfg.SetLevel == nil {
 		panic("telemetry: Levels > 0 requires SetLevel")
 	}
-	b := cfg.Budget.withDefaults(cfg.BaseInterval)
-	bc := &BudgetController{
-		cfg:          cfg,
-		budget:       b,
-		interval:     cfg.BaseInterval,
-		promoteAfter: b.PromoteAfter,
+	b := cfg.Budget
+	if b.Fraction <= 0 {
+		b.Fraction = 0.01
 	}
+	if b.Window <= 0 {
+		b.Window = time.Second
+	}
+	bc := &BudgetController{cfg: cfg, budget: b}
+	bc.band = apex.Band{Low: b.Fraction / 2, High: b.Fraction, Calm: calmWindows,
+		Period: b.Window, Up: bc.ease, Down: bc.degrade}
 	bc.intervalNs.Store(cfg.BaseInterval.Nanoseconds())
 	bc.headroomPPM.Store(int64(b.Fraction * 1e6))
 	return bc
 }
 
-// Tick advances the control loop. Call it as often as convenient; a
-// decision is made only when a full Budget.Window has elapsed since the
-// last one. The first call only arms the window.
-func (bc *BudgetController) Tick(t time.Time) {
+// Tick advances the control loop and returns the step it took, or ""
+// — it is the controller's apex.Policy step. Call it as often as
+// convenient; a decision is made only when a full Budget.Window has
+// elapsed since the last one. The first call only arms the window.
+func (bc *BudgetController) Tick(t time.Time) string {
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
 	if bc.lastTick.IsZero() {
 		bc.lastTick = t
 		bc.lastCost = bc.cfg.Cost()
-		return
+		return ""
 	}
 	elapsed := t.Sub(bc.lastTick)
 	if elapsed < bc.budget.Window {
-		return
+		return ""
 	}
 	cur := bc.cfg.Cost()
 	delta := cur - bc.lastCost
 	bc.lastTick = t
 	bc.lastCost = cur
 	if delta < 0 { // cost meter was reset underneath us; re-arm
-		return
+		return ""
 	}
 	overhead := float64(delta) / float64(elapsed.Nanoseconds())
 	bc.overheadPPM.Store(int64(overhead * 1e6))
 	bc.headroomPPM.Store(int64((bc.budget.Fraction - overhead) * 1e6))
-	switch {
-	case overhead > bc.budget.Fraction:
-		bc.degradeLocked(t)
-	case overhead < bc.budget.Fraction/2:
-		bc.underCount++
-		if bc.underCount >= bc.promoteAfter {
-			bc.easeLocked(t)
-		}
-	default:
-		// Inside [half, full] budget: hold position. This dead band
-		// is half the hysteresis — the other half is PromoteAfter.
-		bc.underCount = 0
-	}
+	return bc.band.Step(t, overhead)
 }
 
-// degradeLocked sheds one step of sampling cost: demote the next tier
-// (debug before normal, never critical), and only once no tier is left
-// to demote, double the interval up to MaxInterval.
-func (bc *BudgetController) degradeLocked(t time.Time) {
-	bc.underCount = 0
-	// Flap guard: degrading right after easing means the ease was
-	// premature — require a longer calm stretch before the next one.
-	if !bc.lastEase.IsZero() && t.Sub(bc.lastEase) <= 2*bc.budget.Window {
-		if bc.promoteAfter < 32 {
-			bc.promoteAfter *= 2
-		}
-	}
+// degrade is the band's Down step (run under bc.mu): park the one
+// counter the attribution EWMA blames, else demote the next tier (debug
+// before normal, never critical), else double the interval up to
+// maxStretch times base. Fully saturated, it returns "": the budget
+// counters keep reporting the excess.
+func (bc *BudgetController) degrade() (did string) {
 	switch {
 	case bc.cfg.ShedCounter != nil && bc.cfg.ShedCounter():
-		// Surgical first: park the one counter the attribution EWMA
-		// blames, keeping the rest of its tier sampled.
 		bc.counterDemoted.Add(1)
-		bc.demotions.Add(1)
-	case bc.level < bc.cfg.Levels:
-		bc.level++
-		bc.levelNow.Store(int64(bc.level))
-		bc.cfg.SetLevel(bc.level)
-		bc.demotions.Add(1)
-	case bc.interval < bc.budget.MaxInterval:
-		bc.interval *= 2
-		if bc.interval > bc.budget.MaxInterval {
-			bc.interval = bc.budget.MaxInterval
-		}
-		bc.intervalNs.Store(bc.interval.Nanoseconds())
-		if bc.cfg.SetInterval != nil {
-			bc.cfg.SetInterval(bc.interval)
-		}
+		did = "park counter"
+	case bc.Level() < bc.cfg.Levels:
+		did = bc.setLevel(bc.Level() + 1)
+	case bc.Interval() < maxStretch*bc.cfg.BaseInterval:
+		did = bc.setInterval(min(2*bc.Interval(), maxStretch*bc.cfg.BaseInterval))
+	}
+	if did != "" {
 		bc.demotions.Add(1)
 	}
-	// Fully saturated (critical-only at MaxInterval): nothing left to
-	// shed; the budget counters keep reporting the excess.
+	return did
 }
 
-// easeLocked restores one step, reverse of degradation: shrink a
-// stretched interval back toward base first, then promote tiers.
-func (bc *BudgetController) easeLocked(t time.Time) {
-	bc.underCount = 0
-	bc.lastEase = t
+// ease is the band's Up step (run under bc.mu), the reverse ladder:
+// shrink a stretched interval toward base, then promote tiers, and
+// restore parked counters last — they were the single most expensive,
+// so they are the first to re-blow the budget.
+func (bc *BudgetController) ease() (did string) {
 	switch {
-	case bc.interval > bc.cfg.BaseInterval:
-		bc.interval /= 2
-		if bc.interval < bc.cfg.BaseInterval {
-			bc.interval = bc.cfg.BaseInterval
-		}
-		bc.intervalNs.Store(bc.interval.Nanoseconds())
-		if bc.cfg.SetInterval != nil {
-			bc.cfg.SetInterval(bc.interval)
-		}
-		bc.promotions.Add(1)
-	case bc.level > 0:
-		bc.level--
-		bc.levelNow.Store(int64(bc.level))
-		bc.cfg.SetLevel(bc.level)
-		bc.promotions.Add(1)
+	case bc.Interval() > bc.cfg.BaseInterval:
+		did = bc.setInterval(max(bc.Interval()/2, bc.cfg.BaseInterval))
+	case bc.Level() > 0:
+		did = bc.setLevel(bc.Level() - 1)
 	case bc.cfg.RestoreCounter != nil && bc.cfg.RestoreCounter():
-		// Parked counters come back last — they were the single most
-		// expensive, so they are the first to re-blow the budget.
 		bc.counterDemoted.Add(-1)
+		did = "restore counter"
+	}
+	if did != "" {
 		bc.promotions.Add(1)
 	}
+	return did
+}
+
+func (bc *BudgetController) setLevel(l int) string {
+	bc.levelNow.Store(int64(l))
+	bc.cfg.SetLevel(l)
+	return fmt.Sprintf("demotion level %d", l)
+}
+
+func (bc *BudgetController) setInterval(d time.Duration) string {
+	bc.intervalNs.Store(d.Nanoseconds())
+	if bc.cfg.SetInterval != nil {
+		bc.cfg.SetInterval(d)
+	}
+	return "interval " + d.String()
 }
 
 // OverheadPPM returns the last window's measured sampling overhead in
@@ -521,10 +482,8 @@ type BudgetedCollector struct {
 	*Collector
 	Controller *BudgetController
 
-	tiers *tieredSource
-
-	mu      sync.Mutex
-	control *core.Ticker
+	tiers   *tieredSource
+	control *apex.Engine
 }
 
 // NewBudgetedCollector samples reg's active set into s every interval,
@@ -550,12 +509,16 @@ func NewBudgetedCollector(s *Sampler, reg *core.Registry, interval time.Duration
 		ShedCounter:    ts.parkMostExpensive,
 		RestoreCounter: ts.unparkLast,
 	})
-	bc := &BudgetedCollector{Collector: col, Controller: ctl, tiers: ts}
+	// Step at half the window so a full window is always seen within
+	// one period of elapsing; the controller itself acts at most once
+	// per window.
+	control := apex.NewEngine()
+	_ = control.Add(apex.Policy{Name: "telemetry-budget", Period: ctl.budget.Window / 2, Step: ctl.Tick})
 	ts.burst = func() bool {
 		fr := col.flight.Load()
 		return fr != nil && fr.Bursting()
 	}
-	return bc
+	return &BudgetedCollector{Collector: col, Controller: ctl, tiers: ts, control: control}
 }
 
 // DemotedCounters lists the individually parked counters, most recent
@@ -565,26 +528,11 @@ func (bc *BudgetedCollector) DemotedCounters() []string { return bc.tiers.demote
 // Start begins sampling and the control loop (idempotent).
 func (bc *BudgetedCollector) Start() {
 	bc.Collector.Start()
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if bc.control == nil {
-		// Tick at half the window so a full window is always seen
-		// within one period of elapsing; the controller itself acts
-		// at most once per window.
-		period := bc.Controller.budget.Window / 2
-		bc.control = core.Every(period, func(now time.Time) time.Duration {
-			bc.Controller.Tick(now)
-			return period
-		})
-	}
+	bc.control.Start()
 }
 
 // Stop ends the control loop and sampling (idempotent).
 func (bc *BudgetedCollector) Stop() {
-	bc.mu.Lock()
-	t := bc.control
-	bc.control = nil
-	bc.mu.Unlock()
-	t.Stop()
+	bc.control.Stop()
 	bc.Collector.Stop()
 }

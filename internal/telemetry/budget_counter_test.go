@@ -119,7 +119,7 @@ func TestControllerShedsCounterBeforeTier(t *testing.T) {
 	var shed, restored, level int
 	cost := int64(0)
 	bc := NewBudgetController(BudgetControllerConfig{
-		Budget:       Budget{Fraction: 0.01, Window: time.Second, PromoteAfter: 1},
+		Budget:       Budget{Fraction: 0.01, Window: time.Second},
 		BaseInterval: 100 * time.Millisecond,
 		Cost:         func() int64 { return cost },
 		Levels:       2,
@@ -146,8 +146,10 @@ func TestControllerShedsCounterBeforeTier(t *testing.T) {
 		cost += int64(0.02 * 1e9) // 2% of one core for the window
 		bc.Tick(t0.Add(time.Duration(sec) * time.Second))
 	}
-	under := func(sec int) {
-		bc.Tick(t0.Add(time.Duration(sec) * time.Second))
+	under := func(sec int) { // calmWindows calm windows: one ease
+		for w := 0; w < calmWindows; w++ {
+			bc.Tick(t0.Add(time.Duration(sec*calmWindows+w) * time.Second))
+		}
 	}
 
 	// Two over-budget windows park two counters; the tier is untouched.
@@ -190,7 +192,7 @@ func TestBudgetedCollectorParksExpensiveCounter(t *testing.T) {
 	reg, slow := newAttributionFixture(t)
 	s := NewSampler(64)
 	bc := NewBudgetedCollector(s, reg, 10*time.Millisecond,
-		Budget{Fraction: 0.0001, Window: 50 * time.Millisecond, PromoteAfter: 1000}, false)
+		Budget{Fraction: 0.0001, Window: 50 * time.Millisecond}, false)
 
 	// Drive sampling + control synchronously (no goroutines): arm the
 	// window, warm the attribution (accruing metered cost), then tick

@@ -134,15 +134,15 @@ func TestTieredSourceLevels(t *testing.T) {
 
 // TestBudgetControllerDemotionOrder drives the controller with a
 // synthetic cost source and asserts the exact degradation ladder:
-// debug demoted first, then normal, then interval doubling — and
-// critical is never dropped (level never exceeds Levels).
+// debug demoted first, then normal, then interval doubling up to 64×
+// base — and critical is never dropped (level never exceeds Levels).
 func TestBudgetControllerDemotionOrder(t *testing.T) {
 	var cost int64
 	var levels []int
 	var intervals []time.Duration
 	base := 10 * time.Millisecond
 	bc := NewBudgetController(BudgetControllerConfig{
-		Budget:       Budget{Fraction: 0.01, Window: time.Second, MaxInterval: 40 * time.Millisecond},
+		Budget:       Budget{Fraction: 0.01, Window: time.Second},
 		BaseInterval: base,
 		Cost:         func() int64 { return cost },
 		SetInterval:  func(d time.Duration) { intervals = append(intervals, d) },
@@ -151,26 +151,28 @@ func TestBudgetControllerDemotionOrder(t *testing.T) {
 	})
 	t0 := time.Unix(0, 0)
 	bc.Tick(t0) // arm
-	for i := 1; i <= 6; i++ {
+	for i := 1; i <= 8; i++ {
 		cost += int64(100 * time.Millisecond) // 10% of one core: far over 1%
 		bc.Tick(t0.Add(time.Duration(i) * time.Second))
 	}
 	if want := []int{1, 2}; len(levels) != 2 || levels[0] != 1 || levels[1] != 2 {
 		t.Fatalf("level sequence = %v, want %v (debug first, then normal, never critical)", levels, want)
 	}
-	if len(intervals) != 2 || intervals[0] != 20*time.Millisecond || intervals[1] != 40*time.Millisecond {
-		t.Fatalf("interval sequence = %v, want [20ms 40ms] (doubling after tiers exhausted)", intervals)
+	if len(intervals) != 6 || intervals[0] != 20*time.Millisecond || intervals[5] != 640*time.Millisecond {
+		t.Fatalf("interval sequence = %v, want [20ms .. 640ms] (doubling after tiers exhausted)", intervals)
 	}
 	if bc.Level() != 2 {
 		t.Fatalf("final level = %d, want 2 (critical tier still sampled)", bc.Level())
 	}
-	if bc.Demotions() != 4 {
-		t.Fatalf("demotions = %d, want 4", bc.Demotions())
+	if bc.Demotions() != 8 {
+		t.Fatalf("demotions = %d, want 8", bc.Demotions())
 	}
 	// Saturated: further over-budget windows change nothing.
 	cost += int64(100 * time.Millisecond)
-	bc.Tick(t0.Add(7 * time.Second))
-	if bc.Level() != 2 || bc.Interval() != 40*time.Millisecond {
+	if did := bc.Tick(t0.Add(9 * time.Second)); did != "" {
+		t.Fatalf("saturated step = %q, want \"\"", did)
+	}
+	if bc.Level() != 2 || bc.Interval() != 640*time.Millisecond {
 		t.Fatal("saturated controller kept degrading")
 	}
 	if bc.HeadroomPPM() >= 0 {
@@ -178,7 +180,7 @@ func TestBudgetControllerDemotionOrder(t *testing.T) {
 	}
 }
 
-// TestBudgetControllerPromotionHysteresis: easing requires PromoteAfter
+// TestBudgetControllerPromotionHysteresis: easing requires calmWindows
 // consecutive under-half-budget windows, restores in reverse order
 // (interval first, then tiers), and a degrade right after an ease
 // doubles the required calm stretch.
@@ -186,7 +188,7 @@ func TestBudgetControllerPromotionHysteresis(t *testing.T) {
 	var cost int64
 	base := 10 * time.Millisecond
 	bc := NewBudgetController(BudgetControllerConfig{
-		Budget:       Budget{Fraction: 0.01, Window: time.Second, MaxInterval: 20 * time.Millisecond, PromoteAfter: 2},
+		Budget:       Budget{Fraction: 0.01, Window: time.Second},
 		BaseInterval: base,
 		Cost:         func() int64 { return cost },
 		SetInterval:  func(time.Duration) {},
@@ -210,36 +212,38 @@ func TestBudgetControllerPromotionHysteresis(t *testing.T) {
 	if bc.Level() != 2 || bc.Interval() != 20*time.Millisecond {
 		t.Fatalf("setup: level=%d interval=%v", bc.Level(), bc.Interval())
 	}
-	// One calm window is not enough (PromoteAfter=2).
-	i++
-	tick(i, calm)
-	if bc.Interval() != 20*time.Millisecond {
-		t.Fatal("eased after a single calm window despite PromoteAfter=2")
+	// calmWindows-1 calm windows are not enough.
+	for n := 0; n < calmWindows-1; n++ {
+		i++
+		tick(i, calm)
 	}
-	// Second calm window: interval restores first.
+	if bc.Interval() != 20*time.Millisecond {
+		t.Fatal("eased before calmWindows calm windows")
+	}
+	// The calmWindows-th calm window: interval restores first.
 	i++
 	tick(i, calm)
 	if bc.Interval() != base || bc.Level() != 2 {
 		t.Fatalf("first ease: interval=%v level=%d, want %v/2 (interval restores before tiers)",
 			bc.Interval(), bc.Level(), base)
 	}
-	// Immediate re-degrade = flap: PromoteAfter doubles to 4.
+	// Immediate re-degrade = flap: the calm requirement doubles.
 	i++
 	tick(i, over)
 	if bc.Interval() != 20*time.Millisecond {
 		t.Fatal("flap did not re-stretch the interval")
 	}
-	for n := 0; n < 3; n++ {
+	for n := 0; n < 2*calmWindows-1; n++ {
 		i++
 		tick(i, calm)
 	}
 	if bc.Interval() == base {
-		t.Fatalf("eased after 3 calm windows; flap backoff should require 4")
+		t.Fatalf("eased after %d calm windows; flap backoff should require %d", 2*calmWindows-1, 2*calmWindows)
 	}
 	i++
 	tick(i, calm)
 	if bc.Interval() != base {
-		t.Fatal("4th calm window after flap should have eased the interval")
+		t.Fatal("doubled calm stretch after flap should have eased the interval")
 	}
 	if bc.Promotions() != 2 {
 		t.Fatalf("promotions = %d, want 2", bc.Promotions())

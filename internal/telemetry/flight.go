@@ -28,41 +28,17 @@ import (
 	"repro/internal/core"
 )
 
-// FlightConfig sizes the recorder.
-type FlightConfig struct {
-	// Frames is the ring capacity. Default 512.
-	Frames int
-	// MaxCounters is the per-frame value capacity; values beyond it
-	// are dropped (counted in truncated). Default 256.
-	MaxCounters int
-	// Burst is the rate multiplier during a burst window (the
-	// collector samples at interval/Burst). Default and floor 10.
-	Burst int
-	// Window is how long a burst lasts. Default 2s.
-	Window time.Duration
-	// Cooldown suppresses new triggers after a burst ends. Default =
-	// Window.
-	Cooldown time.Duration
-}
-
-func (c FlightConfig) withDefaults() FlightConfig {
-	if c.Frames <= 0 {
-		c.Frames = 512
-	}
-	if c.MaxCounters <= 0 {
-		c.MaxCounters = 256
-	}
-	if c.Burst < 10 {
-		c.Burst = 10
-	}
-	if c.Window <= 0 {
-		c.Window = 2 * time.Second
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = c.Window
-	}
-	return c
-}
+// The recorder's fixed sizing: a ring of ringFrames frames of up to
+// frameValues values each (values beyond are dropped and counted in
+// truncated); a burst samples at burstFactor times the base rate for
+// burstWindow, and then suppresses new triggers for burstCooldown.
+const (
+	ringFrames    = 512
+	frameValues   = 256
+	burstFactor   = 10
+	burstWindow   = 2 * time.Second
+	burstCooldown = 2 * time.Second
+)
 
 // flight recorder states.
 const (
@@ -83,8 +59,6 @@ type flightFrame struct {
 // FlightRecorder is the ring plus its burst state machine. All methods
 // are safe for concurrent use.
 type FlightRecorder struct {
-	cfg FlightConfig
-
 	mu        sync.Mutex
 	frames    []flightFrame
 	next      int
@@ -97,23 +71,19 @@ type FlightRecorder struct {
 	triggers   atomic.Int64 // accepted (armed or coalesced)
 	suppressed atomic.Int64 // rejected during cooldown
 	recorded   atomic.Int64 // frames recorded, cumulative
-	truncated  atomic.Int64 // values dropped for exceeding MaxCounters
+	truncated  atomic.Int64 // values dropped for exceeding frameValues
 	bursting   atomic.Int64 // 0/1 gauge
 }
 
 // NewFlightRecorder pre-allocates the ring; nothing on the Record or
 // Trigger path allocates afterwards.
-func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	cfg = cfg.withDefaults()
-	fr := &FlightRecorder{cfg: cfg, frames: make([]flightFrame, cfg.Frames)}
+func NewFlightRecorder() *FlightRecorder {
+	fr := &FlightRecorder{frames: make([]flightFrame, ringFrames)}
 	for i := range fr.frames {
-		fr.frames[i].vals = make([]core.Value, 0, cfg.MaxCounters)
+		fr.frames[i].vals = make([]core.Value, 0, frameValues)
 	}
 	return fr
 }
-
-// Config returns the recorder's effective (defaulted) configuration.
-func (fr *FlightRecorder) Config() FlightConfig { return fr.cfg }
 
 // advanceLocked moves the state machine to time t.
 func (fr *FlightRecorder) advanceLocked(t time.Time) {
@@ -124,7 +94,7 @@ func (fr *FlightRecorder) advanceLocked(t time.Time) {
 				return
 			}
 			fr.state = flightCooldown
-			fr.stateEnds = fr.stateEnds.Add(fr.cfg.Cooldown)
+			fr.stateEnds = fr.stateEnds.Add(burstCooldown)
 			fr.bursting.Store(0)
 		case flightCooldown:
 			if t.Before(fr.stateEnds) {
@@ -153,7 +123,7 @@ func (fr *FlightRecorder) triggerAt(t time.Time, reason string) bool {
 	switch fr.state {
 	case flightIdle:
 		fr.state = flightBurst
-		fr.stateEnds = t.Add(fr.cfg.Window)
+		fr.stateEnds = t.Add(burstWindow)
 		fr.trigAt = t
 		fr.trigWhy = reason
 		fr.bursting.Store(1)
@@ -169,7 +139,7 @@ func (fr *FlightRecorder) triggerAt(t time.Time, reason string) bool {
 }
 
 // Bursting reports whether the recorder is inside a burst window; the
-// collector samples at interval/Burst while it is.
+// collector samples at BurstInterval while it is.
 func (fr *FlightRecorder) Bursting() bool { return fr.burstingAt(time.Now()) }
 
 func (fr *FlightRecorder) burstingAt(t time.Time) bool {
@@ -181,10 +151,10 @@ func (fr *FlightRecorder) burstingAt(t time.Time) bool {
 }
 
 // BurstInterval returns the sampling interval to use while bursting,
-// given the collector's base interval: base/Burst, floored at 50µs so a
-// pathological base cannot spin the loop.
+// given the collector's base interval: base/burstFactor, floored at 50µs
+// so a pathological base cannot spin the loop.
 func (fr *FlightRecorder) BurstInterval(base time.Duration) time.Duration {
-	d := base / time.Duration(fr.cfg.Burst)
+	d := base / burstFactor
 	if d < 50*time.Microsecond {
 		d = 50 * time.Microsecond
 	}

@@ -25,9 +25,7 @@ func flightVals(n int, raw int64) []core.Value {
 // cooldown (where triggers are suppressed — the anti-flap hysteresis),
 // and cooldown lapses back to idle where a new trigger arms again.
 func TestFlightStateMachine(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{
-		Frames: 32, Window: time.Second, Cooldown: 2 * time.Second,
-	})
+	fr := NewFlightRecorder()
 	t0 := time.Unix(100, 0)
 
 	fr.Record(t0, flightVals(2, 1)) // pre-trigger context
@@ -46,16 +44,16 @@ func TestFlightStateMachine(t *testing.T) {
 	}
 	fr.Record(t0.Add(300*time.Millisecond), flightVals(2, 2))
 	fr.Record(t0.Add(400*time.Millisecond), flightVals(2, 3))
-	// Window ends 1s after the trigger; cooldown runs 2s more.
-	if fr.burstingAt(t0.Add(1200 * time.Millisecond)) {
+	// Window ends 2s after the trigger; cooldown runs 2s more.
+	if fr.burstingAt(t0.Add(2200 * time.Millisecond)) {
 		t.Fatal("still bursting past the window")
 	}
-	if fr.triggerAt(t0.Add(1500*time.Millisecond), "flappy") {
+	if fr.triggerAt(t0.Add(2500*time.Millisecond), "flappy") {
 		t.Fatal("cooldown trigger not suppressed")
 	}
-	fr.Record(t0.Add(1500*time.Millisecond), flightVals(2, 4))
-	// Past cooldown (trigger+window+cooldown = t0+3.1s): idle again.
-	if !fr.triggerAt(t0.Add(3500*time.Millisecond), "second_episode") {
+	fr.Record(t0.Add(2500*time.Millisecond), flightVals(2, 4))
+	// Past cooldown (trigger+window+cooldown = t0+4.1s): idle again.
+	if !fr.triggerAt(t0.Add(4500*time.Millisecond), "second_episode") {
 		t.Fatal("post-cooldown trigger rejected")
 	}
 
@@ -84,34 +82,35 @@ func TestFlightStateMachine(t *testing.T) {
 	}
 }
 
-// TestFlightRingWraps: the ring keeps the newest Frames frames, oldest
-// first in the dump.
+// TestFlightRingWraps: the ring keeps the newest ringFrames frames,
+// oldest first in the dump.
 func TestFlightRingWraps(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Frames: 8})
+	fr := NewFlightRecorder()
 	t0 := time.Unix(100, 0)
-	for i := 0; i < 20; i++ {
+	const n = ringFrames + 12
+	for i := 0; i < n; i++ {
 		fr.Record(t0.Add(time.Duration(i)*time.Millisecond), flightVals(1, int64(i)))
 	}
 	d := fr.Snapshot()
-	if d.Frames != 8 {
-		t.Fatalf("frames = %d, want 8", d.Frames)
+	if d.Frames != ringFrames {
+		t.Fatalf("frames = %d, want %d", d.Frames, ringFrames)
 	}
-	if first, last := d.Ring[0].Values[0].Value, d.Ring[7].Values[0].Value; first != 12 || last != 19 {
-		t.Fatalf("ring holds [%g..%g], want [12..19] oldest-first", first, last)
+	if first, last := d.Ring[0].Values[0].Value, d.Ring[ringFrames-1].Values[0].Value; first != 12 || last != n-1 {
+		t.Fatalf("ring holds [%g..%g], want [12..%d] oldest-first", first, last, n-1)
 	}
-	if fr.Recorded() != 20 {
-		t.Fatalf("recorded = %d, want 20", fr.Recorded())
+	if fr.Recorded() != n {
+		t.Fatalf("recorded = %d, want %d", fr.Recorded(), n)
 	}
 }
 
-// TestFlightTruncation: a batch larger than MaxCounters is clipped and
+// TestFlightTruncation: a batch larger than frameValues is clipped and
 // counted, never grown (the record path may not allocate).
 func TestFlightTruncation(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Frames: 4, MaxCounters: 3})
-	fr.Record(time.Unix(1, 0), flightVals(10, 1))
+	fr := NewFlightRecorder()
+	fr.Record(time.Unix(1, 0), flightVals(frameValues+7, 1))
 	d := fr.Snapshot()
-	if len(d.Ring[0].Values) != 3 {
-		t.Fatalf("frame holds %d values, want 3", len(d.Ring[0].Values))
+	if len(d.Ring[0].Values) != frameValues {
+		t.Fatalf("frame holds %d values, want %d", len(d.Ring[0].Values), frameValues)
 	}
 	if d.Truncated != 7 {
 		t.Fatalf("truncated = %d, want 7", d.Truncated)
@@ -120,15 +119,12 @@ func TestFlightTruncation(t *testing.T) {
 
 // TestFlightBurstInterval: ≥10× the base rate, with a floor.
 func TestFlightBurstInterval(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{})
+	fr := NewFlightRecorder()
 	if got := fr.BurstInterval(100 * time.Millisecond); got != 10*time.Millisecond {
 		t.Fatalf("burst interval = %v, want 10ms", got)
 	}
 	if got := fr.BurstInterval(100 * time.Microsecond); got != 50*time.Microsecond {
 		t.Fatalf("burst interval floor = %v, want 50µs", got)
-	}
-	if cfg := fr.Config(); cfg.Burst < 10 {
-		t.Fatalf("default burst multiplier = %d, want >= 10", cfg.Burst)
 	}
 }
 
@@ -136,7 +132,7 @@ func TestFlightBurstInterval(t *testing.T) {
 // a header plus one row per value, with commas in trigger reasons
 // quoted.
 func TestFlightDumpFormats(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Frames: 8})
+	fr := NewFlightRecorder()
 	t0 := time.Unix(100, 0)
 	fr.Record(t0, flightVals(2, 7))
 	fr.triggerAt(t0.Add(time.Millisecond), "stalled, worker#0")
@@ -175,7 +171,7 @@ func TestFlightDumpFormats(t *testing.T) {
 func TestFlightHTTP(t *testing.T) {
 	s := NewSampler(8)
 	s.Observe("/threads{locality#0/total}/count/cumulative", Point{Time: time.Unix(1, 0), Value: 1})
-	fr := NewFlightRecorder(FlightConfig{Frames: 8})
+	fr := NewFlightRecorder()
 	fr.Record(time.Unix(100, 0), flightVals(1, 42))
 	srv := httptest.NewServer(Handler(s, WithFlight(fr)))
 	defer srv.Close()
@@ -232,7 +228,7 @@ func TestCollectorFlightBurst(t *testing.T) {
 	s := NewSampler(64)
 	// Base 200ms: without the burst, ~2 frames land in 500ms.
 	c := NewCollector(s, RegistrySource(reg, false), 200*time.Millisecond)
-	fr := NewFlightRecorder(FlightConfig{Frames: 256, Window: 450 * time.Millisecond})
+	fr := NewFlightRecorder()
 	c.EnableFlight(fr)
 	if c.Flight() != fr {
 		t.Fatal("Flight() does not return the attached recorder")
@@ -245,7 +241,7 @@ func TestCollectorFlightBurst(t *testing.T) {
 	}
 	time.Sleep(500 * time.Millisecond)
 	d := fr.Snapshot()
-	// 450ms window at 20ms burst cadence ≈ 22 frames; ≥10 proves the
+	// 500ms of the 2s window at 20ms burst cadence ≈ 25 frames; ≥10 proves the
 	// ≥10× escalation against the 2 base-rate frames.
 	if d.Burst < 10 {
 		t.Fatalf("burst frames in window = %d, want >= 10 (≥10× base rate)", d.Burst)
@@ -263,7 +259,7 @@ func TestCollectorFlightBurst(t *testing.T) {
 // TestFlightRecordConcurrent: Record/Trigger/Snapshot race-free under
 // concurrent use (meaningful under -race).
 func TestFlightRecordConcurrent(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Frames: 64})
+	fr := NewFlightRecorder()
 	var wg sync.WaitGroup
 	t0 := time.Unix(100, 0)
 	for g := 0; g < 4; g++ {

@@ -65,14 +65,36 @@ func ticks(body *ast.BlockStmt) bool {
 	return found
 }
 
+// callsEvery reports whether a function body starts a core.Every loop.
+func callsEvery(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			switch fn := call.Fun.(type) {
+			case *ast.SelectorExpr:
+				pkg, ok := fn.X.(*ast.Ident)
+				found = found || ok && pkg.Name == "core" && fn.Sel.Name == "Every"
+			case *ast.Ident: // inside package core
+				found = found || fn.Name == "Every"
+			}
+		}
+		return !found
+	})
+	return found
+}
+
 // TestOnePeriodicLoop pins where periodic work is scheduled: every
 // background loop under internal/ and cmd/ runs on core.Every, so the
 // only functions that drive a clock themselves are Every's own loop,
 // the parcel client's heartbeat (it starts and stops with pending
 // waits, and each beat is a blocking round trip) and Runtime.Shutdown's
-// re-notify handshake. A new hand-rolled ticker loop fails here.
+// re-notify handshake. A new hand-rolled ticker loop fails here. It
+// also pins who calls core.Every: the apex engine, which runs every
+// measure→decide→act policy (the budget controller, the watchdog, the
+// idle throttle), and the sampling and housekeeping loops that only
+// measure or sweep.
 func TestOnePeriodicLoop(t *testing.T) {
-	var got []string
+	var got, every []string
 	fset := token.NewFileSet()
 	for _, root := range []string{"internal", "cmd"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -85,14 +107,20 @@ func TestOnePeriodicLoop(t *testing.T) {
 			}
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || !ticks(fd.Body) {
+				if !ok || fd.Body == nil {
 					continue
 				}
 				name := fd.Name.Name
 				if fd.Recv != nil {
 					name = "(" + types.ExprString(fd.Recv.List[0].Type) + ")." + name
 				}
-				got = append(got, filepath.ToSlash(path)+" "+name)
+				name = filepath.ToSlash(path) + " " + name
+				if ticks(fd.Body) {
+					got = append(got, name)
+				}
+				if callsEvery(fd.Body) {
+					every = append(every, name)
+				}
 			}
 			return nil
 		})
@@ -109,5 +137,17 @@ func TestOnePeriodicLoop(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("functions running their own periodic loop:\n  %s\nwant exactly:\n  %s\nschedule periodic work with core.Every",
 			strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+	sort.Strings(every)
+	wantEvery := []string{
+		"internal/apex/apex.go (*Engine).every",
+		"internal/core/statistics.go (*StatisticsCounter).Start",
+		"internal/parcel/spawn.go (*spawnTable).reaper",
+		"internal/perfcli/perfcli.go (*Options).Start",
+		"internal/telemetry/telemetry.go (*Collector).Start",
+	}
+	if strings.Join(every, "\n") != strings.Join(wantEvery, "\n") {
+		t.Fatalf("functions calling core.Every:\n  %s\nwant exactly:\n  %s\na measure→decide→act loop is an apex.Policy on an apex.Engine",
+			strings.Join(every, "\n  "), strings.Join(wantEvery, "\n  "))
 	}
 }
