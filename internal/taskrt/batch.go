@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sync/atomic"
-	"time"
 )
 
 // Batch spawn: launching the N children of a wide node as one scheduler
@@ -53,7 +52,7 @@ func SpawnBatchWith[T any](rt *Runtime, o SpawnOptions, fns []func() T) []*Futur
 	tr := rt.loadTracer()
 	var depth, nowNs int64
 	if tr != nil || w != nil {
-		nowNs = time.Now().UnixNano()
+		nowNs = nanotime()
 		if w != nil {
 			depth = w.spawnDepthNs(nowNs)
 		}

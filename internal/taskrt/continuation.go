@@ -48,7 +48,7 @@ func WhenAny(rt *Runtime, fs ...Waiter) *Future[int] {
 			// if on a worker; otherwise back off briefly.
 			if w := rt.currentWorker(); w != nil {
 				if t := w.find(); t != nil {
-					w.executeInline(t)
+					w.executeInline(t, nanotime())
 					continue
 				}
 			}

@@ -223,13 +223,13 @@ func SpawnWith[T any](rt *Runtime, o SpawnOptions, fn func() T) *Future[T] {
 	// causal identity (only while tracing): both need one clock read;
 	// with tracing off and an external caller neither is taken.
 	if tr := rt.loadTracer(); tr != nil {
-		nowNs := time.Now().UnixNano()
+		nowNs := nanotime()
 		if w != nil {
 			f.depthNs = w.spawnDepthNs(nowNs)
 		}
 		f.meta = tr.newMeta(w, nowNs, 3)
 	} else if w != nil {
-		f.depthNs = w.spawnDepthNs(time.Now().UnixNano())
+		f.depthNs = w.spawnDepthNs(nanotime())
 	}
 	ctx := o.Ctx
 	if ctx == nil && w != nil {
@@ -273,7 +273,7 @@ func SpawnWith[T any](rt *Runtime, o SpawnOptions, fn func() T) *Future[T] {
 			// Adaptive inlining: the task is cheaper to run here than
 			// to schedule, by the runtime's own measurement.
 			rt.grainInlined.Add(1)
-			w.executeInline(&f.task)
+			w.executeInline(&f.task, nanotime())
 			return f
 		}
 		if rt.adaptiveInline {
@@ -299,7 +299,7 @@ func AsyncF[T any](rt *Runtime, fn func() T) *Future[T] {
 // goroutine otherwise.
 func runOn(w *worker, rt *Runtime, t *task) {
 	if w != nil && w.rt == rt {
-		w.executeInline(t)
+		w.executeInline(t, nanotime())
 	} else {
 		t.exec()
 	}

@@ -23,12 +23,12 @@ type workerMetrics struct {
 	overheadNs     atomic.Int64 // cumulative scheduling overhead
 	idleNs         atomic.Int64 // cumulative parked time
 	stolen         atomic.Int64 // tasks this worker stole from others
-	parkedSince    atomic.Int64 // wall-clock ns when the current park began; 0 if running
+	parkedSince    atomic.Int64 // nanotime when the current park began; 0 if running
 	pendingPeak    atomic.Int64 // high-water mark of the local queue
-	started        atomic.Int64 // wall-clock ns when the worker started
+	started        atomic.Int64 // nanotime when the worker started (or idle-rate was reset)
 	active         atomic.Int64 // 1 while executing a task
 	inlineExecuted atomic.Int64 // tasks run inline (Fork/Sync/helping)
-	taskStartNs    atomic.Int64 // wall-clock ns the current task began; 0 if idle
+	taskStartNs    atomic.Int64 // nanotime the current task began; 0 if idle
 	healthStalled  atomic.Int64 // stalled_task events attributed to this worker
 	healthStarved  atomic.Int64 // starved_worker events attributed to this worker
 	spanMaxNs      atomic.Int64 // running max of task completion depth (online span estimate)
@@ -41,6 +41,25 @@ func (m *workerMetrics) notePending(n int) {
 		if int64(n) <= old || m.pendingPeak.CompareAndSwap(old, int64(n)) {
 			return
 		}
+	}
+}
+
+// idleAt returns the parked time up to nowNs, including a park still in
+// progress: the one read behind both time/idle and idle-rate.
+func (m *workerMetrics) idleAt(nowNs int64) int64 {
+	i := m.idleNs.Load()
+	if since := m.parkedSince.Load(); since != 0 && nowNs > since {
+		i += nowNs - since
+	}
+	return i
+}
+
+// resetIdle zeroes the parked time as of nowNs, restarting a park in
+// progress there. The CAS leaves a park that ended meanwhile ended.
+func (m *workerMetrics) resetIdle(nowNs int64) {
+	m.idleNs.Store(0)
+	if since := m.parkedSince.Load(); since != 0 {
+		m.parkedSince.CompareAndSwap(since, nowNs)
 	}
 }
 
@@ -101,8 +120,8 @@ func (rt *Runtime) RegisterCounters(reg *core.Registry) error {
 			func(m *workerMetrics) int64 { return m.inlineExecuted.Load() },
 			func(m *workerMetrics) { m.inlineExecuted.Store(0) }},
 		{"time/idle", "cumulative parked time", core.UnitNanoseconds,
-			func(m *workerMetrics) int64 { return m.idleNs.Load() },
-			func(m *workerMetrics) { m.idleNs.Store(0) }},
+			func(m *workerMetrics) int64 { return m.idleAt(nanotime()) },
+			func(m *workerMetrics) { m.resetIdle(nanotime()) }},
 	}
 
 	register := func(name core.Name, info core.Info, workers []int,
@@ -213,27 +232,20 @@ func (rt *Runtime) RegisterCounters(reg *core.Registry) error {
 		return reg.Register(newRatioCounter(name, idleInfo,
 			func() (int64, int64) {
 				var idle, wall int64
-				nowNs := time.Now().UnixNano()
+				nowNs := nanotime()
 				for _, w := range ws {
 					m := &rt.workers[w].metrics
-					i := m.idleNs.Load()
-					if since := m.parkedSince.Load(); since != 0 && nowNs > since {
-						i += nowNs - since // park still in progress
-					}
-					idle += i * 10000
+					idle += m.idleAt(nowNs) * 10000
 					wall += nowNs - m.started.Load()
 				}
 				return idle, wall
 			},
 			func() {
-				nowNs := time.Now().UnixNano()
+				nowNs := nanotime()
 				for _, w := range ws {
 					m := &rt.workers[w].metrics
-					m.idleNs.Store(0)
+					m.resetIdle(nowNs)
 					m.started.Store(nowNs)
-					if m.parkedSince.Load() != 0 {
-						m.parkedSince.Store(nowNs) // restart the in-progress park
-					}
 				}
 			}))
 	}

@@ -180,7 +180,7 @@ func New(opts ...Option) *Runtime {
 	for i := range rt.workers {
 		w := &worker{rt: rt, id: i, rng: rand.Uint64() | 1}
 		rt.workers[i] = w
-		w.metrics.started.Store(time.Now().UnixNano())
+		w.metrics.started.Store(nanotime())
 	}
 	for _, w := range rt.workers {
 		rt.wg.Add(1)
@@ -259,34 +259,26 @@ func (rt *Runtime) submit(t *task) error {
 
 // submitFrom enqueues a task: onto the submitting worker's own queue
 // when w belongs to this runtime, otherwise onto the injection queue.
+//
+// The push runs inside the spawning task, so it is part of that task's
+// own time, as in HPX; it is timed only to feed the adaptive inliner's
+// spawn-cost EWMA, before the wakeup, which may hand the CPU over.
 func (rt *Runtime) submitFrom(w *worker, t *task) error {
 	if rt.closed.Load() {
 		return ErrClosed
 	}
-	if w != nil && w.rt == rt {
-		// Submission cost (queue push, metrics) is scheduling overhead
-		// paid by the spawning task's worker. Measured before the
-		// wakeup, which may hand the CPU over.
-		begin := time.Now()
-		n := w.queue.pushBack(t)
-		rt.pending.Add(1)
-		w.metrics.notePending(n)
-		elapsed := time.Since(begin).Nanoseconds()
-		w.metrics.overheadNs.Add(elapsed)
-		if rt.adaptiveInline {
-			rt.noteSubmitCost(elapsed)
-		}
-		rt.wakeup.notify()
-		return nil
-	}
+	var begin int64
 	if rt.adaptiveInline {
-		begin := time.Now()
-		rt.injector.pushBack(t)
-		rt.pending.Add(1)
-		rt.noteSubmitCost(time.Since(begin).Nanoseconds())
+		begin = nanotime()
+	}
+	if w != nil && w.rt == rt {
+		w.metrics.notePending(w.queue.pushBack(t))
 	} else {
 		rt.injector.pushBack(t)
-		rt.pending.Add(1)
+	}
+	rt.pending.Add(1)
+	if rt.adaptiveInline {
+		rt.noteSubmitCost(nanotime() - begin)
 	}
 	rt.wakeup.notify()
 	return nil
@@ -306,15 +298,10 @@ func (rt *Runtime) submitBatchFrom(w *worker, ts []*task) error {
 		return nil
 	}
 	if w != nil && w.rt == rt {
-		begin := time.Now()
-		n := w.queue.pushBackN(ts)
-		rt.pending.Add(int64(len(ts)))
-		w.metrics.notePending(n)
-		w.metrics.overheadNs.Add(time.Since(begin).Nanoseconds())
-		rt.wakeup.notify()
-		return nil
+		w.metrics.notePending(w.queue.pushBackN(ts))
+	} else {
+		rt.injector.pushBackN(ts)
 	}
-	rt.injector.pushBackN(ts)
 	rt.pending.Add(int64(len(ts)))
 	rt.wakeup.notify()
 	return nil
@@ -342,6 +329,11 @@ func (w *worker) run(started <-chan struct{}) {
 	defer w.rt.wmap.unregister(id)
 	<-started
 
+	// searchStart is the reading the current search began at: the
+	// previous task's end or the wake-up from a park, never a read of
+	// its own. Everything between it and the next task's begin (or the
+	// next park) is scheduling overhead.
+	searchStart := nanotime()
 	for {
 		if w.rt.closed.Load() {
 			return
@@ -352,20 +344,11 @@ func (w *worker) run(started <-chan struct{}) {
 				w.rt.wakeup.cancel()
 				continue
 			}
-			w.metrics.parkedSince.Store(time.Now().UnixNano())
-			w.rt.wakeup.wait(gen)
-			if since := w.metrics.parkedSince.Swap(0); since != 0 {
-				w.metrics.idleNs.Add(time.Now().UnixNano() - since)
-			}
+			searchStart = w.park(gen, searchStart)
 			continue
 		}
-		searchStart := time.Now()
-		t := w.find()
-		if t != nil {
-			// The search interval is folded into the task-start
-			// timestamp taken inside execute — one clock read serves
-			// both overhead accounting and the trace event.
-			w.execute(t, searchStart)
+		if t := w.find(); t != nil {
+			searchStart = w.execute(t, searchStart)
 			continue
 		}
 		// Nothing anywhere: park until new work arrives.
@@ -374,13 +357,23 @@ func (w *worker) run(started <-chan struct{}) {
 			w.rt.wakeup.cancel()
 			continue
 		}
-		w.metrics.overheadNs.Add(time.Since(searchStart).Nanoseconds())
-		w.metrics.parkedSince.Store(time.Now().UnixNano())
-		w.rt.wakeup.wait(gen)
-		if since := w.metrics.parkedSince.Swap(0); since != 0 {
-			w.metrics.idleNs.Add(time.Now().UnixNano() - since)
-		}
+		searchStart = w.park(gen, searchStart)
 	}
+}
+
+// park blocks on wakeup generation gen. The time since searchStart is
+// charged as overhead and the park itself as idle; the wake-up reading
+// is returned as the next search's start.
+func (w *worker) park(gen uint64, searchStart int64) int64 {
+	now := nanotime()
+	w.metrics.overheadNs.Add(now - searchStart)
+	w.metrics.parkedSince.Store(now)
+	w.rt.wakeup.wait(gen)
+	now = nanotime()
+	if since := w.metrics.parkedSince.Swap(0); since != 0 {
+		w.metrics.idleNs.Add(now - since)
+	}
+	return now
 }
 
 // find locates a runnable task: own queue (LIFO), injection queue, then
@@ -442,20 +435,11 @@ func (w *worker) steal() *task {
 	return nil
 }
 
-// timeTask runs one task body, accounting only the task's own time (the
-// total duration minus any tasks it executed inline while waiting).
-// A non-zero searchStart charges the interval up to the task's begin
-// timestamp as scheduling overhead, reusing the one clock read.
-func (w *worker) timeTask(t *task, inline bool, searchStart time.Time) {
-	begin := time.Now()
-	var dispatchNs int64
-	if !searchStart.IsZero() {
-		dispatchNs = begin.Sub(searchStart).Nanoseconds()
-		w.metrics.overheadNs.Add(dispatchNs)
-		if w.rt.adaptiveInline {
-			w.rt.noteDispatchCost(dispatchNs)
-		}
-	}
+// timeTask runs one task body from begin, a reading the caller already
+// holds, and returns the reading that ends it, which the caller chains
+// into whatever it times next. Only the task's own time is accounted:
+// the total duration minus any tasks it executed inline while waiting.
+func (w *worker) timeTask(t *task, inline bool, begin int64) int64 {
 	saved := w.nestedNs
 	w.nestedNs = 0
 	// The consumer may Release (recycle) the fused task the instant it
@@ -475,12 +459,13 @@ func (w *worker) timeTask(t *task, inline bool, searchStart time.Time) {
 		w.curTaskID = tMeta.id
 	}
 	w.curDepthNs = tDepth
-	savedStart := w.metrics.taskStartNs.Swap(begin.UnixNano())
+	savedStart := w.metrics.taskStartNs.Swap(begin)
 	t.exec()
+	end := nanotime()
 	w.metrics.taskStartNs.Store(savedStart)
 	w.curCtx = savedCtx
 	w.curTaskID, w.curDepthNs = savedID, savedDepth
-	total := time.Since(begin).Nanoseconds()
+	total := end - begin
 	own := total - w.nestedNs
 	if own < 0 {
 		own = 0
@@ -488,13 +473,10 @@ func (w *worker) timeTask(t *task, inline bool, searchStart time.Time) {
 	w.nestedNs = saved + total
 	w.metrics.taskTimeNs.Add(own)
 	w.metrics.tasksExecuted.Add(1)
-	// Derived-counter feeds: duration/overhead histograms (percentile
+	// Derived-counter feeds: the duration histogram (percentile
 	// counters) and the running span maximum (critical-path counters).
 	// All owner-local; the stores stay on this worker's cache lines.
 	w.durHist.Record(own)
-	if dispatchNs > 0 {
-		w.ovhHist.Record(dispatchNs)
-	}
 	if w.rt.adaptiveInline {
 		core.EWMAUpdate(&w.rt.grainNsEWMA, own)
 	}
@@ -506,7 +488,7 @@ func (w *worker) timeTask(t *task, inline bool, searchStart time.Time) {
 			Worker:      w.id,
 			SpawnWorker: -1,
 			StolenFrom:  -1,
-			Start:       begin,
+			Start:       time.Unix(0, begin),
 			Duration:    time.Duration(own),
 			Inline:      inline,
 		}
@@ -520,24 +502,36 @@ func (w *worker) timeTask(t *task, inline bool, searchStart time.Time) {
 		}
 		tr.record(w, ev)
 	}
+	return end
 }
 
-// execute runs one task from the scheduling loop. searchStart is when
-// the dispatch search for this task began.
-func (w *worker) execute(t *task, searchStart time.Time) {
+// execute runs one task from the scheduling loop and returns its end
+// reading. searchStart is when the dispatch search for this task began;
+// the interval up to the task's begin reading is scheduling overhead.
+func (w *worker) execute(t *task, searchStart int64) int64 {
+	begin := nanotime()
+	dispatchNs := begin - searchStart
+	w.metrics.overheadNs.Add(dispatchNs)
+	w.ovhHist.Record(dispatchNs)
+	if w.rt.adaptiveInline {
+		w.rt.noteDispatchCost(dispatchNs)
+	}
 	w.metrics.active.Store(1)
 	w.nestedNs = 0 // top of the stack: nothing to report up
-	w.timeTask(t, false, searchStart)
+	end := w.timeTask(t, false, begin)
 	w.metrics.active.Store(0)
+	return end
 }
 
 // executeInline runs a task on the current goroutine (Fork/Sync
-// policies, adaptive inlining and help-first waiting), accounting it
-// like a scheduled task but tagging it as inline. The task must not be
-// touched afterwards: its consumer may already have released it.
-func (w *worker) executeInline(t *task) {
-	w.timeTask(t, true, time.Time{})
+// policies, adaptive inlining and help-first waiting) from begin,
+// accounting it like a scheduled task but tagging it as inline, and
+// returns its end reading. The task must not be touched afterwards: its
+// consumer may already have released it.
+func (w *worker) executeInline(t *task, begin int64) int64 {
+	end := w.timeTask(t, true, begin)
 	w.metrics.inlineExecuted.Add(1)
+	return end
 }
 
 // spawnDepthNs returns the spawn-path depth for a task being spawned
@@ -570,9 +564,9 @@ func (rt *Runtime) currentWorker() *worker {
 // when the optional abort channel (nil = never) closed first.
 func (rt *Runtime) helpWaitTask(w *worker, t *task, abort <-chan struct{}) bool {
 	saved := w.nestedNs
-	begin := time.Now()
-	ok := rt.helpUntilDone(w, t, abort)
-	w.nestedNs = saved + time.Since(begin).Nanoseconds()
+	begin := nanotime()
+	ok, end := rt.helpUntilDone(w, t, abort, begin)
+	w.nestedNs = saved + end - begin
 	return ok
 }
 
@@ -587,23 +581,29 @@ const helpPollInterval = 20 * time.Microsecond
 // — the waited-for child found and run by this very loop — never
 // allocates the channel. Returns true when t completed, false when the
 // optional abort channel (nil = never) closed first.
-func (rt *Runtime) helpUntilDone(w *worker, t *task, abort <-chan struct{}) bool {
+//
+// last is the wait's begin reading and is chained through the loop: an
+// inline task begins at last and its end becomes the new last, as does
+// the wake-up from an idle poll. The final last is returned as the
+// wait's end, so a wait that never idles reads the clock once per task,
+// and the wait splits exactly into task, overhead and idle time.
+func (rt *Runtime) helpUntilDone(w *worker, t *task, abort <-chan struct{}, last int64) (bool, int64) {
 	// One reusable timer across poll iterations: allocated lazily the
 	// first time this wait actually idles, reset thereafter.
 	var timer *time.Timer
 	for {
 		if t.state.Load() == futDone {
-			return true
+			return true, last
 		}
 		if abort != nil {
 			select {
 			case <-abort:
-				return false
+				return false, last
 			default:
 			}
 		}
 		if nt := w.find(); nt != nil {
-			w.executeInline(nt)
+			last = w.executeInline(nt, last)
 			continue
 		}
 		// No runnable work: block until the future completes or the
@@ -613,36 +613,34 @@ func (rt *Runtime) helpUntilDone(w *worker, t *task, abort <-chan struct{}) bool
 		// three-way select also serves the two-channel wait.
 		done := t.waitChan()
 		if t.state.Load() == futDone {
-			return true
+			return true, last
 		}
-		idleStart := time.Now()
+		// The failed search since last is overhead; the poll is idle.
+		idleStart := nanotime()
+		w.metrics.overheadNs.Add(idleStart - last)
 		if timer == nil {
 			timer = time.NewTimer(helpPollInterval)
 		} else {
 			timer.Reset(helpPollInterval)
 		}
-		stopTimer := func() {
-			if !timer.Stop() {
-				// Drain so a later Reset starts clean (pre-1.23 timer
-				// channel semantics; harmless under 1.23+).
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
+		fired := false
 		select {
 		case <-done:
 			// The state store trails the channel close by a couple of
-			// instructions; the loop head re-checks it.
-			stopTimer()
-			w.metrics.idleNs.Add(time.Since(idleStart).Nanoseconds())
+			// instructions; the loop head re-checks it, and abort.
 		case <-abort:
-			stopTimer()
-			w.metrics.idleNs.Add(time.Since(idleStart).Nanoseconds())
-			return false
 		case <-timer.C:
-			w.metrics.idleNs.Add(time.Since(idleStart).Nanoseconds())
+			fired = true
 		}
+		if !fired && !timer.Stop() {
+			// Drain so a later Reset starts clean (pre-1.23 timer
+			// channel semantics; harmless under 1.23+).
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		last = nanotime()
+		w.metrics.idleNs.Add(last - idleStart)
 	}
 }
