@@ -12,7 +12,8 @@
 //     closures cannot be suspended mid-execution, so Future.Get performs
 //     help-first work stealing: when called on a worker it executes
 //     pending tasks (its own children first, then stolen work) until the
-//     awaited future becomes ready, and only parks when no work exists.
+//     awaited future becomes ready; when no work exists it searches for
+//     up to 100 µs, then parks.
 //     For strict fork/join programs — all of the Inncabs suite — this is
 //     semantically equivalent to suspension.
 //

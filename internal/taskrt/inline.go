@@ -124,7 +124,7 @@ func (rt *Runtime) inlineEligible(w *worker, grainNs int64) bool {
 	if est <= 0 || est >= thr {
 		return false
 	}
-	return rt.pending.Load() >= int64(len(rt.workers))
+	return rt.pendingCount() >= int64(len(rt.workers))
 }
 
 // batchInlineSplit returns how many members of an n-task Async batch
@@ -144,7 +144,7 @@ func (rt *Runtime) batchInlineSplit(w *worker, grainNs int64, n int) int {
 	if est <= 0 || est >= thr {
 		return n
 	}
-	k := int(int64(len(rt.workers)) - rt.pending.Load())
+	k := int(int64(len(rt.workers)) - rt.pendingCount())
 	if k < 0 {
 		k = 0
 	}

@@ -21,7 +21,7 @@ type workerMetrics struct {
 	tasksExecuted  atomic.Int64 // completed tasks
 	taskTimeNs     atomic.Int64 // cumulative task execution time
 	overheadNs     atomic.Int64 // cumulative scheduling overhead
-	idleNs         atomic.Int64 // cumulative parked time
+	idleNs         atomic.Int64 // cumulative parked and spinning time
 	stolen         atomic.Int64 // tasks this worker stole from others
 	parkedSince    atomic.Int64 // nanotime when the current park began; 0 if running
 	pendingPeak    atomic.Int64 // high-water mark of the local queue
@@ -32,6 +32,8 @@ type workerMetrics struct {
 	healthStalled  atomic.Int64 // stalled_task events attributed to this worker
 	healthStarved  atomic.Int64 // starved_worker events attributed to this worker
 	spanMaxNs      atomic.Int64 // running max of task completion depth (online span estimate)
+	parks          atomic.Int64 // parks begun; owner-written, read only by tests
+	spins          atomic.Int64 // spins begun with budget left; owner-written, read only by tests
 	_              [cacheLineSize]byte
 }
 
@@ -44,8 +46,9 @@ func (m *workerMetrics) notePending(n int) {
 	}
 }
 
-// idleAt returns the parked time up to nowNs, including a park still in
-// progress: the one read behind both time/idle and idle-rate.
+// idleAt returns the idle time up to nowNs (parks and spins, including
+// a park still in progress): the one read behind both time/idle and
+// idle-rate.
 func (m *workerMetrics) idleAt(nowNs int64) int64 {
 	i := m.idleNs.Load()
 	if since := m.parkedSince.Load(); since != 0 && nowNs > since {
@@ -54,7 +57,7 @@ func (m *workerMetrics) idleAt(nowNs int64) int64 {
 	return i
 }
 
-// resetIdle zeroes the parked time as of nowNs, restarting a park in
+// resetIdle zeroes the idle time as of nowNs, restarting a park in
 // progress there. The CAS leaves a park that ended meanwhile ended.
 func (m *workerMetrics) resetIdle(nowNs int64) {
 	m.idleNs.Store(0)
@@ -119,7 +122,7 @@ func (rt *Runtime) RegisterCounters(reg *core.Registry) error {
 		{"count/inline", "tasks executed inline (fork/sync/helping)", core.UnitEvents,
 			func(m *workerMetrics) int64 { return m.inlineExecuted.Load() },
 			func(m *workerMetrics) { m.inlineExecuted.Store(0) }},
-		{"time/idle", "cumulative parked time", core.UnitNanoseconds,
+		{"time/idle", "cumulative idle time: parked or searching for work", core.UnitNanoseconds,
 			func(m *workerMetrics) int64 { return m.idleAt(nanotime()) },
 			func(m *workerMetrics) { m.resetIdle(nanotime()) }},
 	}
@@ -224,9 +227,10 @@ func (rt *Runtime) RegisterCounters(reg *core.Registry) error {
 		}
 	}
 
-	// Idle rate: parked time over wall time, in 0.01% units like HPX.
+	// Idle rate: idle (parked or searching) time over wall time, in
+	// 0.01% units like HPX.
 	idleInfo := core.Info{TypeName: "/threads/idle-rate",
-		HelpText: "ratio of parked time to wall time", Unit: "0.01%", Version: "1.0"}
+		HelpText: "ratio of idle (parked or searching) time to wall time", Unit: "0.01%", Version: "1.0"}
 	registerIdle := func(name core.Name, workers []int) error {
 		ws := workers
 		return reg.Register(newRatioCounter(name, idleInfo,
@@ -267,14 +271,7 @@ func (rt *Runtime) RegisterCounters(reg *core.Registry) error {
 		HelpText: "tasks currently queued", Unit: core.UnitEvents, Version: "1.0"}
 	pendName := core.Name{Object: "threads", Counter: "count/instantaneous/pending"}.
 		WithInstances(core.LocalityInstance(loc, "total", -1)...)
-	if err := reg.Register(core.NewFuncCounter(pendName, pendInfo, 0, func() int64 {
-		var s int64
-		for _, w := range rt.workers {
-			s += int64(w.queue.len())
-		}
-		s += int64(rt.injector.len())
-		return s
-	}, nil)); err != nil {
+	if err := reg.Register(core.NewFuncCounter(pendName, pendInfo, 0, rt.pendingCount, nil)); err != nil {
 		return err
 	}
 	activeInfo := core.Info{TypeName: "/threads/count/instantaneous/active",

@@ -128,13 +128,19 @@ func TestCounterPendingAndQueueLength(t *testing.T) {
 	for i := range tail {
 		tail[i] = AsyncF(rt, func() int { return 0 })
 	}
-	v, err := reg.Evaluate("/threads{locality#0/total}/count/instantaneous/pending", false)
-	if err != nil {
-		t.Fatalf("Evaluate: %v", err)
+	// The counter is the one pending sum shedding, the watchdog and the
+	// inliner read, exact with tasks queued and at quiesce.
+	pending := func(want int64) {
+		t.Helper()
+		v, err := reg.Evaluate("/threads{locality#0/total}/count/instantaneous/pending", false)
+		if err != nil {
+			t.Fatalf("Evaluate: %v", err)
+		}
+		if v.Raw != want || rt.pendingCount() != want {
+			t.Fatalf("pending = %d, pendingCount() = %d, want %d", v.Raw, rt.pendingCount(), want)
+		}
 	}
-	if v.Raw != 5 {
-		t.Fatalf("pending = %d want 5", v.Raw)
-	}
+	pending(5)
 	a, _ := reg.Evaluate("/threads{locality#0/total}/count/instantaneous/active", false)
 	if a.Raw != 1 {
 		t.Fatalf("active = %d want 1", a.Raw)
@@ -142,6 +148,7 @@ func TestCounterPendingAndQueueLength(t *testing.T) {
 	close(block)
 	head.Get()
 	WaitAllOf(tail)
+	pending(0)
 }
 
 func TestCounterMemoryAndUptime(t *testing.T) {

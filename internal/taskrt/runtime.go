@@ -86,10 +86,6 @@ type Runtime struct {
 	// shedLimit is the pending-task high-water mark past which Async
 	// spawns run inline (0 = shedding off); read-only after New.
 	shedLimit int64
-	// pending tracks tasks currently sitting in any queue (local deques
-	// plus injector). Incremented at submit, decremented at dequeue; the
-	// shedding and watchdog paths read it.
-	pending atomic.Int64
 	// cancelled counts tasks dropped at dispatch because their
 	// cancellation scope ended before they ran.
 	cancelled atomic.Int64
@@ -276,7 +272,6 @@ func (rt *Runtime) submitFrom(w *worker, t *task) error {
 	} else {
 		rt.injector.pushBack(t)
 	}
-	rt.pending.Add(1)
 	if rt.adaptiveInline {
 		rt.noteSubmitCost(nanotime() - begin)
 	}
@@ -286,7 +281,7 @@ func (rt *Runtime) submitFrom(w *worker, t *task) error {
 
 // submitBatchFrom enqueues a whole batch as one scheduler transaction:
 // one deque window publish (or one injector chain splice from outside
-// the pool), one pending add, one peak update, one wakeup notify.
+// the pool), one peak update, one wakeup notify.
 // Batch submits do not feed the spawn-cost EWMA — the inline threshold
 // models the cost of scheduling one child singly, the counterfactual
 // the adaptive policy decides against.
@@ -302,15 +297,28 @@ func (rt *Runtime) submitBatchFrom(w *worker, ts []*task) error {
 	} else {
 		rt.injector.pushBackN(ts)
 	}
-	rt.pending.Add(int64(len(ts)))
 	rt.wakeup.notify()
 	return nil
 }
 
 // shouldShed reports whether the admission controller is active and the
-// pending-task count has reached the high-water mark.
+// pending-task count has reached the high-water mark. With shedding off
+// the sum is never taken, so the default spawn path reads no other
+// worker's queue.
 func (rt *Runtime) shouldShed() bool {
-	return rt.shedLimit > 0 && rt.pending.Load() >= rt.shedLimit
+	return rt.shedLimit > 0 && rt.pendingCount() >= rt.shedLimit
+}
+
+// pendingCount returns the number of tasks queued anywhere: the
+// injector plus every worker's deque. It is a sum of lengths, not a
+// shared counter, so submit and dequeue touch no common cache line; the
+// pending counter, shedding, the watchdog and the inliner all read it.
+func (rt *Runtime) pendingCount() int64 {
+	n := int64(rt.injector.len())
+	for _, w := range rt.workers {
+		n += int64(w.queue.len())
+	}
+	return n
 }
 
 // Cancelled returns the cumulative number of tasks dropped at dispatch
@@ -332,8 +340,11 @@ func (w *worker) run(started <-chan struct{}) {
 	// searchStart is the reading the current search began at: the
 	// previous task's end or the wake-up from a park, never a read of
 	// its own. Everything between it and the next task's begin (or the
-	// next park) is scheduling overhead.
+	// next park) is scheduling overhead, except a spin, which is idle.
+	// lastEnd is the previous task's end, where the spin budget of the
+	// idle episode that follows it starts; a park does not move it.
 	searchStart := nanotime()
+	lastEnd := searchStart
 	for {
 		if w.rt.closed.Load() {
 			return
@@ -347,8 +358,13 @@ func (w *worker) run(started <-chan struct{}) {
 			searchStart = w.park(gen, searchStart)
 			continue
 		}
-		if t := w.find(); t != nil {
+		t := w.find()
+		if t == nil {
+			t, searchStart = w.spin(searchStart, lastEnd, nil, nil)
+		}
+		if t != nil {
 			searchStart = w.execute(t, searchStart)
+			lastEnd = searchStart
 			continue
 		}
 		// Nothing anywhere: park until new work arrives.
@@ -367,6 +383,7 @@ func (w *worker) run(started <-chan struct{}) {
 func (w *worker) park(gen uint64, searchStart int64) int64 {
 	now := nanotime()
 	w.metrics.overheadNs.Add(now - searchStart)
+	w.metrics.parks.Add(1)
 	w.metrics.parkedSince.Store(now)
 	w.rt.wakeup.wait(gen)
 	now = nanotime()
@@ -386,12 +403,53 @@ func (w *worker) find() *task {
 	if t == nil {
 		t = w.steal()
 	}
-	if t != nil {
-		// Every dequeue path funnels through here, so pending is
-		// balanced against the submitFrom increments exactly once.
-		w.rt.pending.Add(-1)
-	}
 	return t
+}
+
+// spinBudget bounds an idle episode's search before the worker parks or
+// a help-first wait falls back to polling. Waking a parked worker costs
+// ~60 µs on a 2-vCPU VM, while back-to-back waves leave ~35 µs between
+// them; 100 µs spans that gap, and a longer budget measured no better.
+const spinBudget = int64(100 * time.Microsecond)
+
+// spin keeps searching after find failed at searchStart, yielding
+// between attempts, until spinBudget has passed since lastEnd, the end
+// of the worker's last task: the budget is spent once per idle episode,
+// so a wait's poll wake-up does not re-arm it. A wait's spin also stops
+// when wait is done or abort closes; any spin stops at shutdown. The
+// failed search is overhead and the spin idle. It returns the task
+// found, if any, and the reading that ends the spin. A spinning worker
+// is not a registered sleeper, so notify stays one atomic load.
+func (w *worker) spin(searchStart, lastEnd int64, wait *task, abort <-chan struct{}) (*task, int64) {
+	start := nanotime()
+	w.metrics.overheadNs.Add(start - searchStart)
+	if start-lastEnd >= spinBudget {
+		return nil, start
+	}
+	w.metrics.spins.Add(1)
+	now := start
+	var t *task
+	for now-lastEnd < spinBudget && !w.rt.closed.Load() &&
+		(wait == nil || wait.state.Load() != futDone) && !isClosed(abort) {
+		runtime.Gosched()
+		t = w.find()
+		now = nanotime()
+		if t != nil {
+			break
+		}
+	}
+	w.metrics.idleNs.Add(now - start)
+	return t, now
+}
+
+// isClosed reports whether ch is closed; a nil channel never is.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // peek reports whether any queue holds work, without removing it.
@@ -576,7 +634,8 @@ const helpPollInterval = 20 * time.Microsecond
 
 // helpUntilDone lets the calling worker make progress while it waits
 // for t to complete: it executes local tasks first, then stolen ones,
-// and parks on the task's wait channel when no work exists. The
+// searches for up to spinBudget when none are found, and then polls
+// the task's wait channel until work or completion appears. The
 // completion check polls the task's state directly, so the common case
 // — the waited-for child found and run by this very loop — never
 // allocates the channel. Returns true when t completed, false when the
@@ -586,24 +645,29 @@ const helpPollInterval = 20 * time.Microsecond
 // inline task begins at last and its end becomes the new last, as does
 // the wake-up from an idle poll. The final last is returned as the
 // wait's end, so a wait that never idles reads the clock once per task,
-// and the wait splits exactly into task, overhead and idle time.
+// and the wait splits exactly into task, overhead and idle time. lastEnd
+// is the end of the last task the wait ran (its begin before the first),
+// so the spin budget runs from there and a poll's wake-up does not
+// re-arm it.
 func (rt *Runtime) helpUntilDone(w *worker, t *task, abort <-chan struct{}, last int64) (bool, int64) {
 	// One reusable timer across poll iterations: allocated lazily the
 	// first time this wait actually idles, reset thereafter.
 	var timer *time.Timer
+	lastEnd := last
 	for {
 		if t.state.Load() == futDone {
 			return true, last
 		}
-		if abort != nil {
-			select {
-			case <-abort:
-				return false, last
-			default:
-			}
+		if abort != nil && isClosed(abort) {
+			return false, last
 		}
-		if nt := w.find(); nt != nil {
+		nt := w.find()
+		if nt == nil {
+			nt, last = w.spin(last, lastEnd, t, abort)
+		}
+		if nt != nil {
 			last = w.executeInline(nt, last)
+			lastEnd = last
 			continue
 		}
 		// No runnable work: block until the future completes or the

@@ -184,7 +184,7 @@ func (wd *watchdog) safeOnEvent(ev HealthEvent) {
 func (wd *watchdog) sweep(now time.Time) string {
 	rt := wd.rt
 	nowNs := now.UnixNano()
-	pending := rt.pending.Load()
+	pending := rt.pendingCount()
 
 	var executed, activeWorkers, activeIdle int64
 	for i, w := range rt.workers {

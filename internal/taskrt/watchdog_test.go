@@ -194,10 +194,16 @@ func TestWatchdogStarvedWorker(t *testing.T) {
 	wd := newWatchdog(rt, cfg)
 	cfg = wd.cfg // with defaults
 
-	// Pretend a task is pending that nobody picks up (the counter is
-	// what sweep consults; the queues stay untouched).
-	rt.pending.Add(1)
-	defer rt.pending.Add(-1)
+	// Queue a real task that nobody picks up: pushed onto the injector
+	// without a notify, so both workers stay parked beside it. Cleanup
+	// wakes them to drain it.
+	f := newFuture[int](rt)
+	f.fn = func() int { return 0 }
+	rt.injector.pushBack(&f.task)
+	t.Cleanup(func() {
+		rt.wakeup.notify()
+		f.Wait()
+	})
 
 	future := time.Now().Add(2 * cfg.StallThreshold)
 	wd.sweep(future)
@@ -209,8 +215,10 @@ func TestWatchdogStarvedWorker(t *testing.T) {
 	if got := log.count(HealthStarvedWorker); got != 2 {
 		t.Fatalf("starvation re-reported within one episode: %d events", got)
 	}
-	// Throttled workers park by design and are skipped.
-	rt.SetConcurrencyLimit(1)
+	// Throttled workers park by design and are skipped. The limit is
+	// stored without SetConcurrencyLimit's notify, which would wake a
+	// worker to run the queued task.
+	rt.limit.Store(1)
 	wd2 := newWatchdog(rt, cfg)
 	var log2 eventLog
 	wd2.cfg.OnEvent = log2.add
