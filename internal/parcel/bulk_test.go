@@ -8,7 +8,10 @@ package parcel
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
+	"strconv"
 	"testing"
 	"time"
 
@@ -294,5 +297,162 @@ func TestBulkLimits(t *testing.T) {
 	}
 	if _, err := cli.roundTripContext(ctx, request{Op: "bind_bulk", Names: names}); err == nil {
 		t.Fatalf("bind beyond the %d-set limit accepted", maxBulkSetsPerConn)
+	}
+}
+
+// TestStaleCacheOnlyWhenServed: the last-known-value cache exists for
+// stale serving alone, so a default client fills none of it; with
+// ServeStale every good slot is remembered.
+func TestStaleCacheOnlyWhenServed(t *testing.T) {
+	const k = 16
+	for _, serve := range []bool{false, true} {
+		names, _, _, cli := newBulkFixture(t, k, ClientOptions{ServeStale: serve})
+		if _, err := cli.NewBulkSet(names).Evaluate(false); err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if serve {
+			want = k
+		}
+		cli.cacheMu.Lock()
+		got := len(cli.cache)
+		cli.cacheMu.Unlock()
+		if got != want {
+			t.Fatalf("ServeStale=%v: %d cached values after a K=%d sample, want %d", serve, got, k, want)
+		}
+	}
+}
+
+// TestBulkSampleCost pins what one K=128 sample of a bound set costs
+// over loopback: one round trip, a few KB on the wire (values travel as
+// columns, names stay home) and a bounded number of allocations, both
+// ends in this one process.
+func TestBulkSampleCost(t *testing.T) {
+	const (
+		k           = 128
+		samples     = 50
+		maxBytes    = 8 << 10
+		maxAllocs   = 100
+		allocSweeps = 100
+	)
+	names, _, _, cli := newBulkFixture(t, k, ClientOptions{})
+	set := cli.NewBulkSet(names)
+	sample := func() {
+		if vals, err := set.Evaluate(false); err != nil || len(vals) != k {
+			t.Fatalf("sample = %d values, %v", len(vals), err)
+		}
+	}
+	sample() // the bind
+	sent, received := cli.meters.sent.Load(), cli.meters.dataReceived.Load()
+	for i := 0; i < samples; i++ {
+		sample()
+	}
+	if rts := (cli.meters.sent.Load() - sent) / samples; rts != 1 {
+		t.Errorf("%d round trips per sample, want 1", rts)
+	}
+	bytes := (cli.meters.dataReceived.Load() - received) / samples
+	t.Logf("K=%d: %d bytes received per sample", k, bytes)
+	if bytes > maxBytes {
+		t.Errorf("%d bytes received per K=%d sample, want <= %d", bytes, k, maxBytes)
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates inside sync.Pool")
+	}
+	allocs := testing.AllocsPerRun(allocSweeps, sample)
+	t.Logf("K=%d: %.0f allocations per sample", k, allocs)
+	if allocs > maxAllocs {
+		t.Errorf("%.0f allocations per K=%d sample, want <= %d", allocs, k, maxAllocs)
+	}
+}
+
+// slotCounter is a counter whose every read returns one preset value,
+// so a test controls each field an evaluate_bulk answer carries.
+type slotCounter struct {
+	name core.Name
+	v    core.Value
+}
+
+func (c *slotCounter) Name() core.Name       { return c.name }
+func (c *slotCounter) Info() core.Info       { return core.Info{TypeName: c.name.TypeName()} }
+func (c *slotCounter) Value(bool) core.Value { return c.v }
+func (c *slotCounter) Reset()                {}
+
+// answerFixture binds k slots of every kind an answer must carry and
+// returns the names asked for with the bound set. Slot kinds cycle from
+// offset: unknown names, non-canonical spellings (requested ≠ canonical),
+// values named unlike their counter, non-zero scaling, count and
+// inverse, negative raw values, zero, pre-epoch and far-apart times.
+func answerFixture(k, offset int) ([]string, *core.BindSet) {
+	reg := core.NewRegistry()
+	now := time.Now()
+	requested := make([]string, k)
+	for i := range requested {
+		cn := core.Name{Object: "threads", Counter: "count/cumulative"}.
+			WithInstances(core.LocalityInstance(0, "worker-thread", int64(i))...)
+		requested[i] = cn.String()
+		v := core.Value{Name: cn.String(), Raw: int64(i), Time: now.Add(time.Duration(i) * time.Microsecond)}
+		switch (i + offset) % 8 {
+		case 0:
+			v.Time = time.Time{}
+			v.Raw = -1 << 62
+		case 1:
+			requested[i] = "/nosuch{locality#0/total}/count/gone" + strconv.Itoa(i)
+		case 2:
+			requested[i] = fmt.Sprintf("/threads{locality#00/worker-thread#%03d}/count/cumulative", i)
+			v.Scaling, v.Status = 1000, core.StatusNewData
+		case 3:
+			v.Name += "/alias"
+			v.Count, v.Inverse = -7, true
+		case 4:
+			v.Time = time.Unix(-12, 345) // before 1970
+			v.Raw, v.Status = -int64(i), core.StatusInvalidData
+		case 5:
+			v.Time = time.Date(2250, 1, 2, 3, 4, 5, 6, time.UTC)
+			v.Scaling, v.Count = -3, 1<<40
+		case 6:
+			v.Status = core.Status(99) // a status this build does not know travels as is
+		}
+		reg.MustRegister(&slotCounter{name: cn, v: v})
+	}
+	return requested, reg.BindSetLenient(requested)
+}
+
+// TestBulkAnswerRoundTrip: an evaluate_bulk answer, encoded and then
+// decoded through real JSON, rebuilds the server's EvaluateBatch output
+// field for field, against either base the client holds — a bound set's
+// canonical names or an ad hoc read's requested names.
+func TestBulkAnswerRoundTrip(t *testing.T) {
+	for _, tc := range []struct{ k, offset int }{{1, 0}, {1, 1}, {1, 3}, {8, 0}, {maxBulkNames, 0}, {maxBulkNames, 5}} {
+		requested, set := answerFixture(tc.k, tc.offset)
+		want := set.EvaluateBatch(nil, false)
+		for _, base := range [][]string{set.Names(), requested} {
+			var ans bulkValues
+			ans.encode(want, base)
+			line, err := json.Marshal(response{ID: 1, Bulk: &ans})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var resp response
+			if err := json.Unmarshal(line, &resp); err != nil {
+				t.Fatal(err)
+			}
+			got, err := resp.Bulk.decode(base)
+			if err != nil {
+				t.Fatalf("K=%d: decode: %v", tc.k, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("K=%d: decoded %d values", tc.k, len(got))
+			}
+			for i := range want {
+				w, g := want[i], got[i]
+				if g.Name != w.Name || g.Raw != w.Raw || g.Scaling != w.Scaling || g.Inverse != w.Inverse ||
+					g.Count != w.Count || g.Status != w.Status || !g.Time.Equal(w.Time) || g.Time.IsZero() != w.Time.IsZero() {
+					t.Fatalf("K=%d offset %d slot %d: decoded %+v, want %+v", tc.k, tc.offset, i, g, w)
+				}
+			}
+			if tc.k == maxBulkNames {
+				t.Logf("K=%d: %d bytes, %d renamed", tc.k, len(line), len(ans.Renamed))
+			}
+		}
 	}
 }

@@ -76,13 +76,17 @@ func warmUp(t *testing.T, c *Client) {
 }
 
 // answer writes an evaluate_bulk response under id whose values name
-// the counters that were asked for.
+// the counters that were asked for. Every name travels in the answer
+// (encoded against a blank base), so a response routed to the wrong
+// call shows as a wrong name.
 func answer(conn net.Conn, id uint64, names ...string) {
 	vals := make([]core.Value, len(names))
 	for i, name := range names {
 		vals[i] = core.Value{Name: name, Status: core.StatusValid}
 	}
-	out, _ := json.Marshal(response{ID: id, Values: vals})
+	var bulk bulkValues
+	bulk.encode(vals, make([]string, len(names)))
+	out, _ := json.Marshal(response{ID: id, Bulk: &bulk})
 	conn.Write(append(out, '\n'))
 }
 

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -182,7 +183,9 @@ func (nopConn) Close() error { return nil }
 // loses the call, or wedges the waiter.
 func FuzzClientFrame(f *testing.F) {
 	for _, s := range []string{
-		`{"id":1,"values":[{"name":"x","status":"valid"}]}`,
+		`{"id":1,"bulk":{"raw":[1],"status":[0],"time":[]}}`,
+		`{"id":1,"bulk":{"raw":[1],"status":[0],"time":[5],"inverse":[1]}}`,
+		`{"id":1,"bulk":{"raw":[1],"status":[0],"time":[5],"renamed":{"-1":"y"}}}`,
 		`{"id":1,"error":"parcel: unknown op"}`,
 		`{"error":"parcel: protocol: malformed request","code":"protocol"}`,
 		`{"spawn":{"key":"k","state":"done","result":42}}`,
@@ -227,9 +230,14 @@ func FuzzClientFrame(f *testing.F) {
 		l.mu.Unlock()
 		fates := 0 // of the pending call: answered, failed with the link, or still held
 		select {
-		case _, open := <-call:
+		case resp, open := <-call:
 			if fates++; open == (err != nil) {
 				t.Fatalf("frame %q (err %v): call answered=%v", line, err, open)
+			}
+			// The call was a one-name read: its answer decodes to an
+			// error or to exactly that one value.
+			if vals, derr := resp.Bulk.decode([]string{"x"}); open && derr == nil && len(vals) != 1 {
+				t.Fatalf("frame %q decoded to %d values for one name", line, len(vals))
 			}
 		default:
 		}
@@ -244,6 +252,61 @@ func FuzzClientFrame(f *testing.F) {
 		cli.spawns.mu.Unlock()
 		if tracked == (len(wait.ch) == 1) {
 			t.Fatalf("frame %q: waiter tracked=%v with %d completions — lost or delivered twice", line, tracked, len(wait.ch))
+		}
+	})
+}
+
+// FuzzBulkAnswer decodes arbitrary evaluate_bulk answers against a
+// fixed base of K names — what the client does with every remote read.
+// The contract: an error, or exactly K values, each named; never a
+// panic.
+func FuzzBulkAnswer(f *testing.F) {
+	const k = 4
+	base := []string{"/a{locality#0/total}/x", "/b{locality#0/total}/x", "/c{locality#0/total}/x", "/d{locality#0/total}/x"}
+	now := time.Unix(1_700_000_000, 123)
+	vals := []core.Value{
+		{Name: base[0], Raw: -5, Time: now, Status: core.StatusNewData},
+		{Name: "/b{locality#0/total}/x-renamed", Scaling: 1000, Count: 3, Inverse: true, Time: now.Add(time.Microsecond)},
+		{Name: base[2], Status: core.StatusCounterUnknown},
+		{Name: base[3], Raw: 1 << 62, Time: time.Unix(-1, 0)},
+	}
+	var ans bulkValues
+	ans.encode(vals, base)
+	valid, err := json.Marshal(&ans)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, s := range []string{
+		`{"raw":[1,2,3,4],"status":[0,0,0,0],"time":[0,1,2,3]}`,
+		`{"raw":[1,2,3],"status":[0,0,0,0],"time":[0,1,2,3]}`,                       // short column
+		`{"raw":[1,2,3,4],"status":[0,0,0,0],"time":[0,1,2,3],"scaling":[1]}`,       // short sparse column
+		`{"raw":[1,2,3,4],"status":[0,0,0,0],"time":[0,1,2,3],"inverse":[4]}`,       // inverse out of range
+		`{"raw":[1,2,3,4],"status":[0,0,0,0],"time":[0,1,2,3],"no_time":[-1]}`,      // no_time out of range
+		`{"raw":[1,2,3,4],"status":[0,0,0,0],"time":[0,1,2,3],"renamed":{"9":"z"}}`, // renamed out of range
+		`{"raw":[1,2,3,4],"status":[0,0,0,0],"time":[9223372036854775807,1,2,-9223372036854775808]}`,
+		`{"raw":null,"status":null,"time":null}`,
+		`null`,
+		`{}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b *bulkValues
+		if json.Unmarshal(data, &b) != nil {
+			return
+		}
+		got, err := b.decode(base)
+		if err != nil {
+			return
+		}
+		if len(got) != k {
+			t.Fatalf("answer %q decoded to %d values for %d names", data, len(got), k)
+		}
+		for i, v := range got {
+			if _, renamed := b.Renamed[i]; !renamed && v.Name != base[i] {
+				t.Fatalf("answer %q: slot %d named %q, want the base's %q", data, i, v.Name, base[i])
+			}
 		}
 	})
 }

@@ -108,15 +108,15 @@ func (r request) idempotent() bool {
 // response is one parcel from server to client. ID is the request's: 0
 // on a pushed completion (Spawn set) or an unreadable request's error.
 type response struct {
-	ID     uint64       `json:"id,omitempty"`
-	Error  string       `json:"error,omitempty"`
-	Code   string       `json:"code,omitempty"` // machine-readable error class (codeActionUnknown, ...)
-	Values []core.Value `json:"values,omitempty"`
-	Names  []string     `json:"names,omitempty"`
-	Infos  []core.Info  `json:"infos,omitempty"`
-	SetID  int64        `json:"set_id,omitempty"` // bind_bulk: id of the compiled set
-	Spawn  *spawnState  `json:"spawn,omitempty"`  // spawn/spawn_cancel: state of that spawn; pushed when it completes
-	Tree   *TreeDigest  `json:"tree,omitempty"`   // tree_pull: the receiver's folded view
+	ID    uint64      `json:"id,omitempty"`
+	Error string      `json:"error,omitempty"`
+	Code  string      `json:"code,omitempty"` // machine-readable error class (codeActionUnknown, ...)
+	Bulk  *bulkValues `json:"bulk,omitempty"` // evaluate_bulk: the values, as columns (client_bulk.go)
+	Names []string    `json:"names,omitempty"`
+	Infos []core.Info `json:"infos,omitempty"`
+	SetID int64       `json:"set_id,omitempty"` // bind_bulk: id of the compiled set
+	Spawn *spawnState `json:"spawn,omitempty"`  // spawn/spawn_cancel: state of that spawn; pushed when it completes
+	Tree  *TreeDigest `json:"tree,omitempty"`   // tree_pull: the receiver's folded view
 }
 
 // Machine-readable error classes carried in response.Code, so clients
@@ -413,12 +413,14 @@ const (
 const errUnknownBulkSet = "parcel: unknown bulk set"
 
 // connState is the per-connection server state: compiled bulk sets and
-// a reused evaluation buffer. It lives and dies with one handler
+// a reused evaluation buffer and answer (each response is written before
+// the next request is read). It lives and dies with one handler
 // goroutine, so no locking is needed (w is shared, and locks itself).
 type connState struct {
 	bulkSets  map[int64]*core.BindSet
 	nextSetID int64
 	bulkBuf   []core.Value
+	bulkAns   bulkValues
 	w         *connWriter
 }
 
@@ -589,19 +591,24 @@ func (s *Server) bindBulk(req request, st *connState) response {
 
 // evaluateBulk samples the bound set req.SetID or, when SetID is 0, the
 // names the request carries: compiled (leniently, as bind_bulk does) for
-// this one request and not kept.
+// this one request and not kept. The answer names a slot only where its
+// value's name differs from the names the client holds: the set's
+// canonical names, or the names it sent.
 func (s *Server) evaluateBulk(req request, st *connState) response {
-	var set *core.BindSet
+	set, base := st.bulkSets[req.SetID], req.Names
 	if req.SetID == 0 {
 		if msg := bulkNamesError(req.Op, req.Names); msg != "" {
 			return response{Error: msg}
 		}
 		set = s.reg.BindSetLenient(req.Names)
-	} else if set = st.bulkSets[req.SetID]; set == nil {
+	} else if set == nil {
 		return response{Error: fmt.Sprintf("%s %d", errUnknownBulkSet, req.SetID)}
+	} else {
+		base = set.Names()
 	}
 	st.bulkBuf = set.EvaluateBatch(st.bulkBuf, req.Reset)
-	return response{Values: st.bulkBuf}
+	st.bulkAns.encode(st.bulkBuf, base)
+	return response{Bulk: &st.bulkAns}
 }
 
 func (s *Server) discover(req request, _ *connState) response {
