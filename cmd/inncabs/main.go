@@ -254,8 +254,7 @@ func main() {
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "inncabs: run cancelled after %d complete sample(s): %v\n", len(times), runErr)
 		if trt != nil {
-			fmt.Fprintf(os.Stderr, "inncabs: tasks dropped at dispatch: %d, shed inline: %d\n",
-				trt.Cancelled(), trt.Shed())
+			fmt.Fprintf(os.Stderr, "inncabs: tasks dropped at dispatch: %d\n", trt.Cancelled())
 		}
 		os.Exit(1)
 	}

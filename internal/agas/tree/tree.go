@@ -319,7 +319,8 @@ func (n *Node) adoptLocked(r int) {
 	}
 }
 
-// TreeSnapshot implements parcel.TreeNode: the latest folded view.
+// TreeSnapshot returns the latest folded view; a monitor reads the
+// root's in process.
 func (n *Node) TreeSnapshot() (*parcel.TreeDigest, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

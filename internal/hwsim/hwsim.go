@@ -1,21 +1,16 @@
 // Package hwsim substitutes for the PAPI hardware-counter access the
 // paper reaches through HPX's /papi counters. Real off-core request
 // counters are not available in this reproduction, so the package
-// provides the same counter names backed by two sources:
-//
-//   - an Accumulator fed with modelled off-core traffic (the simulator's
-//     memory model or an instrumented application), split across the
-//     three request types the paper sums for its bandwidth estimate;
-//
-//   - a Go-runtime source approximating traffic from allocation volume,
-//     for live processes on the real task runtime.
+// provides the same counter names backed by an Accumulator fed with
+// modelled off-core traffic (the simulator's memory model or an
+// instrumented application), split across the three request types the
+// paper sums for its bandwidth estimate.
 //
 // The paper's bandwidth metric is reproduced by Bandwidth: the summed
 // request counts times the cache-line size divided by elapsed time.
 package hwsim
 
 import (
-	"runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -91,50 +86,6 @@ func (a *Accumulator) RegisterCounters(reg *core.Registry) error {
 		c := core.NewFuncCounter(name, info, 0,
 			func() int64 { return a.count(ev) },
 			func() { a.Reset() })
-		if err := reg.Register(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// GoRuntimeSource registers the /papi counters for a live Go process,
-// approximating off-core traffic from the runtime's cumulative
-// allocation volume (every allocated byte is written at least once and
-// typically read back; the proxy preserves relative magnitudes between
-// phases, which is what the paper's bandwidth comparisons use). This is
-// the real-runtime backend of the PAPI substitution; the simulator uses
-// an Accumulator instead.
-func GoRuntimeSource(m machine.Machine, locality int64, reg *core.Registry) error {
-	// runtime/metrics, not runtime.ReadMemStats: every read of a live
-	// counter would otherwise stop the world.
-	sample := func() int64 {
-		s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-		metrics.Read(s)
-		if s[0].Value.Kind() != metrics.KindUint64 {
-			return 0 // metric unknown to this Go runtime
-		}
-		return int64(s[0].Value.Uint64())
-	}
-	var baseline atomic.Int64
-	for _, ev := range Events {
-		ev := ev
-		name := core.Name{Object: "papi", Counter: "OFFCORE_REQUESTS", Parameters: ev}.
-			WithInstances(core.LocalityInstance(locality, "total", -1)...)
-		info := core.Info{
-			TypeName: "/papi/OFFCORE_REQUESTS",
-			HelpText: "off-core requests (" + ev + "), approximated from Go allocation volume",
-			Unit:     core.UnitEvents, Version: "1.0",
-		}
-		c := core.NewFuncCounter(name, info, 0,
-			func() int64 {
-				bytes := sample() - baseline.Load()
-				if bytes < 0 {
-					bytes = 0
-				}
-				return int64(trafficSplit[ev] * float64(bytes) / float64(m.CacheLineBytes))
-			},
-			func() { baseline.Store(sample()) })
 		if err := reg.Register(c); err != nil {
 			return err
 		}

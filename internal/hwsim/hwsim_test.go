@@ -107,32 +107,3 @@ func TestTrafficSplitSumsToOne(t *testing.T) {
 		t.Fatalf("traffic split sums to %v", sum)
 	}
 }
-
-func TestGoRuntimeSource(t *testing.T) {
-	m := machine.IvyBridge()
-	reg := core.NewRegistry()
-	if err := GoRuntimeSource(m, 5, reg); err != nil {
-		t.Fatal(err)
-	}
-	name := "/papi{locality#5/total}/OFFCORE_REQUESTS@" + EventAllDataRead
-	// Reset to a clean window, allocate, and observe counts appear.
-	if _, err := reg.Evaluate(name, true); err != nil {
-		t.Fatal(err)
-	}
-	waste := make([][]byte, 64)
-	for i := range waste {
-		waste[i] = make([]byte, 1<<16)
-		waste[i][0] = byte(i)
-	}
-	v, err := reg.Evaluate(name, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Raw <= 0 {
-		t.Fatalf("no traffic observed after allocating 4 MiB: %d", v.Raw)
-	}
-	// Keep the allocations alive past the read.
-	if waste[63][0] != 63 {
-		t.Fatal("unexpected")
-	}
-}

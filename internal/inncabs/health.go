@@ -32,7 +32,7 @@ func healthSize(s Size) healthParams {
 		return healthParams{levels: 5, branching: 4, steps: 40}
 	case Huge:
 		// ~19.5k villages x 400 steps (~7.8M tasks): a minutes-scale run
-		// for cancellation and shedding tests.
+		// for cancellation tests.
 		return healthParams{levels: 7, branching: 5, steps: 400}
 	default: // Paper-shaped: ~5k villages x 60 steps (scaled from 1.75e7 tasks)
 		return healthParams{levels: 6, branching: 5, steps: 60}

@@ -201,8 +201,9 @@ func (h *HPXRuntime) AsyncBatch(grainNs int64, fns []func() any) []Future {
 	return out
 }
 
-// NewMutex implements Runtime with the instrumented task-runtime mutex.
-func (h *HPXRuntime) NewMutex() sync.Locker { return &taskrt.Mutex{} }
+// NewMutex implements Runtime with a plain mutex, like the other
+// adapters: a task blocked on it blocks its worker goroutine.
+func (h *HPXRuntime) NewMutex() sync.Locker { return &sync.Mutex{} }
 
 // Name implements Runtime.
 func (h *HPXRuntime) Name() string { return "HPX" }
@@ -243,8 +244,8 @@ const (
 	// Paper matches the paper's input sets (or its documented scaling).
 	Paper
 	// Huge exceeds the paper's inputs; minutes-scale spawn storms used
-	// to exercise cancellation and overload shedding. Benchmarks without
-	// an explicit Huge preset fall back to their Paper parameters.
+	// to exercise cancellation. Benchmarks without an explicit Huge
+	// preset fall back to their Paper parameters.
 	Huge
 )
 

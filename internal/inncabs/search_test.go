@@ -148,23 +148,6 @@ func TestIntersimConservation(t *testing.T) {
 	}
 }
 
-func TestIntersimMutexesUsed(t *testing.T) {
-	// On the HPX runtime the switches use instrumented mutexes; verify
-	// they are actually exercised.
-	rt := hpxTestRuntime(t, 2)
-	m := rt.NewMutex()
-	m.Lock()
-	m.Unlock()
-	type counted interface{ Acquisitions() int64 }
-	c, ok := m.(counted)
-	if !ok {
-		t.Fatal("HPX runtime does not hand out counted mutexes")
-	}
-	if c.Acquisitions() != 1 {
-		t.Fatalf("acquisitions = %d", c.Acquisitions())
-	}
-}
-
 func TestRoundTokenConservation(t *testing.T) {
 	rt := hpxTestRuntime(t, 4)
 	p := roundSize(Test)

@@ -35,7 +35,7 @@ func utsSize(s Size) utsParams {
 	case Medium:
 		return utsParams{rootChildren: 128, maxDepth: 12, q1024: 480, slots: 4, seqDepth: 9}
 	case Huge:
-		// Minutes-scale spawn storm for cancellation/shedding tests.
+		// Minutes-scale spawn storm for cancellation tests.
 		return utsParams{rootChildren: 512, maxDepth: 17, q1024: 505, slots: 4, seqDepth: 12}
 	default: // Paper-shaped geometric tree, scaled
 		return utsParams{rootChildren: 256, maxDepth: 13, q1024: 490, slots: 4, seqDepth: 11}

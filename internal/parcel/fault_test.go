@@ -525,7 +525,6 @@ func TestIdempotencyClassification(t *testing.T) {
 		{request{Op: "spawn_attach"}, true},
 		{request{Op: "spawn_cancel"}, true},
 		{request{Op: "tree_push"}, true},
-		{request{Op: "tree_pull"}, true},
 		{request{Op: "no_such_op"}, false},
 	}
 	for _, row := range rows {

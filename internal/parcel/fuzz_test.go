@@ -43,8 +43,14 @@ var opSeeds = map[string][]request{
 	},
 	"spawn_attach": {{Attach: []string{"k1", "k2"}}, {}},
 	"spawn_cancel": {{Key: "k1"}},
-	"tree_push":    {{Tree: &TreeDigest{Root: 1, Gen: 1, Localities: 1, Entries: []core.Digest{}}}, {}},
-	"tree_pull":    {{}},
+	"tree_push": {
+		{Tree: &TreeDigest{Root: 1, Gen: 1, Localities: 1, Entries: []core.Digest{}}},
+		{Tree: &TreeDigest{Root: 2, Gen: 1, Localities: 1, Entries: []core.Digest{{
+			Key: "/threads{locality#*/total}/idle-rate", Sum: 1, Min: 1, Max: 1, Count: 1,
+			Hist: &core.HistogramSnapshot{Counts: []int64{1}, N: 1, Sum: 1},
+		}}}},
+		{},
+	},
 }
 
 // fuzzSeeds renders opSeeds to wire lines and adds the lines no request
@@ -86,12 +92,12 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
-// TestOpTable pins the wire protocol to its nine ops and fails when one
+// TestOpTable pins the wire protocol to its eight ops and fails when one
 // lacks a handler, a retry class or a fuzz seed — or when a seed names
 // an op the table does not hold.
 func TestOpTable(t *testing.T) {
 	want := []string{"bind_bulk", "discover", "evaluate_bulk", "spawn",
-		"spawn_attach", "spawn_cancel", "tree_pull", "tree_push", "types"}
+		"spawn_attach", "spawn_cancel", "tree_push", "types"}
 	var got []string
 	for name, op := range ops {
 		got = append(got, name)

@@ -94,7 +94,6 @@ var ops = map[string]struct {
 	// child subtree, so re-delivering one after a lost response is a
 	// no-op (tree.go).
 	"tree_push": {(*Server).treePush, retryAlways},
-	"tree_pull": {(*Server).treePull, retryAlways},
 }
 
 // idempotent reports whether the request can be safely re-sent after a
@@ -116,7 +115,6 @@ type response struct {
 	Infos []core.Info `json:"infos,omitempty"`
 	SetID int64       `json:"set_id,omitempty"` // bind_bulk: id of the compiled set
 	Spawn *spawnState `json:"spawn,omitempty"`  // spawn/spawn_cancel: state of that spawn; pushed when it completes
-	Tree  *TreeDigest `json:"tree,omitempty"`   // tree_pull: the receiver's folded view
 }
 
 // Machine-readable error classes carried in response.Code, so clients
@@ -265,8 +263,8 @@ type Server struct {
 	actions  atomic.Value // *ActionMap
 	wg       sync.WaitGroup
 
-	// treeNode, when set (SetTreeNode), serves the aggregation-tree ops
-	// tree_push/tree_pull (tree.go).
+	// treeNode, when set (SetTreeNode), serves the aggregation-tree op
+	// tree_push (tree.go).
 	treeNode atomic.Value // treeNodeHolder
 
 	// spawns is the distributed-spawn task table (spawn.go): keyed by

@@ -1,14 +1,13 @@
 package parcel
 
-// Aggregation-tree wire ops: the transport half of the k-ary counter
+// Aggregation-tree wire op: the transport half of the k-ary counter
 // reduction overlay (internal/agas/tree). A child node folds its
 // subtree into one bounded TreeDigest and ships it upward with
-// tree_push; a monitor (or a parent rebuilding state) reads a node's
-// folded view with tree_pull. Both ops are idempotent: pushes are
-// generation-keyed (the receiver keeps only the newest digest per child
-// subtree) and pulls are reads, so the client's usual reconnect/retry/
-// breaker machinery applies unchanged — which is what makes the overlay
-// repairable with the existing fault plane.
+// tree_push; a monitor reads the root's folded view in process. The op
+// is idempotent — pushes are generation-keyed (the receiver keeps only
+// the newest digest per child subtree) — so the client's usual
+// reconnect/retry/breaker machinery applies unchanged, which is what
+// makes the overlay repairable with the existing fault plane.
 
 import (
 	"context"
@@ -19,7 +18,7 @@ import (
 	"repro/internal/core"
 )
 
-// ErrNoTreeNode reports a tree op against a locality that has no
+// ErrNoTreeNode reports a tree push to a locality that has no
 // aggregation-tree node attached (SetTreeNode never called, or called
 // with nil). Distinct from transport failure: the peer is up, it just
 // isn't part of an overlay.
@@ -59,21 +58,19 @@ type TreeDigest struct {
 	Entries []core.Digest `json:"entries"`
 }
 
-// maxTreeEntries bounds one pushed or pulled digest, mirroring the bulk
+// maxTreeEntries bounds one pushed digest, mirroring the bulk
 // plane's name bound: a parcel stays O(counter types), never O(fleet).
 const maxTreeEntries = maxBulkNames
 
-// codeTreeNone classifies tree ops against a server with no attached
+// codeTreeNone classifies tree pushes against a server with no attached
 // tree node.
 const codeTreeNone = "tree_none"
 
-// TreeNode is the server-side delegate for the aggregation-tree ops —
-// implemented by tree.Node.
+// TreeNode is the server-side delegate for tree_push — implemented by
+// tree.Node.
 type TreeNode interface {
 	// TreePush accepts one child subtree's digest.
 	TreePush(d *TreeDigest) error
-	// TreeSnapshot returns this node's latest folded view.
-	TreeSnapshot() (*TreeDigest, error)
 }
 
 // treeNodeHolder wraps the interface for atomic.Value (which needs a
@@ -81,7 +78,7 @@ type TreeNode interface {
 type treeNodeHolder struct{ tn TreeNode }
 
 // SetTreeNode attaches (or, with nil, detaches) the aggregation-tree
-// delegate served at tree_push/tree_pull. Safe to call while serving.
+// delegate served at tree_push. Safe to call while serving.
 func (s *Server) SetTreeNode(tn TreeNode) { s.treeNode.Store(treeNodeHolder{tn}) }
 
 func (s *Server) treeNodeRef() TreeNode {
@@ -108,18 +105,6 @@ func (s *Server) treePush(req request, _ *connState) response {
 	return response{}
 }
 
-func (s *Server) treePull(request, *connState) response {
-	tn := s.treeNodeRef()
-	if tn == nil {
-		return response{Error: "parcel: no aggregation-tree node on this locality", Code: codeTreeNone}
-	}
-	d, err := tn.TreeSnapshot()
-	if err != nil {
-		return response{Error: err.Error()}
-	}
-	return response{Tree: d}
-}
-
 // TreePush delivers a subtree digest to the peer's tree node. Bounded
 // like every parcel; idempotent, so the transport retries it across
 // reconnects.
@@ -132,18 +117,6 @@ func (c *Client) TreePush(ctx context.Context, d *TreeDigest) error {
 	}
 	resp, err := c.roundTripContext(ctx, request{Op: "tree_push", Tree: d})
 	return treeErr(resp, err)
-}
-
-// TreePull reads the peer's latest folded subtree view.
-func (c *Client) TreePull(ctx context.Context) (*TreeDigest, error) {
-	resp, err := c.roundTripContext(ctx, request{Op: "tree_pull"})
-	if err := treeErr(resp, err); err != nil {
-		return nil, err
-	}
-	if resp.Tree == nil {
-		return nil, fmt.Errorf("parcel: empty tree_pull response")
-	}
-	return resp.Tree, nil
 }
 
 // treeErr maps a tree op's wire outcome onto the typed vocabulary.

@@ -3,6 +3,7 @@ package parcel
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -28,16 +29,16 @@ func (s *stubTreeNode) TreePush(d *TreeDigest) error {
 	return nil
 }
 
-func (s *stubTreeNode) TreeSnapshot() (*TreeDigest, error) {
+// held returns the digest the node keeps and how many pushes reached it.
+func (s *stubTreeNode) held() (*TreeDigest, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.last == nil {
-		return nil, errors.New("no digest yet")
-	}
-	return s.last, nil
+	return s.last, s.pushes
 }
 
-func TestTreePushPullRoundTrip(t *testing.T) {
+// TestTreePushRoundTrip: the node receives a pushed digest field for
+// field — identity, freshness, entry and histogram survive the wire.
+func TestTreePushRoundTrip(t *testing.T) {
 	_, _, srv, cli := newServerFixture(t)
 	tn := &stubTreeNode{}
 	srv.SetTreeNode(tn)
@@ -57,14 +58,14 @@ func TestTreePushPullRoundTrip(t *testing.T) {
 		t.Fatalf("TreePush: %v", err)
 	}
 
-	got, err := cli.TreePull(context.Background())
-	if err != nil {
-		t.Fatalf("TreePull: %v", err)
+	got, _ := tn.held()
+	if got == nil || got == d {
+		t.Fatalf("node holds %p, want a decoded copy of the pushed digest", got)
 	}
 	if got.Root != 7 || got.Rank != 3 || got.Gen != 1 {
 		t.Fatalf("identity lost over the wire: %+v", got)
 	}
-	if got.Localities != 5 || got.Depth != 2 || !got.Partial ||
+	if !got.Time.Equal(d.Time) || got.Localities != 5 || got.Depth != 2 || !got.Partial ||
 		got.StaleLocalities != 1 || got.Reparents != 2 {
 		t.Fatalf("freshness lost over the wire: %+v", got)
 	}
@@ -72,10 +73,10 @@ func TestTreePushPullRoundTrip(t *testing.T) {
 		t.Fatalf("entries = %+v", got.Entries)
 	}
 	e := got.Entries[0]
-	if e.Key != d.Entries[0].Key || e.Sum != 10 || e.Count != 5 || e.Stale != 1 {
+	if e.Key != d.Entries[0].Key || e.Sum != 10 || e.Min != 1 || e.Max != 4 || e.Count != 5 || e.Stale != 1 {
 		t.Fatalf("digest entry lost over the wire: %+v", e)
 	}
-	if e.Hist == nil || e.Hist.N != 5 || e.Hist.Sum != 12 {
+	if e.Hist == nil || e.Hist.N != 5 || e.Hist.Sum != 12 || !slices.Equal(e.Hist.Counts, hist.Counts) {
 		t.Fatalf("histogram lost over the wire: %+v", e.Hist)
 	}
 }
@@ -85,9 +86,6 @@ func TestTreeOpsWithoutNode(t *testing.T) {
 	err := cli.TreePush(context.Background(), &TreeDigest{Gen: 1})
 	if !errors.Is(err, ErrNoTreeNode) {
 		t.Fatalf("push without node: err = %v, want ErrNoTreeNode", err)
-	}
-	if _, err := cli.TreePull(context.Background()); !errors.Is(err, ErrNoTreeNode) {
-		t.Fatalf("pull without node: err = %v, want ErrNoTreeNode", err)
 	}
 }
 
@@ -135,23 +133,17 @@ func TestTreePushGenerationKeyed(t *testing.T) {
 			t.Fatalf("TreePush gen %d: %v", gen, err)
 		}
 	}
-	got, err := cli.TreePull(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, pushes := tn.held()
 	if got.Gen != 2 || got.Localities != 2 {
 		t.Fatalf("stale generation displaced newer digest: %+v", got)
 	}
-	tn.mu.Lock()
-	pushes := tn.pushes
-	tn.mu.Unlock()
 	if pushes != 3 {
 		t.Fatalf("pushes = %d, want 3", pushes)
 	}
 
-	// Detach: ops fail cleanly again.
+	// Detach: pushes fail cleanly again.
 	srv.SetTreeNode(nil)
-	if _, err := cli.TreePull(context.Background()); err == nil {
-		t.Fatal("pull after detach succeeded")
+	if err := cli.TreePush(context.Background(), &TreeDigest{Root: 1, Gen: 3}); !errors.Is(err, ErrNoTreeNode) {
+		t.Fatalf("push after detach: err = %v, want ErrNoTreeNode", err)
 	}
 }

@@ -1,10 +1,6 @@
 package taskrt
 
-import (
-	"context"
-	"runtime"
-	"sync/atomic"
-)
+import "runtime"
 
 // Batch spawn: launching the N children of a wide node as one scheduler
 // transaction. A single spawn pays a queue publish, a pending-count
@@ -31,7 +27,7 @@ func AsyncBatchGrain[T any](rt *Runtime, grainNs int64, fns []func() T) []*Futur
 // batches are enqueued as one scheduler transaction, and the per-batch
 // bookkeeping that single spawns pay per task — the clock read, the
 // spawn-depth computation, the spawn-site stack capture, the
-// cancellation and deadline scope — is paid once and stamped onto every
+// cancellation scope — is paid once and stamped onto every
 // member: one scope covers the batch, and a scope that dies while
 // members are queued drops each of them at dispatch with exact
 // cancelled-counter accounting, like single spawns. Other policies keep
@@ -65,29 +61,10 @@ func SpawnBatchWith[T any](rt *Runtime, o SpawnOptions, fns []func() T) []*Futur
 	if ctx == nil && w != nil {
 		ctx = w.curCtx // join the running task's cancellation tree
 	}
-	var onDone func()
-	if d := rt.deadline(o.Timeout); d > 0 {
-		// One deadline scope covers the whole batch; its timer is
-		// released when the last member completes.
-		base := ctx
-		if base == nil {
-			base = context.Background()
-		}
-		dctx, cancel := context.WithTimeout(base, d)
-		ctx = dctx
-		var left atomic.Int64
-		left.Store(int64(len(fns)))
-		onDone = func() {
-			if left.Add(-1) == 0 {
-				cancel()
-			}
-		}
-	}
 	for i, fn := range fns {
 		f := newFuture[T](rt)
 		f.fn = fn
 		f.ctx = ctx
-		f.onDone = onDone
 		f.depthNs = depth
 		if tr != nil {
 			f.meta = tr.newMetaFrom(w, nowNs, pcs)
@@ -99,15 +76,6 @@ func SpawnBatchWith[T any](rt *Runtime, o SpawnOptions, fns []func() T) []*Futur
 		// like single spawns.
 		for _, f := range out {
 			f.drop()
-		}
-		return out
-	}
-	if rt.shouldShed() {
-		// Overload: the whole batch is shed to inline execution, each
-		// member counted.
-		rt.shed.Add(int64(len(out)))
-		for _, f := range out {
-			runOn(w, rt, &f.task)
 		}
 		return out
 	}

@@ -185,37 +185,6 @@ func TestBatchCancelDropsQueued(t *testing.T) {
 	}
 }
 
-// TestBatchShedCountsEveryChild: a batch arriving past the shedding
-// high-water mark is degraded to inline execution with every member
-// counted in /count/shed — the batch path must not under-report.
-func TestBatchShedCountsEveryChild(t *testing.T) {
-	rt := New(WithWorkers(1), WithShedding(2))
-	defer rt.Shutdown()
-	release := gateWorkers(t, rt)
-
-	// Fill the queue to the mark with single spawns, then land the batch.
-	pre := make([]*Future[int], 2)
-	for i := range pre {
-		pre[i] = AsyncF(rt, func() int { return 1 })
-	}
-	var ran atomic.Int64
-	const n = 40
-	fs := AsyncBatch(rt, intBodies(n, &ran))
-	if got := rt.Shed(); got != n {
-		t.Fatalf("Shed() = %d, want exactly %d (every batch member)", got, n)
-	}
-	if got := ran.Load(); got != n {
-		t.Fatalf("%d bodies ran inline before release, want %d", got, n)
-	}
-	release()
-	for i, f := range fs {
-		if got := f.Get(); got != i {
-			t.Fatalf("shed future %d resolved to %d", i, got)
-		}
-	}
-	WaitAllOf(pre)
-}
-
 // seedInlineRuntime builds a 1-worker runtime with adaptive inlining on
 // and the spawn-cost EWMAs pre-seeded, so the inline threshold is a
 // known 4×(500+500) = 4000 ns without a warm-up phase.

@@ -125,36 +125,22 @@ func TestCancelGetPanics(t *testing.T) {
 	t.Fatal("Get did not panic on cancelled future")
 }
 
-// TestCancelRuntimeTaskDeadline: WithTaskDeadline bounds queued tasks —
-// a task still waiting when the default deadline passes is dropped.
-func TestCancelRuntimeTaskDeadline(t *testing.T) {
-	rt := New(WithWorkers(1), WithTaskDeadline(20*time.Millisecond))
-	defer rt.Shutdown()
-	release := gateWorkers(t, rt)
-
-	f := AsyncF(rt, func() int { return 1 })
-	time.Sleep(60 * time.Millisecond) // let the deadline lapse in-queue
-	release()
-	if err := f.Err(); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("Err() = %v, want ErrCancelled after task deadline", err)
-	}
-	if rt.Cancelled() == 0 {
-		t.Fatal("deadline drop not accounted in Cancelled()")
-	}
-}
-
-// TestCancelSpawnTimeout: the per-spawn deadline drops a queued task and
-// leaves a promptly-completing task untouched.
+// TestCancelSpawnTimeout: a Ctx carrying a deadline drops a queued task
+// and leaves a promptly-completing task untouched.
 func TestCancelSpawnTimeout(t *testing.T) {
 	rt := newTestRuntime(t, 1)
 
-	fast := SpawnWith(rt, SpawnOptions{Timeout: time.Second}, func() int { return 9 })
+	fastCtx, cancelFast := context.WithTimeout(context.Background(), time.Second)
+	defer cancelFast()
+	fast := SpawnWith(rt, SpawnOptions{Ctx: fastCtx}, func() int { return 9 })
 	if v, err := fast.GetErr(); err != nil || v != 9 {
 		t.Fatalf("fast GetErr = %d, %v", v, err)
 	}
 
 	release := gateWorkers(t, rt)
-	slow := SpawnWith(rt, SpawnOptions{Timeout: 20 * time.Millisecond}, func() int { return 1 })
+	slowCtx, cancelSlow := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancelSlow()
+	slow := SpawnWith(rt, SpawnOptions{Ctx: slowCtx}, func() int { return 1 })
 	time.Sleep(60 * time.Millisecond)
 	release()
 	if err := slow.Err(); !errors.Is(err, ErrCancelled) {
@@ -206,53 +192,4 @@ func TestCancelWaitContextOnWorker(t *testing.T) {
 	if got := AsyncF(rt, func() int { return 5 }).Get(); got != 5 {
 		t.Fatal("runtime unusable after abandoned WaitContext")
 	}
-}
-
-// TestShedExactCount: past the high-water mark every Async spawn runs
-// inline on the spawner — counted exactly, with no task lost.
-func TestShedExactCount(t *testing.T) {
-	rt := New(WithWorkers(1), WithShedding(4))
-	defer rt.Shutdown()
-	release := gateWorkers(t, rt)
-
-	const n = 100
-	var ran atomic.Int64
-	fs := make([]*Future[int], n)
-	for i := range fs {
-		fs[i] = AsyncF(rt, func() int { ran.Add(1); return 1 })
-	}
-	// The single worker is gated, so exactly 4 spawns reached the queue
-	// before the pending count hit the mark; the rest ran inline on this
-	// goroutine, completing before their spawn call returned.
-	if got := rt.Shed(); got != n-4 {
-		t.Fatalf("Shed() = %d, want exactly %d", got, n-4)
-	}
-	if got := ran.Load(); got != n-4 {
-		t.Fatalf("%d bodies ran before release, want %d inline", got, n-4)
-	}
-	release()
-	for i, f := range fs {
-		if v, err := f.GetErr(); err != nil || v != 1 {
-			t.Fatalf("future %d: GetErr = %d, %v", i, v, err)
-		}
-	}
-	if got := ran.Load(); got != n {
-		t.Fatalf("%d bodies ran in total, want %d", got, n)
-	}
-}
-
-// TestShedDisabledByDefault: without WithShedding nothing is shed even
-// under a long queue.
-func TestShedDisabledByDefault(t *testing.T) {
-	rt := newTestRuntime(t, 1)
-	release := gateWorkers(t, rt)
-	fs := make([]*Future[int], 500)
-	for i := range fs {
-		fs[i] = AsyncF(rt, func() int { return 1 })
-	}
-	if got := rt.Shed(); got != 0 {
-		t.Fatalf("Shed() = %d with shedding disabled", got)
-	}
-	release()
-	WaitAllOf(fs)
 }

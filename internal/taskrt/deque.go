@@ -32,9 +32,6 @@ type task struct {
 	// feeds the online span estimator behind the
 	// /runtime{...}/critical-path counters.
 	depthNs int64
-	// onDone releases per-task deadline resources (a context.CancelFunc)
-	// exactly once, when the task completes.
-	onDone func()
 	// state is the future lifecycle: futCreated -> futRunning -> futDone.
 	// The producer's very last store after a run is state=futDone; a
 	// consumer that observes it owns the object exclusively (Release).

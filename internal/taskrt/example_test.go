@@ -35,17 +35,6 @@ func ExampleSpawn() {
 	// ran lazily
 }
 
-// Continuations compose without blocking a goroutine on the antecedent.
-func ExampleThen() {
-	rt := taskrt.New(taskrt.WithWorkers(2))
-	defer rt.Shutdown()
-
-	a := taskrt.AsyncF(rt, func() int { return 20 })
-	b := taskrt.Then(a, taskrt.Async, func(v int) int { return v + 22 })
-	fmt.Println(b.Get())
-	// Output: 42
-}
-
 // The runtime's counters register into a core.Registry and are read by
 // hierarchical name — the paper's central mechanism.
 func ExampleRuntime_RegisterCounters() {

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 )
 
 // Policy selects how an Async task is launched, mirroring HPX's launch
@@ -73,14 +72,6 @@ const (
 	futRunning
 	futDone
 )
-
-// Waiter is the type-erased view of a Future, usable in WaitAll.
-type Waiter interface {
-	// Wait blocks until the future's value is available.
-	Wait()
-	// Ready reports whether the value is already available.
-	Ready() bool
-}
 
 // Future holds the eventual result of an Async call. The zero value is
 // not usable; futures are created by Spawn.
@@ -153,7 +144,6 @@ func (f *Future[T]) Release() {
 	f.ctx = nil
 	f.meta = nil
 	f.depthNs = 0
-	f.onDone = nil
 	f.deferred = false
 	f.doneCh.Store(nil)
 	f.pool.Put(f)
@@ -175,6 +165,8 @@ type SpawnOptions struct {
 	// dies while the task is queued is dropped without running: its
 	// future completes with ErrCancelled and the runtime's cancelled
 	// counter is bumped. nil inherits the spawning task's scope, if any.
+	// A deadline is a Ctx that carries one: context.WithTimeout with
+	// rt.CurrentContext() as the parent keeps the inherited scope.
 	Ctx context.Context
 	// Policy is the launch policy; the zero value is Async.
 	Policy Policy
@@ -185,19 +177,6 @@ type SpawnOptions struct {
 	// grain); 0 means "unknown", falling back to the runtime's own
 	// profiled task-duration EWMA.
 	GrainNs int64
-	// Timeout, when positive, bounds the scope by a per-spawn deadline.
-	// It composes with WithTaskDeadline and Ctx: the earliest wins.
-	Timeout time.Duration
-}
-
-// deadline returns the tighter of the runtime's default task deadline
-// and a spawn's own timeout; 0 means neither is set.
-func (rt *Runtime) deadline(timeout time.Duration) time.Duration {
-	d := rt.taskDeadline
-	if timeout > 0 && (d == 0 || timeout < d) {
-		d = timeout
-	}
-	return d
 }
 
 // Spawn launches fn under the given policy on rt and returns a Future for
@@ -235,16 +214,6 @@ func SpawnWith[T any](rt *Runtime, o SpawnOptions, fn func() T) *Future[T] {
 	if ctx == nil && w != nil {
 		ctx = w.curCtx // join the running task's cancellation tree
 	}
-	if d := rt.deadline(o.Timeout); d > 0 {
-		// Folded into the scope so dispatch-side dropping and descendant
-		// propagation both apply. The timer release is installed here,
-		// before the task is published: completion may run concurrently
-		// on a worker the moment the task is queued.
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		ctx, f.onDone = context.WithTimeout(ctx, d)
-	}
 	f.ctx = ctx
 	if ctx != nil && ctx.Err() != nil {
 		// Dead on arrival: dropped before it is ever queued, and
@@ -260,15 +229,6 @@ func SpawnWith[T any](rt *Runtime, o SpawnOptions, fn func() T) *Future[T] {
 	case Deferred:
 		f.deferred = true
 	default: // Async, Optional
-		if rt.shouldShed() {
-			// Overload: past the pending high-water mark new spawns run
-			// inline (work-first), trading parallelism for bounded
-			// queues — the task still executes, only its queueing is
-			// shed.
-			rt.shed.Add(1)
-			runOn(w, rt, &f.task)
-			return f
-		}
 		if rt.inlineEligible(w, o.GrainNs) {
 			// Adaptive inlining: the task is cheaper to run here than
 			// to schedule, by the runtime's own measurement.
@@ -346,14 +306,11 @@ func (t *task) drop() {
 	t.complete()
 }
 
-// complete publishes completion. Ordering matters: the deadline hook
-// and the wait-channel close come first, and the state store comes
-// last — it is the producer's final touch of the object, so a consumer
-// that observes futDone owns the task exclusively and may Release it.
+// complete publishes completion. Ordering matters: the wait-channel
+// close comes first and the state store last — it is the producer's
+// final touch of the object, so a consumer that observes futDone owns
+// the task exclusively and may Release it.
 func (t *task) complete() {
-	if t.onDone != nil {
-		t.onDone()
-	}
 	if h := t.doneCh.Swap(closedDoneChan); h != nil && h != closedDoneChan {
 		close(h.ch)
 	}
@@ -422,14 +379,8 @@ func (f *Future[T]) Get() T {
 	return f.value
 }
 
-// WaitAll waits for every given future, matching hpx::wait_all.
-func WaitAll(fs ...Waiter) {
-	for _, f := range fs {
-		f.Wait()
-	}
-}
-
-// WaitAllOf waits for a homogeneous slice of futures.
+// WaitAllOf waits for a homogeneous slice of futures, matching
+// hpx::wait_all.
 func WaitAllOf[T any](fs []*Future[T]) {
 	for _, f := range fs {
 		f.Wait()

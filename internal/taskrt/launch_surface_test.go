@@ -25,82 +25,76 @@ func isTaskBody(e ast.Expr) bool {
 }
 
 // TestLaunchSurface pins the exported launch set: the package-level
-// functions that take a task body. One general form per shape
-// (SpawnWith, SpawnBatchWith) plus the sugar real callers use; a new
-// spelling of an existing combination has to delete one to get in.
+// functions that take a task body, the Option constructors and the
+// SpawnOptions fields. One general form per shape (SpawnWith,
+// SpawnBatchWith) plus the sugar real callers use; a new spelling of an
+// existing combination, or a new knob, has to delete one to get in.
 func TestLaunchSurface(t *testing.T) {
 	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", notTest, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
+	var launch, options, fields []string
 	for _, f := range pkgs["taskrt"].Files {
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || !fd.Name.IsExported() {
-				continue
-			}
-			for _, p := range fd.Type.Params.List {
-				if isTaskBody(p.Type) {
-					got = append(got, fd.Name.Name)
-					break
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil || !d.Name.IsExported() {
+					continue
+				}
+				for _, p := range d.Type.Params.List {
+					if isTaskBody(p.Type) {
+						launch = append(launch, d.Name.Name)
+						break
+					}
+				}
+				if r := d.Type.Results; r.NumFields() == 1 {
+					if id, ok := r.List[0].Type.(*ast.Ident); ok && id.Name == "Option" {
+						options = append(options, d.Name.Name)
+					}
+				}
+			case *ast.GenDecl:
+				for _, sp := range d.Specs {
+					ts, ok := sp.(*ast.TypeSpec)
+					if !ok || ts.Name.Name != "SpawnOptions" {
+						continue
+					}
+					for _, fl := range ts.Type.(*ast.StructType).Fields.List {
+						for _, n := range fl.Names {
+							fields = append(fields, n.Name)
+						}
+					}
 				}
 			}
 		}
 	}
-	sort.Strings(got)
-	want := []string{"AsyncBatch", "AsyncBatchGrain", "AsyncF", "Spawn", "SpawnBatchWith", "SpawnWith"}
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("exported launch functions = %v, want exactly %v", got, want)
-	}
-}
-
-// TestSpawnTimeoutComposes: SpawnOptions.Timeout, WithTaskDeadline and
-// Ctx fold into one scope and whichever ends first drops the queued
-// task; a nil Ctx with a Timeout is bounded from Background.
-func TestSpawnTimeoutComposes(t *testing.T) {
-	const short, long = 20 * time.Millisecond, time.Hour
-	for _, tc := range []struct {
-		name              string
-		deadline, timeout time.Duration
-		cancelCtx         bool
+	for _, c := range []struct {
+		what      string
+		got, want []string
 	}{
-		{"timeout beats runtime deadline", long, short, false},
-		{"runtime deadline beats timeout", short, long, false},
-		{"ctx beats timeout", 0, long, true},
+		{"exported launch functions", launch, []string{"AsyncBatch", "AsyncBatchGrain", "AsyncF", "Spawn", "SpawnBatchWith", "SpawnWith"}},
+		{"Option constructors", options, []string{"WithAdaptiveInlining", "WithLocality", "WithWorkers"}},
+		{"SpawnOptions fields", fields, []string{"Ctx", "GrainNs", "Policy"}},
 	} {
-		opts := []Option{WithWorkers(1)}
-		if tc.deadline > 0 {
-			opts = append(opts, WithTaskDeadline(tc.deadline))
+		sort.Strings(c.got)
+		if strings.Join(c.got, " ") != strings.Join(c.want, " ") {
+			t.Errorf("%s = %v, want exactly %v", c.what, c.got, c.want)
 		}
-		rt := New(opts...)
-		release := gateWorkers(t, rt)
-		ctx, cancel := context.WithCancel(context.Background())
-		f := SpawnWith(rt, SpawnOptions{Ctx: ctx, Timeout: tc.timeout}, func() int { return 1 })
-		if tc.cancelCtx {
-			cancel()
-		} else {
-			time.Sleep(3 * short)
-		}
-		release()
-		if err := f.Err(); !errors.Is(err, ErrCancelled) {
-			t.Errorf("%s: Err() = %v, want ErrCancelled", tc.name, err)
-		}
-		cancel()
-		rt.Shutdown()
 	}
 }
 
-// TestBatchTimeout: one Timeout scope covers a whole batch — members
-// still queued when it lapses are dropped and counted exactly, a batch
-// that finishes in time is untouched, and non-Async policies get the
-// bound per member.
+// TestBatchTimeout: a Ctx carrying a deadline covers a whole batch —
+// members still queued when it lapses are dropped and counted exactly,
+// a batch that finishes in time is untouched, and non-Async policies
+// get the bound per member.
 func TestBatchTimeout(t *testing.T) {
 	rt := newTestRuntime(t, 1)
 	var ran atomic.Int64
 	const n = 40
-	for i, v := range GetAll(SpawnBatchWith(rt, SpawnOptions{Timeout: time.Minute}, intBodies(n, &ran))) {
+	inTime, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for i, v := range GetAll(SpawnBatchWith(rt, SpawnOptions{Ctx: inTime}, intBodies(n, &ran))) {
 		if v != i {
 			t.Fatalf("in-time member %d resolved to %d", i, v)
 		}
@@ -109,8 +103,10 @@ func TestBatchTimeout(t *testing.T) {
 	release := gateWorkers(t, rt)
 	ran.Store(0)
 	before := rt.Cancelled()
-	late := SpawnBatchWith(rt, SpawnOptions{Timeout: 20 * time.Millisecond}, intBodies(n, &ran))
-	deferred := SpawnBatchWith(rt, SpawnOptions{Policy: Deferred, Timeout: 20 * time.Millisecond}, intBodies(n, &ran))
+	short, cancelShort := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancelShort()
+	late := SpawnBatchWith(rt, SpawnOptions{Ctx: short}, intBodies(n, &ran))
+	deferred := SpawnBatchWith(rt, SpawnOptions{Policy: Deferred, Ctx: short}, intBodies(n, &ran))
 	time.Sleep(60 * time.Millisecond)
 	release()
 	for i, f := range append(late, deferred...) {

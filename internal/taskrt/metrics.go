@@ -354,14 +354,13 @@ func (rt *Runtime) RegisterCounters(reg *core.Registry) error {
 		}
 	}
 
-	// Resilience counters: tasks dropped by cancellation, spawns shed by
-	// the admission controller, and the watchdog's health events.
+	// Resilience counters: tasks dropped by cancellation and the
+	// watchdog's health events.
 	resSpecs := []struct {
 		counter, help string
 		val           *atomic.Int64
 	}{
 		{"count/cancelled", "tasks dropped at dispatch by cancellation", &rt.cancelled},
-		{"count/shed", "async spawns degraded to inline by overload shedding", &rt.shed},
 		{"health/backlog-growth", "watchdog: sustained injector backlog growth episodes", &rt.healthBacklog},
 		{"health/deadlocks", "watchdog: suspected deadlocked wait cycles", &rt.healthDeadlock},
 		{"health/events", "watchdog: total health events raised", &rt.healthEvents},

@@ -18,8 +18,6 @@ type Option func(*config)
 type config struct {
 	workers        int
 	locality       int64
-	taskDeadline   time.Duration
-	shedLimit      int64
 	adaptiveInline bool
 }
 
@@ -38,34 +36,6 @@ func WithLocality(id int64) Option {
 	return func(c *config) { c.locality = id }
 }
 
-// WithTaskDeadline sets a default per-task deadline: every spawned task
-// gets a cancellation scope bounded by d, so a task that is still queued
-// when its deadline passes is dropped at dispatch (counted in the
-// cancelled counter) instead of running arbitrarily late. Per-spawn
-// deadlines (SpawnOptions.Timeout) and caller contexts compose with it —
-// the earliest deadline wins.
-func WithTaskDeadline(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.taskDeadline = d
-		}
-	}
-}
-
-// WithShedding installs an admission controller: once more than hwm
-// tasks are pending across all queues, new Async spawns degrade to
-// inline (work-first) execution on the spawning goroutine instead of
-// being enqueued. The queue stays bounded at the high-water mark plus
-// the worker count; no task is refused — only its queueing is shed.
-// Sheds are counted in /runtime{locality#L/total}/count/shed.
-func WithShedding(hwm int) Option {
-	return func(c *config) {
-		if hwm > 0 {
-			c.shedLimit = int64(hwm)
-		}
-	}
-}
-
 // Runtime is a lightweight-task scheduler: a fixed pool of workers with
 // per-worker lock-free deques, work stealing and a lock-free injection
 // queue for submissions from non-worker goroutines.
@@ -80,18 +50,9 @@ type Runtime struct {
 	closed   atomic.Bool
 	wg       sync.WaitGroup
 
-	// taskDeadline is the default per-task deadline (0 = none); set at
-	// construction, read-only afterwards.
-	taskDeadline time.Duration
-	// shedLimit is the pending-task high-water mark past which Async
-	// spawns run inline (0 = shedding off); read-only after New.
-	shedLimit int64
 	// cancelled counts tasks dropped at dispatch because their
 	// cancellation scope ended before they ran.
 	cancelled atomic.Int64
-	// shed counts Async spawns degraded to inline execution by the
-	// admission controller.
-	shed atomic.Int64
 
 	// Adaptive-inline state (see inline.go): the policy flag (read-only
 	// after New), the self-measured spawn-cost EWMAs, the profiled
@@ -166,8 +127,6 @@ func New(opts ...Option) *Runtime {
 		wakeup:         newNotifier(),
 		wmap:           newWorkerMap(),
 		locality:       cfg.locality,
-		taskDeadline:   cfg.taskDeadline,
-		shedLimit:      cfg.shedLimit,
 		adaptiveInline: cfg.adaptiveInline,
 	}
 	rt.rng.Store(uint64(time.Now().UnixNano()) | 1)
@@ -301,18 +260,10 @@ func (rt *Runtime) submitBatchFrom(w *worker, ts []*task) error {
 	return nil
 }
 
-// shouldShed reports whether the admission controller is active and the
-// pending-task count has reached the high-water mark. With shedding off
-// the sum is never taken, so the default spawn path reads no other
-// worker's queue.
-func (rt *Runtime) shouldShed() bool {
-	return rt.shedLimit > 0 && rt.pendingCount() >= rt.shedLimit
-}
-
 // pendingCount returns the number of tasks queued anywhere: the
 // injector plus every worker's deque. It is a sum of lengths, not a
 // shared counter, so submit and dequeue touch no common cache line; the
-// pending counter, shedding, the watchdog and the inliner all read it.
+// pending counter, the watchdog and the inliner all read it.
 func (rt *Runtime) pendingCount() int64 {
 	n := int64(rt.injector.len())
 	for _, w := range rt.workers {
@@ -324,10 +275,6 @@ func (rt *Runtime) pendingCount() int64 {
 // Cancelled returns the cumulative number of tasks dropped at dispatch
 // because their cancellation scope ended before they ran.
 func (rt *Runtime) Cancelled() int64 { return rt.cancelled.Load() }
-
-// Shed returns the cumulative number of Async spawns degraded to inline
-// execution by the admission controller.
-func (rt *Runtime) Shed() int64 { return rt.shed.Load() }
 
 // run is the worker scheduling loop.
 func (w *worker) run(started <-chan struct{}) {

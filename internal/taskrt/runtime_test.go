@@ -148,12 +148,6 @@ func TestPanicPropagation(t *testing.T) {
 
 func TestWaitAll(t *testing.T) {
 	rt := newTestRuntime(t, 2)
-	a := AsyncF(rt, func() int { return 1 })
-	b := AsyncF(rt, func() string { return "x" })
-	WaitAll(a, b)
-	if !a.Ready() || !b.Ready() {
-		t.Fatal("WaitAll returned before completion")
-	}
 	fs := make([]*Future[int], 10)
 	for i := range fs {
 		i := i
@@ -233,33 +227,6 @@ func TestWorkStealingHappens(t *testing.T) {
 	}
 	if stolen == 0 {
 		t.Fatal("no tasks were stolen despite fan-out across 4 workers")
-	}
-}
-
-func TestMutexCounts(t *testing.T) {
-	rt := newTestRuntime(t, 4)
-	var m Mutex
-	counter := 0
-	fs := make([]*Future[int], 32)
-	for i := range fs {
-		fs[i] = AsyncF(rt, func() int {
-			m.Lock()
-			counter++
-			time.Sleep(100 * time.Microsecond)
-			m.Unlock()
-			return 0
-		})
-	}
-	WaitAllOf(fs)
-	if counter != 32 {
-		t.Fatalf("counter = %d (mutex did not exclude)", counter)
-	}
-	if m.Acquisitions() != 32 {
-		t.Fatalf("acquisitions = %d", m.Acquisitions())
-	}
-	m.ResetStats()
-	if m.Acquisitions() != 0 || m.Contentions() != 0 {
-		t.Fatal("ResetStats did not clear")
 	}
 }
 
