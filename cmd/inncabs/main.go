@@ -48,7 +48,7 @@ func main() {
 		tracePath = flag.String("trace", "", "write a Chrome trace (chrome://tracing) of the task schedule to this file (hpx runtime)")
 		profile   = flag.Bool("profile", false, "trace the run and print its DAG profile: work, span (critical path), parallelism, top spawn sites (hpx runtime)")
 		serveAddr = flag.String("serve", "", "serve the counter registry over parcel at this address for remote monitors (e.g. 127.0.0.1:7110)")
-		deadline  = flag.Duration("deadline", 0, "cancel the measurement after this long (0 = unbounded); cancellable benchmarks stop cooperatively")
+		deadline  = flag.Duration("deadline", 0, "cancel the measurement after this long (0 = unbounded); on the hpx runtime every benchmark stops at its next spawn or join and drains its running tasks before exit; std runs are abandoned")
 		watchdog  = flag.Bool("watchdog", false, "run the runtime health watchdog and log events to stderr (hpx runtime)")
 
 		httpAddr   = flag.String("http", "", "serve live telemetry over HTTP at this address (/metrics, /series, and /flight with -flight)")
@@ -236,7 +236,7 @@ func main() {
 	var runErr error
 	for i := 0; i < *samples; i++ {
 		start := time.Now()
-		checksum, runErr = runBounded(ctx, b, rt, size)
+		checksum, runErr = b.RunCtx(ctx, rt, size)
 		elapsed := time.Since(start)
 		if runErr != nil {
 			break
@@ -267,27 +267,6 @@ func main() {
 	}
 	fmt.Printf("verification: %s\n", status)
 	fmt.Printf("execution time [s]: %s\n", stats.Summarize(times))
-}
-
-// runBounded runs one sample under ctx. Benchmarks with a cancellable
-// kernel (RunCtx) observe the context cooperatively and drain quickly
-// on cancellation; the rest are abandoned in a goroutine at the
-// deadline — acceptable only because the process exits right after.
-func runBounded(ctx context.Context, b *inncabs.Benchmark, rt inncabs.Runtime, size inncabs.Size) (int64, error) {
-	if b.RunCtx != nil {
-		return b.RunCtx(ctx, rt, size)
-	}
-	if ctx.Done() == nil { // unbounded: avoid the extra goroutine
-		return b.Run(rt, size), nil
-	}
-	done := make(chan int64, 1)
-	go func() { done <- b.Run(rt, size) }()
-	select {
-	case sum := <-done:
-		return sum, nil
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
 }
 
 // runSuite executes every benchmark, verifying checksums, and prints a

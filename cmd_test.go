@@ -5,9 +5,12 @@ package repro
 // including the remote-monitoring path across two real processes.
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -88,6 +91,30 @@ func TestCmdInncabs(t *testing.T) {
 	out = runTool(t, "inncabs", "-list-benchmarks")
 	if strings.Count(out, "\n") < 14 {
 		t.Fatalf("listing too short:\n%s", out)
+	}
+}
+
+// TestCmdInncabsDeadline: a bounded run of a kernel with no hand-written
+// cancellable copy stops through the root task's scope — it exits 1,
+// names the context's error, and reports the tasks dropped at dispatch.
+func TestCmdInncabsDeadline(t *testing.T) {
+	args := []string{"-bench", "sort", "-size", "huge", "-threads", "2",
+		"-deadline", "200ms", "-samples", "1"}
+	// Not runTool: the expected exit status is 1.
+	out, err := exec.Command(filepath.Join(buildTools(t), "inncabs"), args...).CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("inncabs %v: err = %v, want exit status 1\n%s", args, err, out)
+	}
+	if want := "run cancelled after 0 complete sample(s): context deadline exceeded"; !strings.Contains(string(out), want) {
+		t.Fatalf("output missing %q:\n%s", want, out)
+	}
+	m := regexp.MustCompile(`tasks dropped at dispatch: (\d+)`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("output has no dropped-task count:\n%s", out)
+	}
+	if n, _ := strconv.Atoi(string(m[1])); n == 0 {
+		t.Fatalf("no tasks dropped at dispatch:\n%s", out)
 	}
 }
 

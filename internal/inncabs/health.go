@@ -1,10 +1,6 @@
 package inncabs
 
-import (
-	"context"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Health: the Columbian health-care simulation (BOTS). A tree of
 // villages is simulated over discrete time steps; every step descends
@@ -149,70 +145,6 @@ func healthRun(rt Runtime, size Size) int64 { return healthRunOn(rt, size) }
 
 func healthRef(size Size) int64 { return healthRunOn(sequentialRuntime{}, size) }
 
-// healthStepCtx is healthStep with cancellation: the descent stops once
-// the context dies; already-joined children keep the village state
-// consistent but the run's checksum is abandoned by the caller.
-func healthStepCtx(ctx context.Context, rt Runtime, v *village, step int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var futures []Future
-	for _, c := range v.children {
-		c := c
-		futures = append(futures, asyncCtx(ctx, rt, func() any {
-			return healthStepCtx(ctx, rt, c, step)
-		}))
-	}
-	h := hash64(v.id*1000003 + uint64(step))
-	if h%4 == 0 {
-		v.waiting = append(v.waiting, patient{id: h, remaining: int(h>>8%3) + 1})
-	}
-	var firstErr error
-	for _, f := range futures {
-		v2, err := getErr(f)
-		if err == nil {
-			if e, ok := v2.(error); ok {
-				err = e
-			}
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	for _, c := range v.children {
-		v.waiting = append(v.waiting, c.referred...)
-		c.referred = c.referred[:0]
-	}
-	kept := v.waiting[:0]
-	for _, pt := range v.waiting {
-		pt.remaining--
-		switch {
-		case pt.remaining <= 0:
-			v.treated++
-		case hash64(pt.id+uint64(step))%8 == 0 && v.level > 1:
-			v.referred = append(v.referred, pt)
-		default:
-			kept = append(kept, pt)
-		}
-	}
-	v.waiting = kept
-	return nil
-}
-
-func healthRunCtx(ctx context.Context, rt Runtime, size Size) (int64, error) {
-	p := healthSize(size)
-	root := buildVillages(p)
-	for step := 0; step < p.steps; step++ {
-		if err := healthStepCtx(ctx, rt, root, step); err != nil {
-			return 0, err
-		}
-	}
-	return healthChecksum(root), nil
-}
-
 // healthGraph: steps in series; each step is the recursive descent tree
 // at the 1.02 µs grain.
 func healthGraph(size Size) *sim.Graph {
@@ -255,7 +187,6 @@ var healthBenchmark = register(&Benchmark{
 	PaperHPXScaling: "to 10",
 	MemIntensity:    healthIntensity,
 	Run:             healthRun,
-	RunCtx:          healthRunCtx,
 	RefChecksum:     healthRef,
 	TaskGraph:       healthGraph,
 })

@@ -6,7 +6,10 @@
 //     abstraction, executable on the lightweight runtime (taskrt) and
 //     the thread-per-task baseline (stdrt). The port mirrors the paper's
 //     Table II: the only difference between the two versions is which
-//     runtime's async the calls resolve to.
+//     runtime's async the calls resolve to. Run is each kernel's only
+//     parallel implementation; there is no cancellable variant. A run
+//     bounded by a context (RunCtx) is the same Run inside one root
+//     task whose cancellation scope is that context.
 //
 //   - TaskGraph: a fork/join skeleton with the same spawn structure and
 //     calibrated task granularity (Table V) and memory intensity, fed to
@@ -46,15 +49,6 @@ type Runtime interface {
 	Name() string
 }
 
-// CtxRuntime is implemented by runtimes whose tasks can join a
-// cancellation scope. The cancellable kernels (RunCtx) use it when
-// available and degrade to spawn-time context checks otherwise.
-type CtxRuntime interface {
-	Runtime
-	// AsyncCtx launches fn with ctx as its cancellation scope.
-	AsyncCtx(ctx context.Context, fn func() any) Future
-}
-
 // BatchRuntime is implemented by runtimes that can launch the children
 // of a wide node as one scheduler transaction (one queue publish, one
 // wakeup) instead of one per child. grainNs is the caller's estimate of
@@ -81,60 +75,6 @@ func asyncAll(rt Runtime, grainNs int64, fns []func() any) []Future {
 	return out
 }
 
-// errFuture is implemented by futures that can report how the task
-// completed without re-panicking (taskrt's Future does).
-type errFuture interface {
-	GetErr() (any, error)
-}
-
-// asyncCtx launches fn under ctx on rt, using native cancellation
-// support when the runtime has it. Without native support the context
-// is only consulted at spawn time.
-func asyncCtx(ctx context.Context, rt Runtime, fn func() any) Future {
-	if c, ok := rt.(CtxRuntime); ok {
-		return c.AsyncCtx(ctx, fn)
-	}
-	if err := ctx.Err(); err != nil {
-		return cancelledFuture{err}
-	}
-	return rt.Async(fn)
-}
-
-// getErr waits for a future and separates value from failure: cancelled
-// or panicked tasks surface as an error instead of a re-panic.
-func getErr(f Future) (any, error) {
-	if e, ok := f.(errFuture); ok {
-		return e.GetErr()
-	}
-	return f.Get(), nil
-}
-
-// cancelledFuture is the dead-on-arrival future for runtimes without
-// native cancellation.
-type cancelledFuture struct{ err error }
-
-func (f cancelledFuture) Get() any             { return nil }
-func (f cancelledFuture) GetErr() (any, error) { return nil, f.err }
-
-// ctxProbe amortizes ctx.Err checks inside tight sequential kernels:
-// the context is consulted every 256 calls and the result latches.
-type ctxProbe struct {
-	ctx  context.Context
-	n    uint32
-	dead bool
-}
-
-func (p *ctxProbe) cancelled() bool {
-	if p.dead {
-		return true
-	}
-	p.n++
-	if p.n&255 == 0 && p.ctx.Err() != nil {
-		p.dead = true
-	}
-	return p.dead
-}
-
 // The adapter methods below wrap every benchmark spawn, so without
 // help each trace would attribute all tasks to this file. Registering
 // them as site-skip prefixes makes spawn-site resolution step over the
@@ -159,9 +99,7 @@ func init() {
 	}
 	pkg := name[:i+j+1]
 	taskrt.RegisterSiteSkip(pkg + "(*HPXRuntime).Async")
-	taskrt.RegisterSiteSkip(pkg + "(*HPXRuntime).AsyncCtx")
 	taskrt.RegisterSiteSkip(pkg + "(*HPXRuntime).AsyncBatch")
-	taskrt.RegisterSiteSkip(pkg + "asyncCtx")
 	taskrt.RegisterSiteSkip(pkg + "asyncAll")
 }
 
@@ -181,12 +119,6 @@ func NewHPX(rt *taskrt.Runtime) *HPXRuntime {
 // Async implements Runtime.
 func (h *HPXRuntime) Async(fn func() any) Future {
 	return taskrt.Spawn(h.RT, h.Policy, fn)
-}
-
-// AsyncCtx implements CtxRuntime: the task joins ctx's cancellation
-// tree, so tasks still queued when ctx dies are dropped at dispatch.
-func (h *HPXRuntime) AsyncCtx(ctx context.Context, fn func() any) Future {
-	return taskrt.SpawnWith(h.RT, taskrt.SpawnOptions{Ctx: ctx, Policy: h.Policy}, fn)
 }
 
 // AsyncBatch implements BatchRuntime: an Async-policy batch is one
@@ -285,7 +217,8 @@ func ParseSize(s string) (Size, error) {
 	}
 }
 
-// Benchmark describes one suite member.
+// Benchmark describes one suite member. Its one parallel kernel is Run;
+// RunCtx bounds that same kernel by a context.
 type Benchmark struct {
 	// Name is the lower-case benchmark name ("alignment", "fft", ...).
 	Name string
@@ -314,16 +247,48 @@ type Benchmark struct {
 	// Run executes the real benchmark on rt and returns a checksum that
 	// tests verify against RefChecksum.
 	Run func(rt Runtime, size Size) int64
-	// RunCtx, when set, is the cancellable variant: it observes ctx
-	// cooperatively and returns early with a non-nil error once the
-	// context dies (the partial checksum is meaningless then). Only the
-	// long-running kernels implement it.
-	RunCtx func(ctx context.Context, rt Runtime, size Size) (int64, error)
 	// RefChecksum returns the expected checksum for a size (computed by
 	// a sequential reference inside the package).
 	RefChecksum func(size Size) int64
 	// TaskGraph builds the simulator skeleton for a size.
 	TaskGraph func(size Size) *sim.Graph
+}
+
+// RunCtx runs b.Run bounded by ctx. Once ctx is done it returns
+// ctx.Err(), and the checksum is meaningless.
+//
+// On HPX the run is one root task whose cancellation scope is ctx.
+// Every task the kernel spawns joins that scope, so once ctx dies the
+// queued tasks are dropped at dispatch and the run stops at its next
+// spawn or join. A running task body is never interrupted: the run
+// drains before RunCtx returns. Other runtimes have no scopes; their
+// run is abandoned in a goroutine when ctx dies, which is acceptable
+// only because the caller exits right after.
+func (b *Benchmark) RunCtx(ctx context.Context, rt Runtime, size Size) (int64, error) {
+	if ctx.Done() == nil { // unbounded: no root task, no goroutine
+		return b.Run(rt, size), nil
+	}
+	if h, ok := rt.(*HPXRuntime); ok {
+		root := taskrt.SpawnWith(h.RT, taskrt.SpawnOptions{Ctx: ctx}, func() int64 {
+			return b.Run(rt, size)
+		})
+		sum, err := root.GetErr()
+		if ctx.Err() != nil {
+			return 0, ctx.Err()
+		}
+		if err != nil {
+			panic(err) // a task panicked: re-raise it as Get would
+		}
+		return sum, nil
+	}
+	done := make(chan int64, 1)
+	go func() { done <- b.Run(rt, size) }()
+	select {
+	case sum := <-done:
+		return sum, nil
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
 }
 
 // registry holds the suite members (population order is file order).

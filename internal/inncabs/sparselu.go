@@ -1,7 +1,6 @@
 package inncabs
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/sim"
@@ -206,82 +205,6 @@ func sparseluRun(rt Runtime, size Size) int64 {
 	return sparseluChecksum(m)
 }
 
-// sparseluFactorCtx is the cancellable factorization: the context is
-// checked at every elimination step and between the substitution and
-// update phases; block tasks join the cancellation tree and dropped
-// tasks surface as errors at the phase joins.
-func sparseluFactorCtx(ctx context.Context, rt Runtime, m *blockMatrix) error {
-	bs := m.bs
-	join := func(phase []Future) error {
-		var firstErr error
-		for _, f := range phase {
-			v, err := getErr(f)
-			if err == nil {
-				if e, ok := v.(error); ok {
-					err = e
-				}
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	for k := 0; k < m.nb; k++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		lu0(m.at(k, k), bs)
-		diag := m.at(k, k)
-		var phase []Future
-		for j := k + 1; j < m.nb; j++ {
-			if b := m.at(k, j); b != nil {
-				b := b
-				phase = append(phase, asyncCtx(ctx, rt, func() any { fwd(diag, b, bs); return nil }))
-			}
-		}
-		for i := k + 1; i < m.nb; i++ {
-			if b := m.at(i, k); b != nil {
-				b := b
-				phase = append(phase, asyncCtx(ctx, rt, func() any { bdiv(diag, b, bs); return nil }))
-			}
-		}
-		if err := join(phase); err != nil {
-			return err
-		}
-		var mods []Future
-		for i := k + 1; i < m.nb; i++ {
-			col := m.at(i, k)
-			if col == nil {
-				continue
-			}
-			for j := k + 1; j < m.nb; j++ {
-				row := m.at(k, j)
-				if row == nil {
-					continue
-				}
-				i, j := i, j
-				mods = append(mods, asyncCtx(ctx, rt, func() any {
-					m.set(i, j, bmod(row, col, m.at(i, j), bs))
-					return nil
-				}))
-			}
-		}
-		if err := join(mods); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func sparseluRunCtx(ctx context.Context, rt Runtime, size Size) (int64, error) {
-	m := sparseluInput(sparseluSize(size))
-	if err := sparseluFactorCtx(ctx, rt, m); err != nil {
-		return 0, err
-	}
-	return sparseluChecksum(m), nil
-}
-
 // sequentialRuntime runs every Async inline; used for reference results.
 type sequentialRuntime struct{}
 
@@ -346,7 +269,6 @@ var sparseluBenchmark = register(&Benchmark{
 	PaperHPXScaling: "to 20",
 	MemIntensity:    sparseluIntensity,
 	Run:             sparseluRun,
-	RunCtx:          sparseluRunCtx,
 	RefChecksum:     sparseluRef,
 	TaskGraph:       sparseluGraph,
 })

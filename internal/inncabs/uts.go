@@ -1,10 +1,6 @@
 package inncabs
 
-import (
-	"context"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // UTS: Unbalanced Tree Search. The tree is defined implicitly: a node's
 // child count is derived from a hash of its identifier (a geometric
@@ -97,70 +93,6 @@ func utsRun(rt Runtime, size Size) int64 {
 	return utsCountTask(rt, p, 0x07357357, 0)
 }
 
-// utsCountSeqCtx is utsCountSeq with an amortized cancellation probe:
-// the traversal abandons the subtree once the context dies.
-func utsCountSeqCtx(p utsParams, probe *ctxProbe, id uint64, depth int) int64 {
-	if probe.cancelled() {
-		return 0
-	}
-	count := int64(1)
-	for _, c := range utsChildren(p, id, depth) {
-		count += utsCountSeqCtx(p, probe, c, depth+1)
-	}
-	return count
-}
-
-// utsCountTaskCtx is the cancellable spawn path: child tasks join ctx's
-// cancellation tree, so a cancel drops the queued part of the spawn
-// storm at dispatch while running subtrees notice via their probes.
-func utsCountTaskCtx(ctx context.Context, rt Runtime, p utsParams, id uint64, depth int) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if depth >= p.seqDepth {
-		probe := &ctxProbe{ctx: ctx}
-		n := utsCountSeqCtx(p, probe, id, depth)
-		if probe.dead {
-			return n, ctx.Err()
-		}
-		return n, nil
-	}
-	var futures []Future
-	for _, c := range utsChildren(p, id, depth) {
-		c := c
-		futures = append(futures, asyncCtx(ctx, rt, func() any {
-			n, err := utsCountTaskCtx(ctx, rt, p, c, depth+1)
-			if err != nil {
-				return err
-			}
-			return n
-		}))
-	}
-	count := int64(1)
-	var firstErr error
-	for _, f := range futures {
-		v, err := getErr(f)
-		if err == nil {
-			if e, ok := v.(error); ok {
-				err = e
-			}
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		count += v.(int64)
-	}
-	return count, firstErr
-}
-
-func utsRunCtx(ctx context.Context, rt Runtime, size Size) (int64, error) {
-	p := utsSize(size)
-	return utsCountTaskCtx(ctx, rt, p, 0x07357357, 0)
-}
-
 func utsRef(size Size) int64 {
 	p := utsSize(size)
 	return utsCountSeq(p, 0x07357357, 0)
@@ -197,7 +129,6 @@ var utsBenchmark = register(&Benchmark{
 	PaperHPXScaling: "to 10",
 	MemIntensity:    utsIntensity,
 	Run:             utsRun,
-	RunCtx:          utsRunCtx,
 	RefChecksum:     utsRef,
 	TaskGraph:       utsGraph,
 })

@@ -125,6 +125,30 @@ func TestCancelGetPanics(t *testing.T) {
 	t.Fatal("Get did not panic on cancelled future")
 }
 
+// TestCancelJoinUnwindsAsCancelled: a running task whose Get meets a
+// dropped child completes with ErrCancelled itself — not a *PanicError
+// wrapping it — and only the child's dispatch drop is counted.
+func TestCancelJoinUnwindsAsCancelled(t *testing.T) {
+	rt := newTestRuntime(t, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	before := rt.Cancelled()
+	root := SpawnWith(rt, SpawnOptions{Ctx: ctx}, func() int {
+		cancel()
+		return AsyncF(rt, func() int { return 7 }).Get() // dead on arrival
+	})
+	err := root.Err()
+	if !errors.Is(err, ErrCancelled) {
+		t.Fatalf("root Err() = %v, want ErrCancelled", err)
+	}
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		t.Fatalf("root Err() is a *PanicError: %v", pe)
+	}
+	if got := rt.Cancelled() - before; got != 1 {
+		t.Fatalf("Cancelled() grew by %d, want exactly 1 (the child's drop)", got)
+	}
+}
+
 // TestCancelSpawnTimeout: a Ctx carrying a deadline drops a queued task
 // and leaves a promptly-completing task untouched.
 func TestCancelSpawnTimeout(t *testing.T) {

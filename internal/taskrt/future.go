@@ -286,7 +286,13 @@ func (f *Future[T]) runTask() {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			f.err = &PanicError{Value: r, Stack: debug.Stack()}
+			if r == ErrCancelled {
+				// A Get on a dropped child: the scope died under this
+				// body, so it unwinds as cancelled too — no stack.
+				f.err = ErrCancelled
+			} else {
+				f.err = &PanicError{Value: r, Stack: debug.Stack()}
+			}
 		}
 		f.complete()
 	}()
@@ -369,8 +375,10 @@ func (f *Future[T]) Wait() {
 // Get waits for and returns the result. A panic in the task body is
 // re-raised in the caller as a *PanicError carrying the original value
 // and the task's stack, as a future's get would rethrow in C++; Get on
-// a cancelled future panics with ErrCancelled. Use GetErr or Err to
-// observe those outcomes without re-panicking.
+// a cancelled future panics with ErrCancelled. A task body that lets
+// that panic unwind completes with ErrCancelled itself, without a
+// stack, so one drop cancels the chain of joins above it. Use GetErr
+// or Err to observe those outcomes without re-panicking.
 func (f *Future[T]) Get() T {
 	f.Wait()
 	if f.err != nil {
