@@ -42,12 +42,7 @@ type Locality struct {
 func NewLocality(id int64, name string) *Locality {
 	l := &Locality{id: id, name: name, registry: core.NewRegistry()}
 	mk := func(op, help string) *core.RawCounter {
-		cn := core.Name{Object: "agas", Counter: "count/" + op}.
-			WithInstances(core.LocalityInstance(id, "total", -1)...)
-		c := core.NewRawCounter(cn, core.Info{
-			TypeName: "/agas/count/" + op, HelpText: help,
-			Unit: core.UnitEvents, Version: "1.0",
-		})
+		c := core.NewLocalityRaw("agas", "count/"+op, id, help, core.UnitEvents)
 		l.registry.MustRegister(c)
 		return c
 	}

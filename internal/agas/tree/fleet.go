@@ -264,13 +264,8 @@ func registerFleetLocality(reg *core.Registry, loc int64, p sim.Result, rank int
 		{"runtime", "uptime", "makespan (simulated)", core.UnitNanoseconds, scale(p.MakespanNs)},
 	}
 	for _, s := range specs {
-		v := s.value
-		name := core.Name{Object: s.object, Counter: s.counter}.
-			WithInstances(core.LocalityInstance(loc, "total", -1)...)
-		info := core.Info{TypeName: "/" + s.object + "/" + s.counter,
-			HelpText: s.help, Unit: s.unit, Version: "1.0"}
-		if err := reg.Register(core.NewFuncCounter(name, info, 0,
-			func() int64 { return v }, nil)); err != nil {
+		if err := reg.Register(core.NewLocalityFunc(s.object, s.counter, loc, s.help, s.unit,
+			func() int64 { return s.value }, nil)); err != nil {
 			return err
 		}
 	}
@@ -280,12 +275,8 @@ func registerFleetLocality(reg *core.Registry, loc int64, p sim.Result, rank int
 	// keeps a 10k fleet cheap while still exercising the digest's
 	// histogram merge up the tree; the others are lenient-bind gaps).
 	if rank%8 == 0 {
-		hname := core.Name{Object: "threads", Counter: "time/task-duration"}.
-			WithInstances(core.LocalityInstance(loc, "total", -1)...)
-		hc := core.NewHistogramCounter(hname, core.Info{
-			TypeName: "/threads/time/task-duration",
-			HelpText: "per-task duration distribution (simulated)",
-			Unit:     core.UnitNanoseconds, Version: "1.0"})
+		hc := core.NewHistogramCounter(core.LocalityName("threads", "time/task-duration", loc, -1),
+			core.TypeInfo("threads", "time/task-duration", "per-task duration distribution (simulated)", core.UnitNanoseconds))
 		avg := scale(int64(p.AvgTaskNs()))
 		if avg <= 0 {
 			avg = 1
@@ -387,7 +378,7 @@ func (f *Fleet) Topology(now time.Time, maxDepth int) Topology {
 			tn.Children = append(tn.Children, TopologyChild{
 				Rank: r, Localities: cs.last.Localities, Depth: cs.last.Depth,
 				Gen: cs.last.Gen, AgeNs: age.Nanoseconds(),
-				Stale: age > n.cfg.StaleAfter, Partial: cs.last.Partial,
+				Stale: age > n.cfg.staleAfter(), Partial: cs.last.Partial,
 			})
 		}
 		n.mu.Unlock()

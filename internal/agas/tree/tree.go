@@ -9,8 +9,8 @@
 //
 // Freshness is explicit, never assumed: each subtree digest carries its
 // sample generation and fold time, a parent serves a child's data as
-// stale once it misses a round (StaleAfter) and drops it entirely after
-// DropAfter, and anything less than a full, current fold is labelled
+// stale once it misses a round (older than 2×Interval) and drops it
+// entirely after 4×Interval, and anything less than a full, current fold is labelled
 // Partial all the way to the root. Interior failures self-heal: a child
 // whose parent stops accepting pushes re-attaches to its grandparent
 // (walking further up the ancestor chain if needed) by pure rank
@@ -47,15 +47,12 @@ type Transport interface {
 type Config struct {
 	// Fanout is k, the tree arity. Default 4.
 	Fanout int
-	// Interval is the expected tick period; it sizes the default
-	// freshness windows.
+	// Interval is the expected tick period. It sizes the freshness
+	// windows: a child older than staleAfter is folded as stale, one
+	// older than dropAfter is excluded from the fold entirely. Dropping
+	// is what prevents double-counting once the child re-attaches
+	// elsewhere.
 	Interval time.Duration
-	// StaleAfter is the child age beyond which its data is folded as
-	// stale (default 2×Interval); DropAfter the age beyond which it is
-	// excluded from the fold entirely (default 4×Interval). Dropping is
-	// what prevents double-counting once the child re-attaches elsewhere.
-	StaleAfter time.Duration
-	DropAfter  time.Duration
 	// Counters are the counter type paths every locality samples, e.g.
 	// "/threads/idle-rate"; each node binds them against its own
 	// locality instance.
@@ -66,9 +63,14 @@ type Config struct {
 	// Now is the clock (default time.Now); tests and the fleet bench
 	// substitute a virtual one.
 	Now func() time.Time
-	// PushTimeout bounds one upward push (default 2s).
-	PushTimeout time.Duration
 }
+
+// pushTimeout bounds one upward push.
+const pushTimeout = 2 * time.Second
+
+// staleAfter and dropAfter are the freshness windows in ticks.
+func (c Config) staleAfter() time.Duration { return 2 * c.Interval }
+func (c Config) dropAfter() time.Duration  { return 4 * c.Interval }
 
 func (c Config) withDefaults() Config {
 	if c.Fanout <= 0 {
@@ -77,17 +79,8 @@ func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
 	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 2 * c.Interval
-	}
-	if c.DropAfter <= 0 {
-		c.DropAfter = 4 * c.Interval
-	}
 	if c.Now == nil {
 		c.Now = time.Now
-	}
-	if c.PushTimeout <= 0 {
-		c.PushTimeout = 2 * time.Second
 	}
 	return c
 }
@@ -208,28 +201,18 @@ func NewNode(reg *core.Registry, locality int64, rank int, cfg Config) (*Node, e
 		children: map[int]*childState{},
 		digests:  map[string]*core.Digest{},
 	}
-	mk := func(counter, help, unit string) (*core.RawCounter, error) {
-		c := core.NewLocalityRaw("agas", "tree/"+counter, locality, help, unit)
+	mk := func(counter, help, unit string) *core.RawCounter {
+		return core.NewLocalityRaw("agas", "tree/"+counter, locality, help, unit)
+	}
+	n.depthC = mk("depth", "this node's depth in the aggregation overlay (edges below root)", core.UnitNone)
+	n.childrenC = mk("children", "child subtrees currently attached to this node", core.UnitNone)
+	n.reparentsC = mk("reparents", "re-parenting repairs performed by this node", core.UnitEvents)
+	n.partialC = mk("partial-subtrees", "attached subtrees folded stale or dropped last tick", core.UnitNone)
+	n.pushNsC = mk("push-ns", "last tick's fold+push cost", core.UnitNanoseconds)
+	for _, c := range []*core.RawCounter{n.depthC, n.childrenC, n.reparentsC, n.partialC, n.pushNsC} {
 		if err := reg.Register(c); err != nil {
 			return nil, err
 		}
-		return c, nil
-	}
-	var err error
-	if n.depthC, err = mk("depth", "this node's depth in the aggregation overlay (edges below root)", core.UnitNone); err != nil {
-		return nil, err
-	}
-	if n.childrenC, err = mk("children", "child subtrees currently attached to this node", core.UnitNone); err != nil {
-		return nil, err
-	}
-	if n.reparentsC, err = mk("reparents", "re-parenting repairs performed by this node", core.UnitEvents); err != nil {
-		return nil, err
-	}
-	if n.partialC, err = mk("partial-subtrees", "attached subtrees folded stale or dropped last tick", core.UnitNone); err != nil {
-		return nil, err
-	}
-	if n.pushNsC, err = mk("push-ns", "last tick's fold+push cost", core.UnitNanoseconds); err != nil {
-		return nil, err
 	}
 	n.depthC.Add(int64(Depth(rank, cfg.Fanout)))
 	return n, nil
@@ -383,7 +366,7 @@ func (n *Node) Tick(ctx context.Context) (*parcel.TreeDigest, error) {
 			continue
 		}
 		age := start.Sub(cs.recv)
-		if age > n.cfg.DropAfter {
+		if age > n.cfg.dropAfter() {
 			// Excluded and remembered: the subtree stays a labelled gap
 			// (not silently forgotten) until its root pushes again.
 			delete(n.children, r)
@@ -393,7 +376,7 @@ func (n *Node) Tick(ctx context.Context) (*parcel.TreeDigest, error) {
 			n.evicted[r] = true
 			continue
 		}
-		stale := age > n.cfg.StaleAfter
+		stale := age > n.cfg.staleAfter()
 		if stale {
 			snap.Partial = true
 			partialChildren++
@@ -483,7 +466,7 @@ func (n *Node) pushUp(ctx context.Context, snap *parcel.TreeDigest, parent int, 
 			// the digest being delivered, not one round later.
 			snap.Reparents = baseReparents + 1
 		}
-		pctx, cancel := context.WithTimeout(ctx, n.cfg.PushTimeout)
+		pctx, cancel := context.WithTimeout(ctx, pushTimeout)
 		err := transport.Push(pctx, snap)
 		cancel()
 		if err == nil {
@@ -552,8 +535,7 @@ func (n *Node) ExportValues(dst []core.Value) []core.Value {
 	for _, e := range n.snapshot.Entries {
 		dst = e.Values(at, dst)
 	}
-	ageName := core.Name{Object: "agas", Counter: "tree/subtree-age-ns"}.
-		WithInstances(core.LocalityInstance(n.loc, "total", -1)...)
+	ageName := core.LocalityName("agas", "tree/subtree-age-ns", n.loc, -1)
 	ranks := make([]int, 0, len(n.children))
 	for r := range n.children {
 		ranks = append(ranks, r)
@@ -568,7 +550,7 @@ func (n *Node) ExportValues(dst []core.Value) []core.Value {
 		nm.Parameters = fmt.Sprintf("child=%d", r)
 		age := at.Sub(cs.recv)
 		status := core.StatusValid
-		if age > n.cfg.StaleAfter {
+		if age > n.cfg.staleAfter() {
 			status = core.StatusStale
 		}
 		dst = append(dst, core.Value{

@@ -166,7 +166,7 @@ func TestStaleAndDropComposition(t *testing.T) {
 	}
 
 	// Leaf 6 stops ticking. One missed round: still fresh enough
-	// (StaleAfter = 2×Interval).
+	// (staleAfter = 2×Interval).
 	tickAllBut := func(skip int) {
 		clk.advance(time.Second)
 		for r := len(f.Nodes) - 1; r >= 0; r-- {
@@ -182,7 +182,7 @@ func TestStaleAndDropComposition(t *testing.T) {
 		t.Fatalf("one missed round already partial: %+v", snap)
 	}
 
-	// Once leaf 6's digest ages past StaleAfter (2×Interval) it is
+	// Once leaf 6's digest ages past staleAfter (2×Interval) it is
 	// folded stale: root partial, but still counted.
 	tickAllBut(6)
 	tickAllBut(6)
@@ -200,7 +200,7 @@ func TestStaleAndDropComposition(t *testing.T) {
 		}
 	}
 
-	// Past DropAfter the subtree is excluded entirely: no double
+	// Past dropAfter (4×Interval) the subtree is excluded entirely: no double
 	// counting, count drops to 6, still partial.
 	tickAllBut(6)
 	tickAllBut(6)

@@ -70,73 +70,6 @@ func (r *Registry) resetEvalCost() {
 	}
 }
 
-// evalCostCounter is /counters/cost/eval-ns: the mean wall cost of one
-// evaluation sweep, histogram-backed for exact percentiles.
-type evalCostCounter struct {
-	name    Name
-	nameStr string
-	info    Info
-	r       *Registry
-}
-
-func (c *evalCostCounter) Name() Name { return c.name }
-func (c *evalCostCounter) Info() Info { return c.info }
-
-func (c *evalCostCounter) Value(reset bool) Value {
-	sweeps := c.r.costSweeps.Load()
-	ns := c.r.costNs.Load()
-	if reset {
-		c.r.resetEvalCost()
-	}
-	scaling := sweeps
-	if scaling == 0 {
-		scaling = 1
-	}
-	return Value{Name: c.nameStr, Raw: ns, Scaling: scaling, Count: sweeps,
-		Time: now(), Status: StatusValid}
-}
-
-func (c *evalCostCounter) Reset() { c.r.resetEvalCost() }
-
-// Quantile implements Quantiler over the per-sweep cost distribution.
-func (c *evalCostCounter) Quantile(q float64) (int64, bool) {
-	return c.r.EvalCostSnapshot().Quantile(q)
-}
-
-// perCounterCostCounter is /counters/cost/per-counter: cumulative
-// metered nanoseconds over cumulative counter evaluations.
-type perCounterCostCounter struct {
-	name    Name
-	nameStr string
-	info    Info
-	r       *Registry
-}
-
-func (c *perCounterCostCounter) Name() Name { return c.name }
-func (c *perCounterCostCounter) Info() Info { return c.info }
-
-func (c *perCounterCostCounter) Value(reset bool) Value {
-	counters := c.r.costCounters.Load()
-	ns := c.r.costNs.Load()
-	if reset {
-		c.r.resetEvalCost()
-	}
-	scaling := counters
-	if scaling == 0 {
-		scaling = 1
-	}
-	return Value{Name: c.nameStr, Raw: ns, Scaling: scaling, Count: counters,
-		Time: now(), Status: StatusValid}
-}
-
-func (c *perCounterCostCounter) Reset() { c.r.resetEvalCost() }
-
-var (
-	_ Counter   = (*evalCostCounter)(nil)
-	_ Quantiler = (*evalCostCounter)(nil)
-	_ Counter   = (*perCounterCostCounter)(nil)
-)
-
 // ---------------------------------------------------------------------------
 // Per-handle cost attribution (optional).
 //
@@ -210,20 +143,13 @@ func (s *BindSet) MostExpensive(skip func(i int) bool) (int, int64) {
 // registerEvalCost registers the two sampling-cost self-counters; called
 // from NewRegistry.
 func registerEvalCost(r *Registry) {
-	evalName := Name{Object: "counters", Counter: "cost/eval-ns"}.
-		WithInstances(LocalityInstance(0, "total", -1)...)
-	r.MustRegister(&evalCostCounter{
-		name: evalName, nameStr: evalName.String(), r: r,
-		info: Info{TypeName: "/counters/cost/eval-ns",
-			HelpText: "mean wall cost of one counter evaluation sweep (histogram-backed)",
-			Unit:     UnitNanoseconds, Version: "1.0"},
-	})
-	perName := Name{Object: "counters", Counter: "cost/per-counter"}.
-		WithInstances(LocalityInstance(0, "total", -1)...)
-	r.MustRegister(&perCounterCostCounter{
-		name: perName, nameStr: perName.String(), r: r,
-		info: Info{TypeName: "/counters/cost/per-counter",
-			HelpText: "mean wall cost of evaluating one counter",
-			Unit:     UnitNanoseconds, Version: "1.0"},
-	})
+	r.MustRegister(NewHistRatioCounter(LocalityName("counters", "cost/eval-ns", 0, -1),
+		TypeInfo("counters", "cost/eval-ns",
+			"mean wall cost of one counter evaluation sweep (histogram-backed)", UnitNanoseconds),
+		func() (int64, int64) { return r.costNs.Load(), r.costSweeps.Load() },
+		r.resetEvalCost, r.EvalCostSnapshot))
+	r.MustRegister(NewRatioCounter(LocalityName("counters", "cost/per-counter", 0, -1),
+		TypeInfo("counters", "cost/per-counter", "mean wall cost of evaluating one counter", UnitNanoseconds),
+		func() (int64, int64) { return r.costNs.Load(), r.costCounters.Load() },
+		r.resetEvalCost))
 }

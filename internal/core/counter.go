@@ -35,6 +35,36 @@ type Startable interface {
 var now = time.Now
 
 // ---------------------------------------------------------------------------
+// Naming and value conventions shared by every counter provider.
+
+// LocalityName returns the conventional instance name
+// /object{locality#loc/total}/counter, or
+// /object{locality#loc/worker-thread#worker}/counter when worker >= 0.
+func LocalityName(object, counter string, loc, worker int64) Name {
+	inst := LocalityInstance(loc, "total", -1)
+	if worker >= 0 {
+		inst = LocalityInstance(loc, "worker-thread", worker)
+	}
+	return Name{Object: object, Counter: counter}.WithInstances(inst...)
+}
+
+// TypeInfo returns the metadata of the counter type /object/counter.
+// Every instance of one type carries the same Info.
+func TypeInfo(object, counter, help, unit string) Info {
+	return Info{TypeName: "/" + object + "/" + counter, HelpText: help, Unit: unit, Version: "1.0"}
+}
+
+// ratioValue is the HPX average convention: the sum in Raw, the count
+// in Count and in Scaling (1 when empty, so Float64 reads 0).
+func ratioValue(nameStr string, num, den int64) Value {
+	scaling := den
+	if scaling == 0 {
+		scaling = 1
+	}
+	return Value{Name: nameStr, Raw: num, Scaling: scaling, Count: den, Time: now(), Status: StatusValid}
+}
+
+// ---------------------------------------------------------------------------
 // Raw counter: a monotonically adjustable integer event count.
 
 // RawCounter is a thread-safe integer counter. The zero value is unusable;
@@ -58,12 +88,7 @@ func NewRawCounter(name Name, info Info) *RawCounter {
 // self-observation plane (parcels, agas, the remote-spawn plane) uses
 // for its per-locality event counters.
 func NewLocalityRaw(object, counter string, loc int64, help, unit string) *RawCounter {
-	cn := Name{Object: object, Counter: counter}.
-		WithInstances(LocalityInstance(loc, "total", -1)...)
-	return NewRawCounter(cn, Info{
-		TypeName: "/" + object + "/" + counter, HelpText: help,
-		Unit: unit, Version: "1.0",
-	})
+	return NewRawCounter(LocalityName(object, counter, loc, -1), TypeInfo(object, counter, help, unit))
 }
 
 // Add increments the counter by delta (may be negative).
@@ -120,6 +145,12 @@ func NewFuncCounter(name Name, info Info, scaling int64, sample func() int64, re
 	return &FuncCounter{name: name, nameStr: name.String(), info: info, scaling: scaling, sample: sample, reset: reset}
 }
 
+// NewLocalityFunc is the sampled-value twin of NewLocalityRaw: a
+// FuncCounter under /object{locality#loc/total}/counter.
+func NewLocalityFunc(object, counter string, loc int64, help, unit string, sample func() int64, reset func()) *FuncCounter {
+	return NewFuncCounter(LocalityName(object, counter, loc, -1), TypeInfo(object, counter, help, unit), 0, sample, reset)
+}
+
 // Name implements Counter.
 func (c *FuncCounter) Name() Name { return c.name }
 
@@ -143,71 +174,67 @@ func (c *FuncCounter) Reset() {
 }
 
 // ---------------------------------------------------------------------------
-// Average counter: accumulates (sum, count) pairs and reports sum/count.
+// Ratio counter: an average read as a (sum, count) pair.
 
-// AverageCounter reports the mean of accumulated samples, like HPX's
-// /threads/time/average. The producer calls Record for every event; the
-// consumer reads the mean. Value(reset=true) atomically snapshots and
-// clears the accumulation.
-type AverageCounter struct {
+// RatioCounter reports num/den in the HPX average convention (see
+// /threads/time/average): read returns the sum and the count, which
+// the Value carries in Raw and in Scaling and Count.
+type RatioCounter struct {
 	name    Name
 	nameStr string
 	info    Info
-
-	mu    sync.Mutex
-	sum   int64
-	count int64
+	read    func() (num, den int64)
+	reset   func()
 }
 
-// NewAverageCounter creates an averaging counter.
-func NewAverageCounter(name Name, info Info) *AverageCounter {
-	return &AverageCounter{name: name, nameStr: name.String(), info: info}
-}
-
-// Record accumulates one sample.
-func (c *AverageCounter) Record(v int64) {
-	c.mu.Lock()
-	c.sum += v
-	c.count++
-	c.mu.Unlock()
-}
-
-// RecordN accumulates a pre-aggregated batch of n samples summing to sum.
-func (c *AverageCounter) RecordN(sum, n int64) {
-	c.mu.Lock()
-	c.sum += sum
-	c.count += n
-	c.mu.Unlock()
+// NewRatioCounter creates a ratio counter. read must produce num and
+// den in one pass over its sources, so the pair is consistent; reset
+// may be nil when the quantity cannot be reset.
+func NewRatioCounter(name Name, info Info, read func() (num, den int64), reset func()) *RatioCounter {
+	return &RatioCounter{name: name, nameStr: name.String(), info: info, read: read, reset: reset}
 }
 
 // Name implements Counter.
-func (c *AverageCounter) Name() Name { return c.name }
+func (c *RatioCounter) Name() Name { return c.name }
 
 // Info implements Counter.
-func (c *AverageCounter) Info() Info { return c.info }
+func (c *RatioCounter) Info() Info { return c.info }
 
-// Value implements Counter. The returned Value carries the sum in Raw and
-// the sample count in both Scaling and Count, so Float64 yields the mean
-// while consumers needing the total can use Raw directly.
-func (c *AverageCounter) Value(reset bool) Value {
-	c.mu.Lock()
-	sum, count := c.sum, c.count
+// Value implements Counter.
+func (c *RatioCounter) Value(reset bool) Value {
+	num, den := c.read()
 	if reset {
-		c.sum, c.count = 0, 0
+		c.Reset()
 	}
-	c.mu.Unlock()
-	scaling := count
-	if scaling == 0 {
-		scaling = 1
-	}
-	return Value{Name: c.nameStr, Raw: sum, Scaling: scaling, Count: count, Time: now(), Status: StatusValid}
+	return ratioValue(c.nameStr, num, den)
 }
 
 // Reset implements Counter.
-func (c *AverageCounter) Reset() {
-	c.mu.Lock()
-	c.sum, c.count = 0, 0
-	c.mu.Unlock()
+func (c *RatioCounter) Reset() {
+	if c.reset != nil {
+		c.reset()
+	}
+}
+
+// histRatioCounter is a RatioCounter whose distribution is also
+// available as a histogram.
+type histRatioCounter struct {
+	*RatioCounter
+	snapshot func() HistogramSnapshot
+}
+
+// Quantile implements Quantiler.
+func (c *histRatioCounter) Quantile(q float64) (int64, bool) {
+	return c.snapshot().Quantile(q)
+}
+
+// NewHistRatioCounter creates a ratio counter backed by the distribution
+// snapshot returns, so /statistics{...}/percentile@Q answers exactly
+// instead of from periodic samples. The returned Counter implements
+// Quantiler.
+func NewHistRatioCounter(name Name, info Info, read func() (num, den int64), reset func(),
+	snapshot func() HistogramSnapshot) Counter {
+	return &histRatioCounter{NewRatioCounter(name, info, read, reset), snapshot}
 }
 
 // ---------------------------------------------------------------------------

@@ -80,22 +80,32 @@ func TestFuncCounterNilReset(t *testing.T) {
 	}
 }
 
-func TestAverageCounter(t *testing.T) {
-	c := NewAverageCounter(mustName(t, "/threads{locality#0/total}/time/average"), Info{Unit: UnitNanoseconds})
-	c.Record(100)
-	c.Record(200)
-	c.Record(300)
+func TestRatioCounter(t *testing.T) {
+	var sum, count int64
+	record := func(v int64) { sum += v; count++ }
+	c := NewRatioCounter(LocalityName("threads", "time/average", 0, -1),
+		TypeInfo("threads", "time/average", "mean", UnitNanoseconds),
+		func() (int64, int64) { return sum, count }, func() { sum, count = 0, 0 })
+	if got := c.Name().String(); got != "/threads{locality#0/total}/time/average" {
+		t.Fatalf("name = %s", got)
+	}
+	if c.Info().TypeName != c.Name().TypeName() || c.Info().Version != "1.0" {
+		t.Fatalf("info = %+v", c.Info())
+	}
+	record(100)
+	record(200)
+	record(300)
 	v := c.Value(false)
 	if v.Float64() != 200 {
 		t.Fatalf("mean = %v", v.Float64())
 	}
-	if v.Count != 3 || v.Raw != 600 {
+	if v.Count != 3 || v.Raw != 600 || v.Scaling != 3 {
 		t.Fatalf("value = %+v", v)
 	}
-	c.RecordN(400, 1)
+	record(400)
 	v = c.Value(true)
 	if v.Float64() != 250 || v.Count != 4 {
-		t.Fatalf("after RecordN = %+v", v)
+		t.Fatalf("before reset = %+v", v)
 	}
 	v = c.Value(false)
 	if v.Count != 0 || v.Raw != 0 {
@@ -104,6 +114,7 @@ func TestAverageCounter(t *testing.T) {
 	if v.Float64() != 0 { // scaling guards against division by zero
 		t.Fatalf("empty mean = %v", v.Float64())
 	}
+	NewRatioCounter(c.Name(), c.Info(), c.read, nil).Reset() // nil reset must not panic
 }
 
 func TestElapsedTimeCounter(t *testing.T) {

@@ -30,6 +30,14 @@
 //     reset_active_counters API, which the paper uses to scope
 //     measurements to each computation sample.
 //
+//   - Providers build every counter through one kit, so the conventions
+//     are written once: LocalityName gives the instance name
+//     /object{locality#L/total}/counter (or worker-thread#W), TypeInfo
+//     the type's metadata, NewLocalityRaw and NewLocalityFunc a
+//     per-locality event count or sampled value, and NewRatioCounter and
+//     NewHistRatioCounter an average in the HPX convention: the sum in
+//     Raw, the count in Scaling and Count.
+//
 // Values are returned as core.Value, carrying a raw int64 payload, an
 // optional scaling divisor, an invocation count and a timestamp, again
 // mirroring the HPX wire format so that local and remote (see package

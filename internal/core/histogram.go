@@ -198,9 +198,9 @@ type Quantiler interface {
 // HistogramCounter: a Counter over a Histogram.
 
 // HistogramCounter exposes a Histogram through the Counter interface:
-// Value reports the mean (sum in Raw, observation count in Scaling and
-// Count, like AverageCounter), and Quantile serves the percentile meta
-// counters. Producers call Record per event.
+// Value reports the mean in the ratio convention (sum in Raw,
+// observation count in Scaling and Count, like RatioCounter), and
+// Quantile serves the percentile meta counters. Producers call Record per event.
 type HistogramCounter struct {
 	name    Name
 	nameStr string
@@ -230,12 +230,7 @@ func (c *HistogramCounter) Value(reset bool) Value {
 	if reset {
 		c.h.Reset()
 	}
-	scaling := n
-	if scaling == 0 {
-		scaling = 1
-	}
-	return Value{Name: c.nameStr, Raw: sum, Scaling: scaling,
-		Count: n, Time: now(), Status: StatusValid}
+	return ratioValue(c.nameStr, sum, n)
 }
 
 // Reset implements Counter.

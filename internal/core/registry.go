@@ -94,12 +94,8 @@ func NewRegistry() *Registry {
 	r.active.Store(&BindSet{})
 	registerStatistics(r)
 	registerArithmetics(r)
-	errName := Name{Object: "counters", Counter: "count/errors"}.
-		WithInstances(LocalityInstance(0, "total", -1)...)
-	errInfo := Info{TypeName: "/counters/count/errors",
-		HelpText: "counter evaluations that panicked (value reported as invalid-data)",
-		Unit:     UnitEvents, Version: "1.0"}
-	r.MustRegister(NewFuncCounter(errName, errInfo, 0,
+	r.MustRegister(NewLocalityFunc("counters", "count/errors", 0,
+		"counter evaluations that panicked (value reported as invalid-data)", UnitEvents,
 		r.evalErrors.Load, func() { r.evalErrors.Store(0) }))
 	registerEvalCost(r)
 	return r

@@ -70,19 +70,12 @@ func (a *Accumulator) count(event string) int64 {
 // /papi{locality#L/total}/OFFCORE_REQUESTS@<event>, the naming the paper
 // uses for its bandwidth estimate.
 func (a *Accumulator) RegisterCounters(reg *core.Registry) error {
+	info := core.TypeInfo("papi", "OFFCORE_REQUESTS",
+		"off-core requests of the @parameter event (ALL_DATA_RD, DEMAND_CODE_RD or DEMAND_RFO), modelled from the platform memory-traffic model",
+		core.UnitEvents)
 	for _, ev := range Events {
-		ev := ev
-		name := core.Name{
-			Object:     "papi",
-			Counter:    "OFFCORE_REQUESTS",
-			Parameters: ev,
-		}.WithInstances(core.LocalityInstance(a.locality, "total", -1)...)
+		name := core.LocalityName("papi", "OFFCORE_REQUESTS", a.locality, -1)
 		name.Parameters = ev
-		info := core.Info{
-			TypeName: "/papi/OFFCORE_REQUESTS",
-			HelpText: "off-core requests (" + ev + "), modelled from the platform memory-traffic model",
-			Unit:     core.UnitEvents, Version: "1.0",
-		}
 		c := core.NewFuncCounter(name, info, 0,
 			func() int64 { return a.count(ev) },
 			func() { a.Reset() })
@@ -112,8 +105,8 @@ func Bandwidth(counts []int64, lineBytes int64, elapsed time.Duration) float64 {
 func BandwidthOf(reg *core.Registry, locality int64, lineBytes int64, elapsed time.Duration) (float64, error) {
 	counts := make([]int64, 0, len(Events))
 	for _, ev := range Events {
-		name := core.Name{Object: "papi", Counter: "OFFCORE_REQUESTS", Parameters: ev}.
-			WithInstances(core.LocalityInstance(locality, "total", -1)...)
+		name := core.LocalityName("papi", "OFFCORE_REQUESTS", locality, -1)
+		name.Parameters = ev
 		v, err := reg.Evaluate(name.String(), false)
 		if err != nil {
 			return 0, err

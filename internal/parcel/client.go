@@ -183,13 +183,13 @@ func Dial(addr string, reg *core.Registry, locality int64) (*Client, error) {
 // context bounds the initial dial.
 func DialContext(ctx context.Context, addr string, reg *core.Registry, locality int64, opts ClientOptions) (*Client, error) {
 	opts = opts.withDefaults()
-	m, err := newMeters(reg, locality, reg != nil)
+	m, err := newMeters(reg, locality)
 	if err != nil {
 		return nil, err
 	}
 	var gauge *core.RawCounter
 	if reg != nil {
-		gauge = newParcelCounter(locality, "breaker/state",
+		gauge = core.NewLocalityRaw("parcels", "breaker/state", locality,
 			"circuit breaker state (0 closed, 1 open, 2 half-open)", core.UnitNone)
 		if err := reg.Register(gauge); err != nil {
 			return nil, err

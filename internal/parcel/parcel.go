@@ -155,61 +155,38 @@ type meters struct {
 	actionErrors  *core.RawCounter
 }
 
-func newMeters(reg *core.Registry, locality int64, register bool) (*meters, error) {
-	m := &meters{}
-	mk := func(counter, help, unit string) (*core.RawCounter, error) {
-		c := newParcelCounter(locality, counter, help, unit)
-		if register {
-			if err := reg.Register(c); err != nil {
-				return nil, err
-			}
+// newMeters builds an endpoint's meters and registers them into reg
+// unless reg is nil.
+func newMeters(reg *core.Registry, locality int64) (*meters, error) {
+	mk := func(counter, help, unit string) *core.RawCounter {
+		return core.NewLocalityRaw("parcels", counter, locality, help, unit)
+	}
+	m := &meters{
+		sent:          mk("count/sent", "parcels sent", core.UnitEvents),
+		received:      mk("count/received", "parcels received", core.UnitEvents),
+		dataSent:      mk("data/sent", "parcel bytes sent", core.UnitBytes),
+		dataReceived:  mk("data/received", "parcel bytes received", core.UnitBytes),
+		errors:        mk("count/errors", "failed parcel exchanges (transport or protocol)", core.UnitEvents),
+		retries:       mk("count/retries", "idempotent parcel requests re-sent after a failure", core.UnitEvents),
+		timeouts:      mk("count/timeouts", "parcel exchanges that exceeded their deadline", core.UnitEvents),
+		actionUnknown: mk("count/action-unknown", "invocations of actions the target does not register", core.UnitEvents),
+		actionErrors:  mk("count/action-errors", "invocations whose action body returned an error", core.UnitEvents),
+	}
+	if reg == nil {
+		return m, nil
+	}
+	for _, c := range []*core.RawCounter{m.sent, m.received, m.dataSent, m.dataReceived,
+		m.errors, m.retries, m.timeouts, m.actionUnknown, m.actionErrors} {
+		if err := reg.Register(c); err != nil {
+			return nil, err
 		}
-		return c, nil
-	}
-	var err error
-	if m.sent, err = mk("count/sent", "parcels sent", core.UnitEvents); err != nil {
-		return nil, err
-	}
-	if m.received, err = mk("count/received", "parcels received", core.UnitEvents); err != nil {
-		return nil, err
-	}
-	if m.dataSent, err = mk("data/sent", "parcel bytes sent", core.UnitBytes); err != nil {
-		return nil, err
-	}
-	if m.dataReceived, err = mk("data/received", "parcel bytes received", core.UnitBytes); err != nil {
-		return nil, err
-	}
-	if m.errors, err = mk("count/errors", "failed parcel exchanges (transport or protocol)", core.UnitEvents); err != nil {
-		return nil, err
-	}
-	if m.retries, err = mk("count/retries", "idempotent parcel requests re-sent after a failure", core.UnitEvents); err != nil {
-		return nil, err
-	}
-	if m.timeouts, err = mk("count/timeouts", "parcel exchanges that exceeded their deadline", core.UnitEvents); err != nil {
-		return nil, err
-	}
-	if m.actionUnknown, err = mk("count/action-unknown", "invocations of actions the target does not register", core.UnitEvents); err != nil {
-		return nil, err
-	}
-	if m.actionErrors, err = mk("count/action-errors", "invocations whose action body returned an error", core.UnitEvents); err != nil {
-		return nil, err
 	}
 	return m, nil
-}
-
-func newParcelCounter(locality int64, counter, help, unit string) *core.RawCounter {
-	return core.NewLocalityRaw("parcels", counter, locality, help, unit)
 }
 
 // ServerOptions tunes the server's defensive limits. The zero value
 // selects the defaults noted on each field.
 type ServerOptions struct {
-	// ReadTimeout is the maximum idle time waiting for the next request
-	// on a connection before it is closed. Default 2m; negative disables.
-	ReadTimeout time.Duration
-	// WriteTimeout is the per-response write budget. Default 10s;
-	// negative disables.
-	WriteTimeout time.Duration
 	// MaxParcelSize bounds one request line in bytes; oversized parcels
 	// get an ErrParcelTooLarge response and the rest of the line is
 	// discarded. Default 1 MiB.
@@ -232,13 +209,15 @@ type ServerOptions struct {
 // MaxParcelSize zero.
 const DefaultMaxParcelSize = 1 << 20
 
+const (
+	// readTimeout is the maximum idle time waiting for the next request
+	// on a connection before it is closed.
+	readTimeout = 2 * time.Minute
+	// writeTimeout is the per-response write budget.
+	writeTimeout = 10 * time.Second
+)
+
 func (o ServerOptions) withDefaults() ServerOptions {
-	if o.ReadTimeout == 0 {
-		o.ReadTimeout = 2 * time.Minute
-	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
 	if o.MaxParcelSize <= 0 {
 		o.MaxParcelSize = DefaultMaxParcelSize
 	}
@@ -300,7 +279,7 @@ func ServeOptions(addr string, reg *core.Registry, locality int64, opts ServerOp
 // NewServer serves on an existing listener — the hook for wrapping the
 // accept path in a fault-injection listener (package chaos).
 func NewServer(ln net.Listener, reg *core.Registry, locality int64, opts ServerOptions) (*Server, error) {
-	m, err := newMeters(reg, locality, true)
+	m, err := newMeters(reg, locality)
 	if err != nil {
 		ln.Close()
 		return nil, err
@@ -443,9 +422,7 @@ func (w *connWriter) send(resp response, flush bool) error {
 	out = append(out, '\n')
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.s.opts.WriteTimeout > 0 {
-		w.conn.SetWriteDeadline(time.Now().Add(w.s.opts.WriteTimeout))
-	}
+	w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err = w.wr.Write(out); err == nil && flush {
 		err = w.wr.Flush()
 	}
@@ -465,9 +442,7 @@ func (s *Server) handle(conn net.Conn) {
 	rd := bufio.NewReader(conn)
 	st := &connState{w: &connWriter{s: s, conn: conn, wr: bufio.NewWriter(conn)}}
 	for {
-		if s.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
-		}
+		conn.SetReadDeadline(time.Now().Add(readTimeout))
 		line, err := readBoundedLine(rd, s.opts.MaxParcelSize)
 		var resp response
 		switch {

@@ -22,50 +22,29 @@ func (r Result) RegisterCounters(reg *core.Registry, locality int64) error {
 		{"threads", "time/cumulative-overhead", "cumulative scheduling overhead (simulated)", core.UnitNanoseconds, r.OverheadNs},
 		{"threads", "time/idle", "cumulative idle core time (simulated)", core.UnitNanoseconds, r.IdleNs},
 		{"threads", "count/peak-live", "peak live tasks/threads (simulated)", core.UnitEvents, r.PeakLive},
+		{"threads", "idle-rate", "idle core time over wall time (simulated)", "0.01%", int64(r.IdleRate() * 10000)},
 		{"runtime", "uptime", "makespan (simulated)", core.UnitNanoseconds, r.MakespanNs},
 	}
 	for _, s := range specs {
-		s := s
-		name := core.Name{Object: s.object, Counter: s.counter}.
-			WithInstances(core.LocalityInstance(locality, "total", -1)...)
-		info := core.Info{TypeName: "/" + s.object + "/" + s.counter,
-			HelpText: s.help, Unit: s.unit, Version: "1.0"}
-		if err := reg.Register(core.NewFuncCounter(name, info, 0,
+		if err := reg.Register(core.NewLocalityFunc(s.object, s.counter, locality, s.help, s.unit,
 			func() int64 { return s.value }, nil)); err != nil {
 			return err
 		}
 	}
-	// Ratio counters reuse the live runtime's Value convention: sum in
-	// Raw, count in Scaling.
+	// The averages carry the live runtime's ratio convention.
 	ratios := []struct {
 		counter, help string
-		num, den      int64
+		num           int64
 	}{
-		{"time/average", "average task duration (simulated)", r.TaskTimeNs, r.Tasks},
-		{"time/average-overhead", "average per-task overhead (simulated)", r.OverheadNs, r.Tasks},
+		{"time/average", "average task duration (simulated)", r.TaskTimeNs},
+		{"time/average-overhead", "average per-task overhead (simulated)", r.OverheadNs},
 	}
 	for _, s := range ratios {
-		s := s
-		name := core.Name{Object: "threads", Counter: s.counter}.
-			WithInstances(core.LocalityInstance(locality, "total", -1)...)
-		info := core.Info{TypeName: "/threads/" + s.counter, HelpText: s.help,
-			Unit: core.UnitNanoseconds, Version: "1.0"}
-		den := s.den
-		if den == 0 {
-			den = 1
-		}
-		num := s.num
-		if err := reg.Register(core.NewFuncCounter(name, info, den,
-			func() int64 { return num }, nil)); err != nil {
+		if err := reg.Register(core.NewRatioCounter(core.LocalityName("threads", s.counter, locality, -1),
+			core.TypeInfo("threads", s.counter, s.help, core.UnitNanoseconds),
+			func() (int64, int64) { return s.num, r.Tasks }, nil)); err != nil {
 			return err
 		}
 	}
-	// Idle rate in the live counter's 0.01% units.
-	idleName := core.Name{Object: "threads", Counter: "idle-rate"}.
-		WithInstances(core.LocalityInstance(locality, "total", -1)...)
-	idleInfo := core.Info{TypeName: "/threads/idle-rate",
-		HelpText: "idle core time over wall time (simulated)", Unit: "0.01%", Version: "1.0"}
-	idle := int64(r.IdleRate() * 10000)
-	return reg.Register(core.NewFuncCounter(idleName, idleInfo, 0,
-		func() int64 { return idle }, nil))
+	return nil
 }

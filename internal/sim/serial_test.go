@@ -164,8 +164,8 @@ func TestResultRegisterCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := avg.Float64(); got != r.AvgTaskNs() {
-		t.Fatalf("avg = %v want %v", got, r.AvgTaskNs())
+	if got := avg.Float64(); got != r.AvgTaskNs() || avg.Count != r.Tasks {
+		t.Fatalf("avg = %v (count %d) want %v (count %d)", got, avg.Count, r.AvgTaskNs(), r.Tasks)
 	}
 	up, _ := reg.Evaluate("/runtime{locality#7/total}/uptime", false)
 	if up.Raw != r.MakespanNs {

@@ -4,11 +4,10 @@
 // scheduling and an 8 MiB stack reservation per thread.
 //
 // On this reproduction's host the model is realised with one goroutine
-// per task plus a calibrated cost model (see Model): a configurable
-// thread-creation delay is spun at launch, every live task accounts a
-// virtual stack reservation, and when the reserved virtual memory exceeds
-// the model's address-space budget the runtime fails the launch — exactly
-// the failure mode the paper observes for NQueens, Health, Fib and UTS,
+// per task: every live task accounts a virtual 8 MiB stack reservation,
+// and when the reserved virtual memory exceeds the address-space budget
+// of the paper's node the runtime fails the launch — exactly the
+// failure mode the paper observes for NQueens, Health, Fib and UTS,
 // where 80k–97k live pthreads exhaust the machine before the benchmark
 // completes. The substitution is documented in DESIGN.md §5.
 package stdrt
@@ -16,45 +15,21 @@ package stdrt
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 )
 
-// Model is the pthread cost model applied to every task launch.
-type Model struct {
-	// RealOSThreads pins every task's goroutine to a dedicated OS
-	// thread (runtime.LockOSThread), making the baseline a true
-	// thread-per-task runtime on real hosts. The Go runtime then
-	// creates and destroys one kernel thread per task, reproducing the
-	// GCC std::async behaviour physically rather than analytically.
-	// Off by default: with fine-grained benchmarks this is exactly as
-	// catastrophic as the paper describes.
-	RealOSThreads bool
-	// CreateCost is the thread creation+destruction cost spun on the
-	// launching goroutine (pthread_create + kernel bookkeeping). The
-	// paper's platform measures 10–25 µs per create at scale.
-	CreateCost time.Duration
-	// StackBytes is the virtual-memory reservation per live thread
+const (
+	// stackBytes is the virtual-memory reservation per live thread
 	// (glibc default: 8 MiB).
-	StackBytes int64
-	// MemoryLimit is the address-space budget; launches that would
-	// exceed it fail with ErrResourcesExhausted. The paper's node has
-	// 128 GiB RAM; with kernel and allocator overheads ≈ 90k live
-	// 8 MiB-stacked threads are the observed ceiling.
-	MemoryLimit int64
-}
-
-// DefaultModel matches the paper's test platform.
-func DefaultModel() Model {
-	return Model{
-		CreateCost:  0, // real spin disabled by default; the simulator applies virtual cost
-		StackBytes:  8 << 20,
-		MemoryLimit: 90000 * (8 << 20),
-	}
-}
+	stackBytes = 8 << 20
+	// threadCeiling is the number of live threads the address-space
+	// budget holds. The paper's node has 128 GiB RAM; with kernel and
+	// allocator overheads ≈ 90k live 8 MiB-stacked threads are the
+	// observed ceiling.
+	threadCeiling = 90000
+)
 
 // ErrResourcesExhausted is the failure std::async surfaces (as
 // std::system_error) when no further thread can be created.
@@ -62,8 +37,9 @@ var ErrResourcesExhausted = errors.New("stdrt: resource temporarily unavailable 
 
 // Runtime is the thread-per-task runtime.
 type Runtime struct {
-	model    Model
-	locality int64
+	// memoryLimit is the address-space budget; launches that would
+	// exceed it fail with ErrResourcesExhausted.
+	memoryLimit int64
 
 	live     atomic.Int64
 	peak     atomic.Int64
@@ -71,26 +47,9 @@ type Runtime struct {
 	failed   atomic.Int64
 }
 
-// Option configures a Runtime.
-type Option func(*Runtime)
-
-// WithModel overrides the pthread cost model.
-func WithModel(m Model) Option {
-	return func(rt *Runtime) { rt.model = m }
-}
-
-// WithLocality sets the locality id used in counter instance names.
-func WithLocality(id int64) Option {
-	return func(rt *Runtime) { rt.locality = id }
-}
-
-// New creates a runtime with the default model.
-func New(opts ...Option) *Runtime {
-	rt := &Runtime{model: DefaultModel()}
-	for _, o := range opts {
-		o(rt)
-	}
-	return rt
+// New creates a runtime with the paper's thread ceiling.
+func New() *Runtime {
+	return &Runtime{memoryLimit: threadCeiling * stackBytes}
 }
 
 // Future holds the result of one thread-backed task.
@@ -108,8 +67,8 @@ func Spawn[T any](rt *Runtime, fn func() T) *Future[T] {
 	f := &Future[T]{done: make(chan struct{})}
 	// Account the stack reservation before the thread exists, as the
 	// kernel would.
-	reserved := rt.live.Add(1) * rt.model.StackBytes
-	if rt.model.MemoryLimit > 0 && reserved > rt.model.MemoryLimit {
+	reserved := rt.live.Add(1) * stackBytes
+	if reserved > rt.memoryLimit {
 		rt.live.Add(-1)
 		rt.failed.Add(1)
 		f.err = fmt.Errorf("%w: %d live threads reserve %d bytes",
@@ -125,16 +84,7 @@ func Spawn[T any](rt *Runtime, fn func() T) *Future[T] {
 			break
 		}
 	}
-	if rt.model.CreateCost > 0 {
-		spin(rt.model.CreateCost)
-	}
 	go func() {
-		if rt.model.RealOSThreads {
-			// Dedicate a kernel thread to this task. Exiting the
-			// goroutine while locked destroys the thread, completing
-			// the create-execute-destroy lifecycle of GCC's std::async.
-			runtime.LockOSThread()
-		}
 		defer func() {
 			rt.live.Add(-1)
 			if r := recover(); r != nil {
@@ -196,17 +146,14 @@ func (rt *Runtime) Launched() int64 { return rt.launched.Load() }
 // Failed returns the number of launches rejected for resource exhaustion.
 func (rt *Runtime) Failed() int64 { return rt.failed.Load() }
 
-// Model returns the active cost model.
-func (rt *Runtime) Model() Model { return rt.model }
-
 // RegisterCounters exposes the baseline's thread statistics through the
 // same counter framework, under the /stdthreads object:
 //
-//	/stdthreads{locality#L/total}/count/live
-//	/stdthreads{locality#L/total}/count/peak
-//	/stdthreads{locality#L/total}/count/launched
-//	/stdthreads{locality#L/total}/count/failed
-//	/stdthreads{locality#L/total}/memory/stack-reserved
+//	/stdthreads{locality#0/total}/count/live
+//	/stdthreads{locality#0/total}/count/peak
+//	/stdthreads{locality#0/total}/count/launched
+//	/stdthreads{locality#0/total}/count/failed
+//	/stdthreads{locality#0/total}/memory/stack-reserved
 func (rt *Runtime) RegisterCounters(reg *core.Registry) error {
 	specs := []struct {
 		counter, help, unit string
@@ -221,23 +168,12 @@ func (rt *Runtime) RegisterCounters(reg *core.Registry) error {
 		{"count/failed", "launches rejected for resource exhaustion", core.UnitEvents, rt.Failed,
 			func() { rt.failed.Store(0) }},
 		{"memory/stack-reserved", "virtual memory reserved for thread stacks", core.UnitBytes,
-			func() int64 { return rt.live.Load() * rt.model.StackBytes }, nil},
+			func() int64 { return rt.live.Load() * stackBytes }, nil},
 	}
 	for _, s := range specs {
-		name := core.Name{Object: "stdthreads", Counter: s.counter}.
-			WithInstances(core.LocalityInstance(rt.locality, "total", -1)...)
-		info := core.Info{TypeName: "/stdthreads/" + s.counter, HelpText: s.help,
-			Unit: s.unit, Version: "1.0"}
-		if err := reg.Register(core.NewFuncCounter(name, info, 0, s.read, s.reset)); err != nil {
+		if err := reg.Register(core.NewLocalityFunc("stdthreads", s.counter, 0, s.help, s.unit, s.read, s.reset)); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// spin busy-waits for d, modelling CPU cost that sleep would hide.
-func spin(d time.Duration) {
-	end := time.Now().Add(d)
-	for time.Now().Before(end) {
-	}
 }

@@ -60,7 +60,8 @@ func TestSpawnManyConcurrent(t *testing.T) {
 func TestResourceExhaustion(t *testing.T) {
 	// A tiny memory limit: the 4th live thread must fail, reproducing
 	// the paper's pthread-exhaustion aborts.
-	rt := New(WithModel(Model{StackBytes: 8 << 20, MemoryLimit: 3 * (8 << 20)}))
+	rt := New()
+	rt.memoryLimit = 3 * stackBytes
 	block := make(chan struct{})
 	var ok []*Future[int]
 	for i := 0; i < 3; i++ {
@@ -111,16 +112,6 @@ func TestPanicPropagation(t *testing.T) {
 	f.Get()
 }
 
-func TestCreateCostSpin(t *testing.T) {
-	rt := New(WithModel(Model{CreateCost: 2 * time.Millisecond, StackBytes: 1, MemoryLimit: 0}))
-	start := time.Now()
-	f := Spawn(rt, func() int { return 0 })
-	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
-		t.Fatalf("launch returned after %v, create cost not applied", elapsed)
-	}
-	f.Get()
-}
-
 func TestWaitAndReady(t *testing.T) {
 	rt := New()
 	release := make(chan struct{})
@@ -136,7 +127,7 @@ func TestWaitAndReady(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
-	rt := New(WithLocality(0))
+	rt := New()
 	reg := core.NewRegistry()
 	if err := rt.RegisterCounters(reg); err != nil {
 		t.Fatalf("RegisterCounters: %v", err)
@@ -174,33 +165,9 @@ func TestCounters(t *testing.T) {
 }
 
 func TestDefaultModelMatchesPaperCeiling(t *testing.T) {
-	m := DefaultModel()
-	ceiling := m.MemoryLimit / m.StackBytes
+	ceiling := New().memoryLimit / stackBytes
 	// The paper observes failures at 80k–97k live pthreads.
 	if ceiling < 80000 || ceiling > 97000 {
 		t.Fatalf("default thread ceiling %d outside the paper's 80k–97k window", ceiling)
-	}
-}
-
-func TestRealOSThreads(t *testing.T) {
-	// With RealOSThreads every task gets a dedicated kernel thread; the
-	// results stay correct and the lifecycle (create-execute-destroy)
-	// completes.
-	m := DefaultModel()
-	m.RealOSThreads = true
-	rt := New(WithModel(m))
-	const n = 16
-	fs := make([]*Future[int], n)
-	for i := range fs {
-		i := i
-		fs[i] = Spawn(rt, func() int { return i * i })
-	}
-	for i, f := range fs {
-		if got := f.Get(); got != i*i {
-			t.Fatalf("task %d = %d", i, got)
-		}
-	}
-	if rt.Live() != 0 {
-		t.Fatalf("live after join = %d", rt.Live())
 	}
 }

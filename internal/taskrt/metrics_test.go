@@ -149,6 +149,28 @@ func TestCounterPendingAndQueueLength(t *testing.T) {
 	head.Get()
 	WaitAllOf(tail)
 	pending(0)
+	// A worker stops counting as executing once it leaves the task,
+	// just after the task's future completes.
+	settles(t, reg, "/threads{locality#0/total}/count/instantaneous/active", 0)
+}
+
+// settles waits up to 5 s for the counter name to read want.
+func settles(t *testing.T, reg *core.Registry, name string, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		v, err := reg.Evaluate(name, false)
+		if err != nil {
+			t.Fatalf("Evaluate(%q): %v", name, err)
+		}
+		if v.Raw == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want %d", name, v.Raw, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestCounterMemoryAndUptime(t *testing.T) {

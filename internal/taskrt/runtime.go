@@ -521,11 +521,8 @@ func (w *worker) execute(t *task, searchStart int64) int64 {
 	if w.rt.adaptiveInline {
 		w.rt.noteDispatchCost(dispatchNs)
 	}
-	w.metrics.active.Store(1)
 	w.nestedNs = 0 // top of the stack: nothing to report up
-	end := w.timeTask(t, false, begin)
-	w.metrics.active.Store(0)
-	return end
+	return w.timeTask(t, false, begin)
 }
 
 // executeInline runs a task on the current goroutine (Fork/Sync

@@ -14,8 +14,7 @@ import (
 // apex.Band — above high the concurrency limit steps down (never below
 // 1) at once, below low it steps back up (never past NumWorkers).
 func (rt *Runtime) IdleThrottle(reg *core.Registry, period time.Duration, low, high float64) (apex.Policy, error) {
-	idle, err := reg.Bind(core.Name{Object: "threads", Counter: "idle-rate"}.
-		WithInstances(core.LocalityInstance(rt.locality, "total", -1)...).String())
+	idle, err := reg.Bind(core.LocalityName("threads", "idle-rate", rt.locality, -1).String())
 	if err != nil {
 		return apex.Policy{}, err
 	}

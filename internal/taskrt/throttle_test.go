@@ -105,6 +105,7 @@ func TestUtilizationCounter(t *testing.T) {
 	}
 	close(block)
 	WaitAllOf(fs)
+	settles(t, reg, name, 0)
 	w, _ := reg.Evaluate("/threads{locality#0/total}/count/workers-active", false)
 	if w.Raw != 2 {
 		t.Fatalf("workers-active = %d", w.Raw)

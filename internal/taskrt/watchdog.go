@@ -190,7 +190,8 @@ func (wd *watchdog) sweep(now time.Time) string {
 	for i, w := range rt.workers {
 		m := &w.metrics
 		executed += m.tasksExecuted.Load() + m.inlineExecuted.Load()
-		if m.active.Load() != 0 {
+		start := m.taskStartNs.Load()
+		if start != 0 {
 			activeWorkers++
 			// Idle time booked by a worker that is inside a task means
 			// the task is help-waiting on a future (the help loop polls
@@ -202,7 +203,7 @@ func (wd *watchdog) sweep(now time.Time) string {
 		// Stalled task: the innermost task on this worker has been
 		// running past the threshold. One event per task episode —
 		// keyed on the start timestamp.
-		if start := m.taskStartNs.Load(); start != 0 && nowNs-start > int64(wd.cfg.StallThreshold) {
+		if start != 0 && nowNs-start > int64(wd.cfg.StallThreshold) {
 			if wd.lastStallStart[i] != start {
 				wd.lastStallStart[i] = start
 				wd.emit(HealthEvent{Kind: HealthStalledTask, Worker: i,

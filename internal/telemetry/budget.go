@@ -295,18 +295,11 @@ func (bc *BudgetController) DemotedCounters() int64 { return bc.counterDemoted.L
 // registered names are left in place.
 func (bc *BudgetController) RegisterCounters(reg *core.Registry) {
 	register := func(counter, help, unit string, sample func() int64) {
-		n := core.Name{Object: "telemetry", Counter: counter}.
-			WithInstances(core.LocalityInstance(0, "total", -1)...)
-		c := core.NewFuncCounter(n, core.Info{
-			TypeName: "/telemetry/" + counter,
-			HelpText: help,
-			Unit:     unit,
-			Version:  "1.0",
-		}, 0, sample, nil)
+		c := core.NewLocalityFunc("telemetry", counter, 0, help, unit, sample, nil)
 		if err := reg.Register(c); err != nil {
 			return
 		}
-		_, _ = reg.AddActive(n.String())
+		_, _ = reg.AddActive(c.Name().String())
 	}
 	register("budget/overhead", "measured sampling overhead, ppm of one core",
 		core.UnitNone, bc.OverheadPPM)

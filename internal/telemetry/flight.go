@@ -329,18 +329,11 @@ func csvEscape(s string) string {
 // left in place.
 func (fr *FlightRecorder) RegisterCounters(reg *core.Registry) {
 	register := func(counter, help, unit string, sample func() int64) {
-		n := core.Name{Object: "telemetry", Counter: counter}.
-			WithInstances(core.LocalityInstance(0, "total", -1)...)
-		c := core.NewFuncCounter(n, core.Info{
-			TypeName: "/telemetry/" + counter,
-			HelpText: help,
-			Unit:     unit,
-			Version:  "1.0",
-		}, 0, sample, nil)
+		c := core.NewLocalityFunc("telemetry", counter, 0, help, unit, sample, nil)
 		if err := reg.Register(c); err != nil {
 			return
 		}
-		_, _ = reg.AddActive(n.String())
+		_, _ = reg.AddActive(c.Name().String())
 	}
 	register("flight/triggers", "flight-recorder triggers accepted (armed or coalesced into a burst)",
 		core.UnitEvents, fr.triggers.Load)

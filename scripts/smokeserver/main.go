@@ -25,10 +25,7 @@ func main() {
 	flag.Parse()
 
 	reg := core.NewRegistry()
-	c := core.NewRawCounter(
-		core.Name{Object: "threads", Counter: "count/cumulative"}.
-			WithInstances(core.LocalityInstance(0, "total", -1)...),
-		core.Info{TypeName: "/threads/count/cumulative", HelpText: "smoke ticks"})
+	c := core.NewLocalityRaw("threads", "count/cumulative", 0, "smoke ticks", "")
 	reg.MustRegister(c)
 	go func() {
 		for range time.Tick(10 * time.Millisecond) {
