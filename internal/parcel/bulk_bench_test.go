@@ -15,13 +15,14 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/taskrt"
 )
 
 var bulkBenchKs = []int{1, 16, 128}
 
 // newBulkBenchFixture builds a loopback server exposing n raw counters
 // and a connected client, without the testing.T cleanup plumbing.
-func newBulkBenchFixture(tb testing.TB, n int) ([]string, *Server, *Client) {
+func newBulkBenchFixture(tb testing.TB, n int) ([]string, *Client) {
 	tb.Helper()
 	reg := core.NewRegistry()
 	names := make([]string, n)
@@ -33,6 +34,35 @@ func newBulkBenchFixture(tb testing.TB, n int) ([]string, *Server, *Client) {
 		reg.MustRegister(c)
 		names[i] = cn.String()
 	}
+	return names, serveBench(tb, reg)
+}
+
+// newThreadsBenchFixture serves the first k /threads{locality#0/*}/*
+// counters of an idle 16-worker taskrt runtime, the shape a remote
+// monitor samples: large raw values (nanosecond times) and the scaling
+// and count columns of the ratio counters ride every answer.
+func newThreadsBenchFixture(tb testing.TB, k int) ([]string, *Client) {
+	tb.Helper()
+	rt := taskrt.New(taskrt.WithWorkers(16))
+	tb.Cleanup(rt.Shutdown)
+	reg := core.NewRegistry()
+	if err := rt.RegisterCounters(reg); err != nil {
+		tb.Fatal(err)
+	}
+	found, err := reg.Discover("/threads{locality#0/*}/*")
+	if err != nil || len(found) < k {
+		tb.Fatalf("Discover = %d names, %v; want at least %d", len(found), err, k)
+	}
+	names := make([]string, k)
+	for i := range names {
+		names[i] = found[i].String()
+	}
+	return names, serveBench(tb, reg)
+}
+
+// serveBench serves reg on loopback and returns a connected client.
+func serveBench(tb testing.TB, reg *core.Registry) *Client {
+	tb.Helper()
 	srv, err := Serve("127.0.0.1:0", reg, 0)
 	if err != nil {
 		tb.Fatalf("Serve: %v", err)
@@ -43,33 +73,44 @@ func newBulkBenchFixture(tb testing.TB, n int) ([]string, *Server, *Client) {
 		tb.Fatalf("Dial: %v", err)
 	}
 	tb.Cleanup(func() { cli.Close() })
-	return names, srv, cli
+	return cli
 }
 
 // BenchmarkEvaluateBulk measures one bulk sample of K counters over
-// loopback; the round-trips/sample metric is exact (from the client's
-// parcel meter) and must stay 1.
+// loopback, of raw counters (K=…) and of a taskrt runtime's /threads
+// counters (threads/K=128); the round-trips/sample metric is exact (from
+// the client's parcel meter) and must stay 1.
 func BenchmarkEvaluateBulk(b *testing.B) {
 	for _, k := range bulkBenchKs {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			names, _, cli := newBulkBenchFixture(b, k)
-			set := cli.NewBulkSet(names)
-			if _, err := set.Evaluate(false); err != nil { // bind outside the loop
-				b.Fatal(err)
-			}
-			sentBefore := cli.meters.sent.Load()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := set.Evaluate(false); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			rts := float64(cli.meters.sent.Load()-sentBefore) / float64(b.N)
-			b.ReportMetric(rts, "round-trips/sample")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k), "ns/counter")
+			names, cli := newBulkBenchFixture(b, k)
+			benchBulkSet(b, cli, names)
 		})
 	}
+	b.Run("threads/K=128", func(b *testing.B) {
+		names, cli := newThreadsBenchFixture(b, 128)
+		benchBulkSet(b, cli, names)
+	})
+}
+
+// benchBulkSet times Evaluate of one bound set over names.
+func benchBulkSet(b *testing.B, cli *Client, names []string) {
+	set := cli.NewBulkSet(names)
+	if _, err := set.Evaluate(false); err != nil { // bind outside the loop
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	sentBefore := cli.meters.sent.Load()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := set.Evaluate(false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	rts := float64(cli.meters.sent.Load()-sentBefore) / float64(b.N)
+	b.ReportMetric(rts, "round-trips/sample")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(names)), "ns/counter")
 }
 
 // BenchmarkEvaluatePerCounter is the pre-bulk access pattern — K
@@ -77,7 +118,7 @@ func BenchmarkEvaluateBulk(b *testing.B) {
 func BenchmarkEvaluatePerCounter(b *testing.B) {
 	for _, k := range bulkBenchKs {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			names, _, cli := newBulkBenchFixture(b, k)
+			names, cli := newBulkBenchFixture(b, k)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, n := range names {
@@ -121,7 +162,7 @@ func TestWriteBulkBenchJSON(t *testing.T) {
 		CPU:         runtime.GOARCH,
 	}
 	for _, k := range bulkBenchKs {
-		names, _, cli := newBulkBenchFixture(t, k)
+		names, cli := newBulkBenchFixture(t, k)
 		set := cli.NewBulkSet(names)
 		if _, err := set.Evaluate(false); err != nil {
 			t.Fatal(err)

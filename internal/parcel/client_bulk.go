@@ -157,16 +157,17 @@ func (c *Client) evaluateBulk(ctx context.Context, req request, names, base []st
 // slot has a non-zero one. Time is Unix nanoseconds (exact for the
 // years 1678–2262 that UnixNano spans): slot 0 absolute, every later
 // slot relative to slot 0 (one sample's readings lie microseconds
-// apart), 0 for a zero-time slot, which NoTime lists.
+// apart), 0 for a zero-time slot, which NoTime lists. The integer
+// columns decode by hand (column.go); the wire is encoding/json's.
 type bulkValues struct {
-	Raw     []int64        `json:"raw"`
-	Status  []core.Status  `json:"status"`
-	Time    []int64        `json:"time"`
-	NoTime  []int          `json:"no_time,omitempty"`
-	Scaling []int64        `json:"scaling,omitempty"`
-	Count   []int64        `json:"count,omitempty"`
-	Inverse []int          `json:"inverse,omitempty"` // slots whose Inverse is set
-	Renamed map[int]string `json:"renamed,omitempty"` // slot → name, where it is not base's
+	Raw     column[int64]       `json:"raw"`
+	Status  column[core.Status] `json:"status"`
+	Time    column[int64]       `json:"time"`
+	NoTime  column[int]         `json:"no_time,omitempty"`
+	Scaling column[int64]       `json:"scaling,omitempty"`
+	Count   column[int64]       `json:"count,omitempty"`
+	Inverse column[int]         `json:"inverse,omitempty"` // slots whose Inverse is set
+	Renamed map[int]string      `json:"renamed,omitempty"` // slot → name, where it is not base's
 }
 
 // encode fills b with vals, reusing b's columns; base holds one name per

@@ -316,3 +316,47 @@ func FuzzBulkAnswer(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBulkColumn checks the hand-written column parser against
+// encoding/json: for any valid JSON, decoding into column[int64] and
+// []int64 (and column[int] and []int) must agree on accept/reject and,
+// on accept, on every value. A nil and an empty column count as equal.
+func FuzzBulkColumn(f *testing.F) {
+	for _, s := range []string{
+		`[]`, `null`, `[null]`, `[-0]`, `[1.0]`, `[1e3]`,
+		`[9223372036854775807]`, `[9223372036854775808]`,
+		`[-9223372036854775808]`, `[-9223372036854775809]`,
+		" [ 1 ,\t-2\n,\rnull ] ", `["1"]`, `[[1]]`, `[true]`, `{}`,
+		`[0,1,-1,2147483647,2147483648,-2147483649]`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !json.Valid(data) {
+			return
+		}
+		agree(t, data, new(column[int64]), new([]int64))
+		agree(t, data, new(column[int]), new([]int))
+	})
+}
+
+// agree decodes data into the column and into the plain slice of the
+// same element type and fails the test if the two disagree.
+func agree[T ~int | ~int64](t *testing.T, data []byte, col *column[T], plain *[]T) {
+	t.Helper()
+	colErr, plainErr := json.Unmarshal(data, col), json.Unmarshal(data, plain)
+	if (colErr == nil) != (plainErr == nil) {
+		t.Fatalf("%q into %T: column error %v, encoding/json error %v", data, col, colErr, plainErr)
+	}
+	if colErr != nil {
+		return
+	}
+	if len(*col) != len(*plain) {
+		t.Fatalf("%q into %T: column %v, encoding/json %v", data, col, *col, *plain)
+	}
+	for i := range *plain {
+		if (*col)[i] != (*plain)[i] {
+			t.Fatalf("%q into %T: column %v, encoding/json %v", data, col, *col, *plain)
+		}
+	}
+}

@@ -30,13 +30,9 @@ func TestCountersCumulativeTasks(t *testing.T) {
 		})
 	}
 	WaitAllOf(fs)
-	v, err := reg.Evaluate("/threads{locality#0/total}/count/cumulative", false)
-	if err != nil {
-		t.Fatalf("Evaluate: %v", err)
-	}
-	if v.Raw != n {
-		t.Fatalf("cumulative tasks = %d want %d", v.Raw, n)
-	}
+	// A future completes inside its task, just before the worker counts
+	// the task: wait for the count, which must reach n exactly.
+	settles(t, reg, "/threads{locality#0/total}/count/cumulative", n)
 	// Per-worker counters sum to the total.
 	var perWorker int64
 	for w := 0; w < rt.NumWorkers(); w++ {
@@ -92,6 +88,7 @@ func TestCounterEvaluateAndResetBetweenSamples(t *testing.T) {
 			fs[i] = AsyncF(rt, func() int { return 0 })
 		}
 		WaitAllOf(fs)
+		settles(t, reg, "/threads{locality#0/total}/count/cumulative", int64(k))
 		vals := reg.EvaluateActiveInto(nil, true)
 		return vals[0].Raw
 	}
