@@ -7,7 +7,6 @@ import (
 	"repro/internal/agas"
 	"repro/internal/agas/tree"
 	"repro/internal/core"
-	"repro/internal/hwsim"
 	"repro/internal/machine"
 	"repro/internal/parcel"
 	"repro/internal/sim"
@@ -35,7 +34,6 @@ func TestCounterCatalogue(t *testing.T) {
 	defer rt.Shutdown()
 	must(rt.RegisterCounters(reg))
 	must(stdrt.New().RegisterCounters(reg))
-	must(hwsim.NewAccumulator(machine.IvyBridge(), 0).RegisterCounters(reg))
 	must(agas.NewResolver().EnableRemoteCounters(reg, 0))
 	telemetry.NewBudgetController(telemetry.BudgetControllerConfig{
 		BaseInterval: time.Millisecond, Cost: func() int64 { return 0 },
@@ -51,12 +49,34 @@ func TestCounterCatalogue(t *testing.T) {
 	defer cli.Close()
 	checkCatalogue(t, reg)
 
+	// A simulated run provides the /papi counters; its leaf moves 1001
+	// cache lines (not a multiple of 20, so no share of it is a whole
+	// number of lines) and a partial one.
 	r, err := sim.Run(sim.Config{Machine: machine.IvyBridge(), Cores: 2, Mode: sim.HPX},
-		&sim.Graph{Label: "leaf", Root: sim.Leaf(1000, 100)})
+		&sim.Graph{Label: "leaf", Root: sim.Leaf(1000, 64*1001+10)})
 	must(err)
 	simReg := core.NewRegistry()
 	must(r.RegisterCounters(simReg, 0))
 	checkCatalogue(t, simReg)
+
+	// The three request types split the traffic without dropping or
+	// inventing a line.
+	t.Run("offcore split sums to lines", func(t *testing.T) {
+		var lines int64
+		for _, event := range []string{"ALL_DATA_RD", "DEMAND_CODE_RD", "DEMAND_RFO"} {
+			v, err := simReg.Evaluate("/papi{locality#0/total}/OFFCORE_REQUESTS@"+event, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Raw <= 0 {
+				t.Errorf("OFFCORE_REQUESTS@%s = %d, want > 0", event, v.Raw)
+			}
+			lines += v.Raw
+		}
+		if want := r.OffcoreBytes / r.LineBytes; lines != want || want != 1001 {
+			t.Errorf("OFFCORE_REQUESTS sum to %d lines, want OffcoreBytes/line = %d (1001)", lines, want)
+		}
+	})
 }
 
 func checkCatalogue(t *testing.T, reg *core.Registry) {

@@ -1,8 +1,11 @@
 // Command counterls lists the performance-counter types a fully
 // provisioned locality exposes: the task runtime's thread-manager
 // counters, the runtime memory/uptime counters, the baseline's
-// stdthreads counters, the modelled PAPI hardware counters, the AGAS and
-// parcel counters, and the statistics/arithmetics meta counter families.
+// stdthreads counters, the AGAS and parcel counters, and the
+// statistics/arithmetics meta counter families. The modelled PAPI
+// hardware counters (/papi/OFFCORE_REQUESTS) come from a simulated run
+// registered as locality 1 (sim.Result.RegisterCounters); a type the
+// live runtime also provides keeps the live description.
 //
 // With -discover PATTERN it expands a (wildcarded) counter name into the
 // matching concrete instances instead.
@@ -23,10 +26,9 @@ import (
 
 	"repro/internal/agas"
 	"repro/internal/agas/tree"
-	"repro/internal/hwsim"
-	"repro/internal/inncabs"
 	"repro/internal/machine"
 	"repro/internal/perfcli"
+	"repro/internal/sim"
 	"repro/internal/stdrt"
 	"repro/internal/taskrt"
 )
@@ -65,10 +67,14 @@ func main() {
 	if err := stdrt.New().RegisterCounters(reg); err != nil {
 		fatal(err)
 	}
-	if err := hwsim.NewAccumulator(machine.IvyBridge(), 0).RegisterCounters(reg); err != nil {
+	res, err := sim.Run(sim.Config{Machine: machine.IvyBridge(), Cores: 1, Mode: sim.HPX},
+		&sim.Graph{Label: "leaf", Root: sim.Leaf(1_000_000, 1<<20)})
+	if err != nil {
 		fatal(err)
 	}
-	_ = inncabs.All() // ensure the suite links, for -discover examples in docs
+	if err := res.RegisterCounters(reg, 1); err != nil {
+		fatal(err)
+	}
 
 	if *discover != "" {
 		names, err := reg.Discover(*discover)

@@ -260,7 +260,7 @@ func registerFleetLocality(reg *core.Registry, loc int64, p sim.Result, rank int
 	}{
 		{"threads", "count/cumulative", "tasks executed (simulated)", core.UnitEvents, scale(p.Tasks)},
 		{"threads", "time/cumulative", "cumulative task time (simulated)", core.UnitNanoseconds, scale(p.TaskTimeNs)},
-		{"threads", "idle-rate", "idle rate (simulated, 0.01%)", "0.01%", scale(int64(p.IdleRate() * 10000))},
+		{"threads", "idle-rate", "idle rate (simulated, 0.01%)", "0.01%", scale(int64(float64(p.IdleNs) / (float64(p.Cores) * float64(p.MakespanNs)) * 10000))},
 		{"runtime", "uptime", "makespan (simulated)", core.UnitNanoseconds, scale(p.MakespanNs)},
 	}
 	for _, s := range specs {
@@ -277,7 +277,7 @@ func registerFleetLocality(reg *core.Registry, loc int64, p sim.Result, rank int
 	if rank%8 == 0 {
 		hc := core.NewHistogramCounter(core.LocalityName("threads", "time/task-duration", loc, -1),
 			core.TypeInfo("threads", "time/task-duration", "per-task duration distribution (simulated)", core.UnitNanoseconds))
-		avg := scale(int64(p.AvgTaskNs()))
+		avg := scale(p.TaskTimeNs / p.Tasks)
 		if avg <= 0 {
 			avg = 1
 		}

@@ -80,7 +80,7 @@ func RunAblations(size inncabs.Size, base machine.Machine) ([]Ablation, error) {
 		if err != nil {
 			return 0, err
 		}
-		return s.Result(sim.HPX, 20).Bandwidth() / s.Result(sim.HPX, 10).Bandwidth(), nil
+		return s.point(20).hpx.bandwidth / s.point(10).hpx.bandwidth, nil
 	}
 	noBW := base
 	noBW.SocketBandwidth = 1e18

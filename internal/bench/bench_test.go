@@ -38,6 +38,58 @@ func TestStrongScalingSeries(t *testing.T) {
 	}
 }
 
+func TestReadCounters(t *testing.T) {
+	// 1000 cache lines and a partial one in 2 µs; the partial line is no
+	// request, so the paper's estimate is 1000 x 64 B / 2 µs.
+	r := sim.Result{Tasks: 4, TaskTimeNs: 4000, OverheadNs: 400, MakespanNs: 2000,
+		OffcoreBytes: 64*1000 + 63, LineBytes: 64, Cores: 2, IdleNs: 1000}
+	rd, err := readCounters(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reading{taskNs: 4000, overheadNs: 400, avgTaskNs: 1000, avgOverheadNs: 100,
+		idleRate: 0.25, bandwidth: 64000 / 2000e-9}
+	if rd != want {
+		t.Fatalf("reading = %+v\nwant      %+v", rd, want)
+	}
+	// A run without uptime reads zero everywhere, not a division by zero.
+	if rd, err := readCounters(sim.Result{}); err != nil || rd != (reading{}) {
+		t.Fatalf("zero result: %+v, %v", rd, err)
+	}
+}
+
+func TestBandwidthFormula(t *testing.T) {
+	// The paper's estimate: requests x 64 B / time; 1000 lines in 1 s.
+	r := sim.Result{OffcoreBytes: 64 * 1000, LineBytes: 64, MakespanNs: 1e9}
+	if rd, err := readCounters(r); err != nil || rd.bandwidth != 64000 {
+		t.Fatalf("bandwidth = %v (%v) want 64000", rd.bandwidth, err)
+	}
+	// Traffic without elapsed time yields zero bandwidth.
+	r.MakespanNs = 0
+	if rd, err := readCounters(r); err != nil || rd.bandwidth != 0 {
+		t.Fatalf("zero uptime: bandwidth = %v (%v) want 0", rd.bandwidth, err)
+	}
+}
+
+func TestReadCountersBandwidth(t *testing.T) {
+	// A simulated run's bandwidth, read from its registered counters, is
+	// its off-core traffic over its makespan up to the partial last line.
+	m := machine.IvyBridge()
+	g := &sim.Graph{Label: "leaf", Root: sim.Leaf(1_000_000, 64*1_000_000+10)}
+	r, err := sim.Run(sim.Config{Machine: m, Cores: 1, Mode: sim.HPX}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := readCounters(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := float64(r.OffcoreBytes) / (float64(r.MakespanNs) / 1e9)
+	if r.MakespanNs <= 0 || math.Abs(rd.bandwidth-want)/want > 0.01 {
+		t.Fatalf("bandwidth = %v want ~%v", rd.bandwidth, want)
+	}
+}
+
 func TestScalesToClassifications(t *testing.T) {
 	mkSeries := func(times map[int]int64) Series {
 		var s Series

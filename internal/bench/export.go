@@ -43,12 +43,12 @@ func ExportFigureCSV(w io.Writer, id string, size inncabs.Size, m machine.Machin
 			fmt.Sprintf("%v", p.HPX.Failed),
 			fmt.Sprintf("%.6f", float64(p.Std.MakespanNs)/1e9),
 			fmt.Sprintf("%v", p.Std.Failed),
-			fmt.Sprintf("%.6f", float64(p.HPX.TaskTimeNs)/1e9/k),
-			fmt.Sprintf("%.6f", float64(p.HPX.OverheadNs)/1e9/k),
-			fmt.Sprintf("%.3f", p.HPX.AvgTaskNs()/1000),
-			fmt.Sprintf("%.3f", p.HPX.AvgOverheadNs()/1000),
-			fmt.Sprintf("%.3f", p.HPX.Bandwidth()/1e9),
-			fmt.Sprintf("%.4f", p.HPX.IdleRate()),
+			fmt.Sprintf("%.6f", float64(p.hpx.taskNs)/1e9/k),
+			fmt.Sprintf("%.6f", float64(p.hpx.overheadNs)/1e9/k),
+			fmt.Sprintf("%.3f", p.hpx.avgTaskNs/1000),
+			fmt.Sprintf("%.3f", p.hpx.avgOverheadNs/1000),
+			fmt.Sprintf("%.3f", p.hpx.bandwidth/1e9),
+			fmt.Sprintf("%.4f", p.hpx.idleRate),
 		})
 	}
 	WriteCSV(w, header, rows)

@@ -174,7 +174,7 @@ func renderExecFigure(w io.Writer, id string, spec figureSpec, s Series) {
 }
 
 func renderOverheadFigure(w io.Writer, id string, spec figureSpec, s Series) {
-	one := s.Result(sim.HPX, 1)
+	one := s.point(1)
 	var xs, execY, idealY, taskY, idealTaskY, ovhY []float64
 	rows := make([][]string, 0, len(s.Points))
 	for _, p := range s.Points {
@@ -182,17 +182,17 @@ func renderOverheadFigure(w io.Writer, id string, spec figureSpec, s Series) {
 		k := float64(p.Cores)
 		xs = append(xs, k)
 		execY = append(execY, secondsOrNaN(r))
-		idealY = append(idealY, float64(one.MakespanNs)/1e9/k)
-		taskY = append(taskY, float64(r.TaskTimeNs)/1e9/k)
-		idealTaskY = append(idealTaskY, float64(one.TaskTimeNs)/1e9/k)
-		ovhY = append(ovhY, float64(r.OverheadNs)/1e9/k)
+		idealY = append(idealY, float64(one.HPX.MakespanNs)/1e9/k)
+		taskY = append(taskY, float64(p.hpx.taskNs)/1e9/k)
+		idealTaskY = append(idealTaskY, float64(one.hpx.taskNs)/1e9/k)
+		ovhY = append(ovhY, float64(p.hpx.overheadNs)/1e9/k)
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", p.Cores),
 			fmt.Sprintf("%.3f", secondsOrNaN(r)),
-			fmt.Sprintf("%.3f", float64(one.MakespanNs)/1e9/k),
-			fmt.Sprintf("%.3f", float64(r.TaskTimeNs)/1e9/k),
-			fmt.Sprintf("%.3f", float64(one.TaskTimeNs)/1e9/k),
-			fmt.Sprintf("%.4f", float64(r.OverheadNs)/1e9/k),
+			fmt.Sprintf("%.3f", float64(one.HPX.MakespanNs)/1e9/k),
+			fmt.Sprintf("%.3f", float64(p.hpx.taskNs)/1e9/k),
+			fmt.Sprintf("%.3f", float64(one.hpx.taskNs)/1e9/k),
+			fmt.Sprintf("%.4f", float64(p.hpx.overheadNs)/1e9/k),
 		})
 	}
 	title := fmt.Sprintf("Figure %s: %s (HPX) [%s size]", id[3:], spec.caption, s.Size)
@@ -213,9 +213,8 @@ func renderBandwidthFigure(w io.Writer, id string, spec figureSpec, s Series) {
 	var xs, bwY []float64
 	rows := make([][]string, 0, len(s.Points))
 	for _, p := range s.Points {
-		r := p.HPX
 		xs = append(xs, float64(p.Cores))
-		bw := r.Bandwidth() / 1e9
+		bw := p.hpx.bandwidth / 1e9
 		bwY = append(bwY, bw)
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", p.Cores),

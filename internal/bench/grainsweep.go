@@ -57,8 +57,12 @@ func GrainSweep(m machine.Machine, cores int) ([]GrainPoint, error) {
 			return nil, err
 		}
 		p.HPXSpeedup = float64(h1.MakespanNs) / float64(hk.MakespanNs)
-		if hk.TaskTimeNs > 0 {
-			p.HPXOverheadShare = float64(hk.OverheadNs) / float64(hk.TaskTimeNs)
+		rd, err := readCounters(hk)
+		if err != nil {
+			return nil, err
+		}
+		if rd.taskNs > 0 {
+			p.HPXOverheadShare = float64(rd.overheadNs) / float64(rd.taskNs)
 		}
 		s1, err := sim.Run(sim.Config{Machine: m, Cores: 1, Mode: sim.Std}, g)
 		if err != nil {

@@ -22,6 +22,9 @@ type Point struct {
 	// HPX and Std are the two runtime models' results.
 	HPX sim.Result
 	Std sim.Result
+	// hpx is the HPX run's counter reading, the figures' only source of
+	// what the paper took from counters.
+	hpx reading
 }
 
 // Series is a benchmark's full strong-scaling sweep.
@@ -78,6 +81,9 @@ func StrongScaling(b *inncabs.Benchmark, size inncabs.Size, m machine.Machine, c
 		p.Cores = k
 		var err error
 		if p.HPX, err = sim.Run(sim.Config{Machine: m, Cores: k, Mode: sim.HPX}, g); err != nil {
+			return s, fmt.Errorf("bench: %s hpx %d cores: %w", b.Name, k, err)
+		}
+		if p.hpx, err = readCounters(p.HPX); err != nil {
 			return s, fmt.Errorf("bench: %s hpx %d cores: %w", b.Name, k, err)
 		}
 		if p.Std, err = sim.Run(sim.Config{Machine: m, Cores: k, Mode: sim.Std}, g); err != nil {
@@ -155,13 +161,18 @@ func (s Series) ScalesTo(mode sim.Mode) string {
 // Result selects the mode's result at a core count (zero Result if the
 // point is absent).
 func (s Series) Result(mode sim.Mode, cores int) sim.Result {
+	if mode == sim.Std {
+		return s.point(cores).Std
+	}
+	return s.point(cores).HPX
+}
+
+// point returns the point at a core count (zero Point if absent).
+func (s Series) point(cores int) Point {
 	for _, p := range s.Points {
 		if p.Cores == cores {
-			if mode == sim.Std {
-				return p.Std
-			}
-			return p.HPX
+			return p
 		}
 	}
-	return sim.Result{}
+	return Point{}
 }

@@ -87,10 +87,9 @@ func Table5(w io.Writer, size inncabs.Size, m machine.Machine) error {
 		if err != nil {
 			return fmt.Errorf("bench: table5 %s: %w", b.Name, err)
 		}
-		oneCore := series.Result(sim.HPX, 1)
 		rows = append(rows, []string{
 			b.Name, b.Class, b.Sync,
-			fmt.Sprintf("%.2f", oneCore.AvgTaskNs()/1000),
+			fmt.Sprintf("%.2f", series.point(1).hpx.avgTaskNs/1000),
 			fmt.Sprintf("%.2f", b.PaperTaskUs),
 			b.Granularity,
 			series.ScalesTo(sim.Std), b.PaperStdScaling,

@@ -3,6 +3,7 @@ package inncabs
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stdrt"
 	"repro/internal/taskrt"
@@ -172,7 +173,15 @@ func TestGraphGrainMatchesTableV(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotUs := r.AvgTaskNs() / 1000
+			reg := core.NewRegistry()
+			if err := r.RegisterCounters(reg, 0); err != nil {
+				t.Fatal(err)
+			}
+			avg, err := reg.Evaluate("/threads{locality#0/total}/time/average", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotUs := avg.Float64() / 1000
 			ratio := gotUs / b.PaperTaskUs
 			if ratio < 0.3 || ratio > 3.5 {
 				t.Fatalf("avg task %.2f µs vs Table V %.2f µs (ratio %.2f)",

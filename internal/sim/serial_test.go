@@ -132,9 +132,9 @@ func TestContentionInflatesTaskTimeOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.AvgTaskNs() >= r8.AvgTaskNs() {
-		t.Fatalf("task duration did not grow with cores: %v -> %v",
-			r1.AvgTaskNs(), r8.AvgTaskNs())
+	const average = "/threads{locality#0/total}/time/average"
+	if avg1, avg8 := counter(t, r1, average), counter(t, r8, average); avg1 >= avg8 {
+		t.Fatalf("task duration did not grow with cores: %v -> %v", avg1, avg8)
 	}
 	// Contention lands in task time, not overhead, and pure work is
 	// untouched.
@@ -164,8 +164,9 @@ func TestResultRegisterCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := avg.Float64(); got != r.AvgTaskNs() || avg.Count != r.Tasks {
-		t.Fatalf("avg = %v (count %d) want %v (count %d)", got, avg.Count, r.AvgTaskNs(), r.Tasks)
+	want := float64(r.TaskTimeNs) / float64(r.Tasks)
+	if got := avg.Float64(); got != want || avg.Count != r.Tasks {
+		t.Fatalf("avg = %v (count %d) want %v (count %d)", got, avg.Count, want, r.Tasks)
 	}
 	up, _ := reg.Evaluate("/runtime{locality#7/total}/uptime", false)
 	if up.Raw != r.MakespanNs {

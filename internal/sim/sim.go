@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/machine"
 )
@@ -68,9 +67,11 @@ type Result struct {
 	BusyNs int64
 	// IdleNs is core-time spent without work: Cores*Makespan - Busy.
 	IdleNs int64
-	// OffcoreBytes is total off-core traffic; divided by makespan it is
-	// the bandwidth the paper derives from the PAPI counters.
+	// OffcoreBytes is total off-core traffic, counted in lines of
+	// LineBytes by the /papi OFFCORE_REQUESTS counters.
 	OffcoreBytes int64
+	// LineBytes is the platform's cache-line size.
+	LineBytes int64
 	// PeakLive is the high-water mark of live threads (std mode) or
 	// running+queued tasks (HPX mode).
 	PeakLive int64
@@ -80,42 +81,6 @@ type Result struct {
 	Failed bool
 	// FailureReason describes the failure.
 	FailureReason string
-}
-
-// AvgTaskNs is the /threads/time/average counter: mean task duration.
-func (r Result) AvgTaskNs() float64 {
-	if r.Tasks == 0 {
-		return 0
-	}
-	return float64(r.TaskTimeNs) / float64(r.Tasks)
-}
-
-// AvgOverheadNs is the /threads/time/average-overhead counter.
-func (r Result) AvgOverheadNs() float64 {
-	if r.Tasks == 0 {
-		return 0
-	}
-	return float64(r.OverheadNs) / float64(r.Tasks)
-}
-
-// Bandwidth returns the derived off-core bandwidth in bytes/second.
-func (r Result) Bandwidth() float64 {
-	if r.MakespanNs == 0 {
-		return 0
-	}
-	return float64(r.OffcoreBytes) / (float64(r.MakespanNs) / 1e9)
-}
-
-// Makespan returns the execution time as a duration.
-func (r Result) Makespan() time.Duration { return time.Duration(r.MakespanNs) }
-
-// IdleRate returns idle core-time as a fraction of total core-time.
-func (r Result) IdleRate() float64 {
-	total := float64(r.Cores) * float64(r.MakespanNs)
-	if total == 0 {
-		return 0
-	}
-	return float64(r.IdleNs) / total
 }
 
 // ---------------------------------------------------------------------------
@@ -194,6 +159,7 @@ func Run(cfg Config, g *Graph) (Result, error) {
 	s.res.Label = g.Label
 	s.res.Mode = cfg.Mode
 	s.res.Cores = cfg.Cores
+	s.res.LineBytes = cfg.Machine.CacheLineBytes
 
 	root := &nodeState{n: g.Root}
 	s.spawn(root)

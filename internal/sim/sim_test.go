@@ -7,8 +7,42 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 )
+
+// counter registers r's counters at locality 0 of a fresh registry and
+// reads one by full name, the way the figures read a run.
+func counter(t *testing.T, r Result, name string) float64 {
+	t.Helper()
+	reg := core.NewRegistry()
+	if err := r.RegisterCounters(reg, 0); err != nil {
+		t.Fatal(err)
+	}
+	v, err := reg.Evaluate(name, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.Float64()
+}
+
+// offcoreEvents are the /papi request counters of locality 0.
+var offcoreEvents = []string{
+	"/papi{locality#0/total}/OFFCORE_REQUESTS@ALL_DATA_RD",
+	"/papi{locality#0/total}/OFFCORE_REQUESTS@DEMAND_CODE_RD",
+	"/papi{locality#0/total}/OFFCORE_REQUESTS@DEMAND_RFO",
+}
+
+// bandwidth is the paper's estimate from r's counters: the summed
+// off-core requests times the cache-line size over the uptime.
+func bandwidth(t *testing.T, r Result) float64 {
+	t.Helper()
+	var lines float64
+	for _, name := range offcoreEvents {
+		lines += counter(t, r, name)
+	}
+	return lines * float64(r.LineBytes) / (counter(t, r, "/runtime{locality#0/total}/uptime") / 1e9)
+}
 
 // testMachine is an Ivy Bridge with contention knobs zeroed where tests
 // need exact arithmetic.
@@ -127,7 +161,7 @@ func TestOverheadAccounting(t *testing.T) {
 	if r.MakespanNs != 10*1000+wantOH {
 		t.Fatalf("makespan = %d", r.MakespanNs)
 	}
-	if got := r.AvgOverheadNs(); math.Abs(got-float64(wantOH)/11) > 1 {
+	if got := counter(t, r, "/threads{locality#0/total}/time/average-overhead"); math.Abs(got-float64(wantOH)/11) > 1 {
 		t.Fatalf("avg overhead = %v", got)
 	}
 }
@@ -247,7 +281,7 @@ func TestBandwidthSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bw := r1.Bandwidth(); math.Abs(bw-5e9)/5e9 > 0.05 {
+	if bw := bandwidth(t, r1); math.Abs(bw-5e9)/5e9 > 0.05 {
 		t.Fatalf("1-core bandwidth = %.2g want 5e9", bw)
 	}
 	r4, err := Run(Config{Machine: m, Cores: 4, Mode: HPX}, g)
@@ -256,7 +290,7 @@ func TestBandwidthSaturation(t *testing.T) {
 	}
 	// Demand 20 GB/s > 10 GB/s capacity: delivered bandwidth pins at
 	// capacity and makespan stretches ~2x over perfect scaling.
-	if bw := r4.Bandwidth(); math.Abs(bw-10e9)/10e9 > 0.05 {
+	if bw := bandwidth(t, r4); math.Abs(bw-10e9)/10e9 > 0.05 {
 		t.Fatalf("4-core bandwidth = %.3g want ~10e9 (capacity)", bw)
 	}
 	if perfect := r1.MakespanNs / 4; float64(r4.MakespanNs) < 1.8*float64(perfect) {
@@ -384,19 +418,59 @@ func TestSimInvariantsQuick(t *testing.T) {
 }
 
 func TestDerivedMetrics(t *testing.T) {
+	// 1000 cache lines and a partial one, which no request counts.
 	r := Result{Tasks: 4, TaskTimeNs: 4000, OverheadNs: 400, MakespanNs: 2000,
-		OffcoreBytes: 4000, Cores: 2, IdleNs: 1000}
-	if r.AvgTaskNs() != 1000 || r.AvgOverheadNs() != 100 {
+		OffcoreBytes: 64*1000 + 63, LineBytes: 64, Cores: 2, IdleNs: 1000}
+	if counter(t, r, "/threads{locality#0/total}/time/average") != 1000 ||
+		counter(t, r, "/threads{locality#0/total}/time/average-overhead") != 100 {
 		t.Fatal("averages")
 	}
-	if bw := r.Bandwidth(); bw != 4000/(2000e-9) {
-		t.Fatalf("bandwidth = %v", bw)
+	if ir := counter(t, r, "/threads{locality#0/total}/idle-rate"); ir != 2500 {
+		t.Fatalf("idle rate = %v (0.01%%) want 2500", ir)
 	}
-	if ir := r.IdleRate(); ir != 0.25 {
-		t.Fatalf("idle rate = %v", ir)
+	for i, want := range []float64{700, 50, 250} {
+		if got := counter(t, r, offcoreEvents[i]); got != want {
+			t.Fatalf("%s = %v want %v", offcoreEvents[i], got, want)
+		}
 	}
 	var zero Result
-	if zero.AvgTaskNs() != 0 || zero.AvgOverheadNs() != 0 || zero.Bandwidth() != 0 || zero.IdleRate() != 0 {
-		t.Fatal("zero-result derived metrics must be zero")
+	for _, name := range append([]string{
+		"/threads{locality#0/total}/time/average",
+		"/threads{locality#0/total}/time/average-overhead",
+		"/threads{locality#0/total}/idle-rate",
+	}, offcoreEvents...) {
+		if v := counter(t, zero, name); v != 0 {
+			t.Fatalf("zero result: %s = %v", name, v)
+		}
+	}
+}
+
+func TestOffcoreRequestCounters(t *testing.T) {
+	// 1000 cache lines: each request type counts some, and together they
+	// count every line once.
+	r := Result{OffcoreBytes: 64 * 1000, LineBytes: 64}
+	var total float64
+	for _, name := range offcoreEvents {
+		v := counter(t, r, name)
+		if v <= 0 {
+			t.Fatalf("%s = %v", name, v)
+		}
+		total += v
+	}
+	if total != 1000 {
+		t.Fatalf("summed request counts = %v want 1000", total)
+	}
+}
+
+func TestOffcoreSplitShares(t *testing.T) {
+	// Reads dominate, stores (RFO) come next and code reads are the
+	// smallest share: 70 / 25 / 5 % of the lines.
+	r := Result{OffcoreBytes: 64 * 100000, LineBytes: 64}
+	reads, code, rfo := counter(t, r, offcoreEvents[0]), counter(t, r, offcoreEvents[1]), counter(t, r, offcoreEvents[2])
+	if reads <= rfo || rfo <= code {
+		t.Fatalf("split ordering wrong: reads=%v rfo=%v code=%v", reads, rfo, code)
+	}
+	if reads != 70000 || code != 5000 || rfo != 25000 {
+		t.Fatalf("split = %v/%v/%v want 70000/5000/25000", reads, code, rfo)
 	}
 }
