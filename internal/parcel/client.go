@@ -281,7 +281,7 @@ func (c *Client) read(l *link) {
 // longer be trusted.
 func (c *Client) deliver(l *link, line []byte) error {
 	var resp response
-	if err := json.Unmarshal(line, &resp); err != nil {
+	if err := decodeFrame(line, &resp); err != nil {
 		return err // a garbled frame leaves the stream unframed; reconnect
 	}
 	c.breaker.record(true) // any well-formed frame proves the endpoint alive,

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"io"
 	"net"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -359,4 +360,76 @@ func agree[T ~int | ~int64](t *testing.T, data []byte, col *column[T], plain *[]
 			t.Fatalf("%q into %T: column %v, encoding/json %v", data, col, *col, *plain)
 		}
 	}
+}
+
+// FuzzFrame checks the client's frame decoder against encoding/json:
+// for any line, decodeFrame and json.Unmarshal must agree on
+// accept/reject and, on accept, leave equal responses. The seeds are
+// every frame kind the server writes, marshalled from the response
+// struct, and each input the one-pass path must leave to
+// encoding/json.
+func FuzzFrame(f *testing.F) {
+	now := time.Unix(1_700_000_000, 123)
+	base := []string{"/a{locality#0/total}/x", "/b{locality#0/total}/x", "/c{locality#0/total}/x"}
+	var bulk bulkValues // every column and renamed
+	bulk.encode([]core.Value{
+		{Name: base[0], Raw: -5, Time: now, Status: core.StatusNewData},
+		{Name: "/b{locality#0/total}/y", Scaling: 1000, Count: 3, Inverse: true, Time: now.Add(time.Microsecond)},
+		{Name: base[2], Raw: 1 << 62, Status: core.StatusCounterUnknown},
+	}, base)
+	for _, r := range []response{
+		{ID: 7, Bulk: &bulk},
+		{ID: 1 << 40, SetID: 3},
+		{ID: 2, Error: "parcel: protocol: malformed request", Code: codeProtocol},
+		{ID: 4, Spawn: &spawnState{Key: "k", Action: "echo", State: spawnRunning}},
+		{Spawn: &spawnState{Key: "k", State: spawnDone, Result: json.RawMessage(`"ok"`)}},
+		{Spawn: &spawnState{Key: "k", State: spawnDone, Result: json.RawMessage(`-0.5E+2`)}},
+		{Spawn: &spawnState{Key: "k", State: spawnDone, Error: "boom", Code: codeActionError}},
+		{ID: 5, Names: []string{base[0], base[1]}},
+		{ID: 6, Infos: []core.Info{{TypeName: "/threads/count/cumulative", HelpText: "tasks", Version: "1.0"}}},
+	} {
+		line, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if r.Names == nil && r.Infos == nil && object(line, frameKeys, new(response).member) != len(line) {
+			f.Fatalf("server frame %s misses the one-pass path", line)
+		}
+		f.Add(append(line, '\n'))
+	}
+	for _, s := range []string{
+		`{"id":1,"bulk":{"raw":[1,null],"status":null,"time":[]},"set_id":-2}`,
+		`{"spawn":{"key":"k","state":"done","result":"é"}}`,
+		`{"spawn":{"key":"k","result":true}}`, `{"spawn":{"result":null}}`, `{"spawn":{"result":01}}`,
+		`{"bulk":{"renamed":{}}}`, `{"bulk":{"renamed":{"0":"a","0":"b"}}}`, `{}`,
+		// What the one-pass path leaves to encoding/json: whitespace,
+		// null, repeated keys (the second bulk, spawn or renamed merges
+		// into the first), case-folded and unknown keys, escapes,
+		// control bytes, invalid UTF-8, an id above MaxInt64, a
+		// non-canonical slot, a result that is not a number, a plain
+		// string or a literal.
+		` {"id":1}`, `{"id": 1}`, `{"id":1} `, "{\"id\":1}\r\n", `null`, `{"bulk":null}`,
+		`{"bulk":{"raw":[1]},"bulk":{"time":[2]}}`,
+		`{"spawn":{"key":"k"},"spawn":{"state":"done"}}`,
+		`{"bulk":{"renamed":{"1":"a"},"renamed":{"2":"b"}}}`,
+		`{"id":1,"id":2}`, `{"ID":1}`, `{"Bulk":{"RAW":[1]}}`, `{"names":["a"],"other":1}`,
+		`{"error":"a\nb"}`, `{"error":"\u0041"}`, `{"\u0069d":1}`, "{\"error\":\"a\tb\"}",
+		"{\"error\":\"\xff\"}", "{\"spawn\":{\"key\":\"\xed\xa0\x80\"}}",
+		`{"id":9223372036854775808}`, `{"id":-1}`, `{"id":1.0}`, `{"id":"1"}`,
+		`{"bulk":{"renamed":{"01":"a"}}}`, `{"bulk":{"renamed":{"+1":"a"}}}`, `{"bulk":{"renamed":{"-0":"a"}}}`,
+		`{"spawn":{"result":{"a":1}}}`, `{"spawn":{"result":[1]}}`, `{"spawn":{"result":"a\"b"}}`,
+		`{"bulk":{"raw":[1,"]"]}}`, `{"bulk":{"raw":[[1]]}}`, `{"id":1,}`, `{"id":1`, ``, "\n",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var got, want response
+		gotErr, wantErr := decodeFrame(line, &got), json.Unmarshal(line, &want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("frame %q: decodeFrame error %v, encoding/json error %v", line, gotErr, wantErr)
+		}
+		if gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %q: decodeFrame %+v, encoding/json %+v", line, got, want)
+		}
+	})
 }

@@ -18,7 +18,7 @@ func TestTracingRecordsTasks(t *testing.T) {
 		})
 	}
 	WaitAllOf(fs)
-	events, dropped := rt.TraceEvents()
+	events, dropped := traceSettles(t, rt, 20)
 	if len(events) != 20 || dropped != 0 {
 		t.Fatalf("events = %d dropped = %d", len(events), dropped)
 	}
@@ -50,7 +50,7 @@ func TestTracingBufferLimit(t *testing.T) {
 		fs[i] = AsyncF(rt, func() int { return 0 })
 	}
 	WaitAllOf(fs)
-	events, dropped := rt.TraceEvents()
+	events, dropped := traceSettles(t, rt, 12)
 	if len(events) != 5 {
 		t.Fatalf("events = %d want 5", len(events))
 	}
@@ -70,7 +70,7 @@ func TestTracingCausalFields(t *testing.T) {
 	if got := f.Get(); got != 3 {
 		t.Fatalf("result = %d", got)
 	}
-	events, _ := rt.TraceEvents()
+	events, _ := traceSettles(t, rt, 3)
 	if len(events) != 3 {
 		t.Fatalf("events = %d want 3", len(events))
 	}
@@ -109,6 +109,23 @@ func TestTracingCausalFields(t *testing.T) {
 	}
 	if children != 2 {
 		t.Fatalf("children of root = %d want 2", children)
+	}
+}
+
+// traceSettles waits up to 5 s for the trace to hold want events,
+// dropped ones included, and returns it. A future completes inside its
+// task's body, but the worker books the task's event after the body
+// returns, so a waiter outside the pool may see every future done a
+// moment before the last events.
+func traceSettles(t *testing.T, rt *Runtime, want int) ([]TraceEvent, int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		events, dropped := rt.TraceEvents()
+		if len(events)+int(dropped) >= want || time.Now().After(deadline) {
+			return events, dropped
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

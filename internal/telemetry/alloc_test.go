@@ -32,7 +32,7 @@ func TestWritePrometheusAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates inside sync.Pool/sync.Map")
 	}
 	s := warmSampler(t, 24)
-	WritePrometheus(io.Discard, s) // warm promCache + render pool
+	WritePrometheus(io.Discard, s) // warm the render pool
 	n := testing.AllocsPerRun(200, func() { WritePrometheus(io.Discard, s) })
 	if n != 0 {
 		t.Fatalf("WritePrometheus allocates %v per scrape at steady state, want 0", n)

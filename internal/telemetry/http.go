@@ -6,14 +6,17 @@ package telemetry
 // Only the Go standard library is used.
 //
 // The exposition path is built not to tax the application it observes:
-// counter-name → metric/label conversion is memoized (names are stable
-// for the life of the process), and each render reuses a pooled output
-// buffer plus append-based number formatting, so a steady-state scrape
-// allocates nothing beyond what net/http itself needs.
+// each series converts its counter name to a metric and labels once,
+// when the sampler first sees it, and keeps its place in exposition
+// order from then on, so a render walks the series without converting,
+// looking up or sorting anything; it reuses a pooled output buffer plus
+// append-based number formatting, so a steady-state scrape allocates
+// nothing beyond what net/http itself needs.
 
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,57 +89,31 @@ func Handler(s *Sampler, opts ...HandlerOption) http.Handler {
 }
 
 // promMetric is the conversion of one counter name: a sanitized metric
-// name and its rendered label set. Values are not part of it — the
-// conversion is cached per counter name, the value changes per scrape.
+// name and its rendered label set. Values are not part of it — a
+// series converts its name once, the value changes per scrape.
 type promMetric struct {
 	name   string
 	labels string
 }
 
-// promCache memoizes counter-name → promMetric conversions. Counter
-// names never change meaning once registered, so entries are permanent.
-var promCache sync.Map // string -> *promMetric
-
-func cachedPromMetric(counter string) *promMetric {
-	if v, ok := promCache.Load(counter); ok {
-		return v.(*promMetric)
-	}
-	m := toPromMetric(counter)
-	promCache.Store(counter, m)
-	return m
+// promRow is one series in exposition order.
+type promRow struct {
+	promMetric
+	r *ring
 }
 
-// promSample is one row of a render: the cached conversion, the series'
-// first-observation index (sort tie-break) and the sampled value.
-type promSample struct {
-	m   *promMetric
-	idx int
-	val float64
+// insertRow returns a new slice holding rows and row, the newest
+// series, after every row of its metric name: exposition order is
+// metric name, then first observation. rows itself is left as it was,
+// so a render may walk it without the sampler's lock.
+func insertRow(rows []promRow, row promRow) []promRow {
+	i := sort.Search(len(rows), func(i int) bool { return rows[i].name > row.name })
+	return slices.Insert(slices.Clip(rows), i, row)
 }
 
-// promSamples sorts by metric name, then first-observation order within
-// a metric. Methods are on the pointer so sort.Sort takes the pooled
-// slice without an interface-conversion allocation.
-type promSamples []promSample
-
-func (p *promSamples) Len() int      { return len(*p) }
-func (p *promSamples) Swap(i, j int) { (*p)[i], (*p)[j] = (*p)[j], (*p)[i] }
-func (p *promSamples) Less(i, j int) bool {
-	if (*p)[i].m.name != (*p)[j].m.name {
-		return (*p)[i].m.name < (*p)[j].m.name
-	}
-	return (*p)[i].idx < (*p)[j].idx
-}
-
-// renderState is the reusable scratch of one exposition render, pooled
-// so concurrent scrapes don't contend and repeated scrapes don't
-// reallocate.
-type renderState struct {
-	out     []byte
-	samples promSamples
-}
-
-var renderPool = sync.Pool{New: func() any { return new(renderState) }}
+// outPool holds render buffers, so concurrent scrapes don't contend and
+// repeated scrapes don't reallocate.
+var outPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // WritePrometheus renders the latest point of every series in the
 // Prometheus text format. HPX-style counter names map onto metric
@@ -150,43 +127,39 @@ var renderPool = sync.Pool{New: func() any { return new(renderState) }}
 // Counter names that do not parse are exported whole under
 // taskrt_counter{name="..."} rather than dropped.
 func WritePrometheus(w interface{ Write([]byte) (int, error) }, s *Sampler) {
-	st := renderPool.Get().(*renderState)
-	st.out = st.out[:0]
-	st.samples = st.samples[:0]
-
-	s.forEachLatest(func(name string, p Point) {
-		st.samples = append(st.samples, promSample{
-			m: cachedPromMetric(name), idx: len(st.samples), val: p.Value,
-		})
-	})
-	sort.Sort(&st.samples)
-
-	prev := ""
-	for _, sm := range st.samples {
-		if sm.m.name != prev {
-			st.out = append(st.out, "# HELP "...)
-			st.out = append(st.out, sm.m.name...)
-			st.out = append(st.out, " performance counter "...)
-			st.out = append(st.out, sm.m.name...)
-			st.out = append(st.out, "\n# TYPE "...)
-			st.out = append(st.out, sm.m.name...)
-			st.out = append(st.out, " gauge\n"...)
-			prev = sm.m.name
+	buf := outPool.Get().(*[]byte)
+	out := (*buf)[:0]
+	s.mu.Lock()
+	rows := s.rows
+	s.mu.Unlock()
+	for i, m := range rows {
+		if i == 0 || m.name != rows[i-1].name {
+			out = append(out, "# HELP "...)
+			out = append(out, m.name...)
+			out = append(out, " performance counter "...)
+			out = append(out, m.name...)
+			out = append(out, "\n# TYPE "...)
+			out = append(out, m.name...)
+			out = append(out, " gauge\n"...)
 		}
-		st.out = append(st.out, sm.m.name...)
-		st.out = append(st.out, sm.m.labels...)
-		st.out = append(st.out, ' ')
-		st.out = strconv.AppendFloat(st.out, sm.val, 'g', -1, 64)
-		st.out = append(st.out, '\n')
+		s.mu.Lock()
+		p, _ := m.r.last() // Observe never leaves a series empty
+		s.mu.Unlock()
+		out = append(out, m.name...)
+		out = append(out, m.labels...)
+		out = append(out, ' ')
+		out = strconv.AppendFloat(out, p.Value, 'g', -1, 64)
+		out = append(out, '\n')
 	}
-	_, _ = w.Write(st.out)
-	renderPool.Put(st)
+	_, _ = w.Write(out)
+	*buf = out
+	outPool.Put(buf)
 }
 
-func toPromMetric(counter string) *promMetric {
+func toPromMetric(counter string) promMetric {
 	n, err := core.ParseName(counter)
 	if err != nil {
-		return &promMetric{
+		return promMetric{
 			name:   "taskrt_counter",
 			labels: `{name="` + escapeLabel(counter) + `"}`,
 		}
@@ -216,7 +189,7 @@ func toPromMetric(counter string) *promMetric {
 	if len(labels) > 0 {
 		ls = "{" + strings.Join(labels, ",") + "}"
 	}
-	return &promMetric{name: name, labels: ls}
+	return promMetric{name: name, labels: ls}
 }
 
 // sanitizeMetricName maps a counter type path onto the Prometheus

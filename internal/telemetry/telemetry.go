@@ -83,6 +83,9 @@ type Sampler struct {
 	capacity int
 	series   map[string]*ring
 	order    []string // first-observation order, for stable output
+	// rows is WritePrometheus's order, metric name then first
+	// observation; a new series replaces the slice, never changes it.
+	rows []promRow
 }
 
 // NewSampler creates a sampler keeping up to capacity points per
@@ -103,6 +106,7 @@ func (s *Sampler) Observe(name string, p Point) {
 		r = &ring{buf: make([]Point, s.capacity)}
 		s.series[name] = r
 		s.order = append(s.order, name)
+		s.rows = insertRow(s.rows, promRow{toPromMetric(name), r})
 	}
 	r.push(p)
 	s.mu.Unlock()
@@ -148,19 +152,6 @@ func (s *Sampler) Latest() []Series {
 		out = append(out, Series{Name: name, Points: []Point{p}})
 	}
 	return out
-}
-
-// forEachLatest visits the newest point of every series in
-// first-observation order without copying rings or building Series —
-// the allocation-free walk behind the Prometheus renderer.
-func (s *Sampler) forEachLatest(fn func(name string, p Point)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, name := range s.order {
-		if p, ok := s.series[name].last(); ok {
-			fn(name, p)
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------

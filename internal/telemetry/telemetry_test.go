@@ -2,7 +2,10 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -149,6 +152,94 @@ func TestPrometheusExport(t *testing.T) {
 		if _, err := strconv.ParseFloat(line[i+1:], 64); err != nil {
 			t.Fatalf("non-numeric value in line %q: %v", line, err)
 		}
+	}
+}
+
+// TestPrometheusOrderAcrossScrapes adds series between scrapes — a
+// metric name that sorts into the middle, a second instance of a name
+// already exported, a name that sorts first — and, at the end, while
+// scraping. It checks each render byte for byte against one that
+// converts and sorts from scratch.
+func TestPrometheusOrderAcrossScrapes(t *testing.T) {
+	s := NewSampler(4)
+	now := time.Unix(1, 0)
+	v := 0.0
+	for i, names := range [][]string{
+		{"/threads{locality#0/total}/count/cumulative", "/threads{locality#0/total}/time/overall", "not a counter name"},
+		{"/threads{locality#0/total}/idle-rate"},
+		{"/threads{locality#0/worker-thread#1}/count/cumulative"},
+		{},
+		{"/agas{locality#0/total}/count/route", "/threads{locality#0/total}/count/cumulative"},
+		{"/threads{locality#0/worker-thread#0}/count/cumulative", "/threads{locality#0/total}/time/overall"},
+	} {
+		for _, name := range names {
+			v += 1.5
+			s.Observe(name, Point{Time: now, Value: v})
+		}
+		var got captureWriter
+		WritePrometheus(&got, s)
+		if want := referenceRender(s); string(got.buf) != want {
+			t.Fatalf("scrape %d:\n%s\nwant (sorted from scratch):\n%s", i, got.buf, want)
+		}
+	}
+	// Scrapes racing new series, for -race.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for w := 0; w < 200; w++ {
+			s.Observe(fmt.Sprintf("/threads{locality#0/worker-thread#%d}/time/average", w), Point{Time: now, Value: float64(w)})
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		WritePrometheus(io.Discard, s)
+	}
+	<-done
+	var got captureWriter
+	WritePrometheus(&got, s)
+	if want := referenceRender(s); string(got.buf) != want {
+		t.Fatalf("after concurrent adds:\n%s\nwant (sorted from scratch):\n%s", got.buf, want)
+	}
+}
+
+// referenceRender renders the latest point of every series, converted
+// and sorted from scratch: by metric name, then first observation.
+func referenceRender(s *Sampler) string {
+	type row struct {
+		name, labels string
+		v            float64
+	}
+	var rows []row
+	for _, sr := range s.Latest() {
+		m := toPromMetric(sr.Name)
+		rows = append(rows, row{m.name, m.labels, sr.Points[0].Value})
+	}
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
+	var b strings.Builder
+	for i, r := range rows {
+		if i == 0 || r.name != rows[i-1].name {
+			fmt.Fprintf(&b, "# HELP %s performance counter %[1]s\n# TYPE %[1]s gauge\n", r.name)
+		}
+		fmt.Fprintf(&b, "%s%s %s\n", r.name, r.labels, strconv.FormatFloat(r.v, 'g', -1, 64))
+	}
+	return b.String()
+}
+
+// BenchmarkWritePrometheus times one /metrics render of 128 /threads
+// series: four counter types on each of 32 workers.
+func BenchmarkWritePrometheus(b *testing.B) {
+	s := NewSampler(16)
+	now := time.Now()
+	for w := 0; w < 32; w++ {
+		for _, c := range []string{"count/cumulative", "time/average", "time/overall", "idle-rate"} {
+			s.Observe(fmt.Sprintf("/threads{locality#0/worker-thread#%d}/%s", w, c), Point{Time: now, Value: float64(w)})
+		}
+	}
+	var out captureWriter
+	WritePrometheus(&out, s)
+	b.SetBytes(int64(len(out.buf)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		WritePrometheus(io.Discard, s)
 	}
 }
 
