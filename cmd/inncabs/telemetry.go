@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"time"
@@ -97,20 +96,18 @@ func newTelemetryPlane(reg *core.Registry, o telemetryOptions) (*telemetryPlane,
 		p.col.EnableFlight(p.flight)
 	}
 	if o.HTTPAddr != "" {
-		ln, err := net.Listen("tcp", o.HTTPAddr)
-		if err != nil {
-			return nil, err
-		}
 		var opts []telemetry.HandlerOption
 		endpoints := "/metrics, /series"
 		if p.flight != nil {
 			opts = append(opts, telemetry.WithFlight(p.flight))
 			endpoints += ", /flight"
 		}
-		p.srv = &http.Server{Handler: telemetry.Handler(p.sampler, opts...)}
-		go func() { _ = p.srv.Serve(ln) }()
-		fmt.Fprintf(o.Stderr, "inncabs: serving telemetry on http://%s (%s)\n",
-			ln.Addr(), endpoints)
+		srv, bound, err := telemetry.Serve(o.HTTPAddr, telemetry.Handler(p.sampler, opts...))
+		if err != nil {
+			return nil, err
+		}
+		p.srv = srv
+		fmt.Fprintf(o.Stderr, "inncabs: serving telemetry on http://%s (%s)\n", bound, endpoints)
 	}
 	if p.budgeted != nil {
 		p.budgeted.Start()
@@ -143,17 +140,7 @@ func (p *telemetryPlane) stop() {
 		_ = p.srv.Close()
 	}
 	if p.dumpPath != "" && p.flight != nil {
-		out := os.Stdout
-		if p.dumpPath != "-" {
-			f, err := os.Create(p.dumpPath)
-			if err != nil {
-				fmt.Fprintf(p.stderr, "inncabs: flight dump: %v\n", err)
-				return
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := p.flight.WriteJSON(out); err != nil {
+		if err := p.flight.DumpJSON(p.dumpPath, os.Stdout); err != nil {
 			fmt.Fprintf(p.stderr, "inncabs: flight dump: %v\n", err)
 			return
 		}

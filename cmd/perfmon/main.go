@@ -36,26 +36,16 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/apex"
 	"repro/internal/core"
 	"repro/internal/parcel"
+	"repro/internal/perfcli"
 	"repro/internal/telemetry"
 )
-
-// writeFlightDump writes the captured ring as JSON to path ("-" =
-// stdout).
-func writeFlightDump(fr *telemetry.FlightRecorder, path string, stdout io.Writer) error {
-	if path == "-" {
-		return fr.WriteJSON(stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return fr.WriteJSON(f)
-}
 
 // counterList is a repeatable -counter flag.
 type counterList []string
@@ -166,20 +156,37 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if *flightOn || *flightDump != "" {
 			fr = telemetry.NewFlightRecorder()
 		}
-		var exp *exporter
-		if *httpAddr != "" || *csvPath != "" {
-			var err error
-			exp, err = newExporter(*httpAddr, *csvPath, fr, stderr)
+		sampler := telemetry.NewSampler(0)
+		if *httpAddr != "" {
+			var opts []telemetry.HandlerOption
+			endpoints := "/metrics, /series"
+			if fr != nil {
+				opts = append(opts, telemetry.WithFlight(fr))
+				endpoints += ", /flight"
+			}
+			srv, bound, err := telemetry.Serve(*httpAddr, telemetry.Handler(sampler, opts...))
 			if err != nil {
 				fmt.Fprintln(stderr, "perfmon:", err)
 				return 1
 			}
-			defer exp.close()
+			defer srv.Close()
+			fmt.Fprintf(stderr, "perfmon: serving telemetry on http://%s (%s)\n", bound, endpoints)
 		}
-		rc := sampleLoop(ctx, cli, stdout, stderr, exp, counters, *reset, *n, *interval, *watchdog,
+		var csvw *perfcli.CSVWriter
+		if *csvPath != "" {
+			f, err := os.Create(*csvPath)
+			if err != nil {
+				fmt.Fprintln(stderr, "perfmon:", err)
+				return 1
+			}
+			defer f.Close()
+			csvw = perfcli.NewCSVWriter(f)
+			_ = csvw.Write() // the header now: a run with no good sample still leaves a CSV file
+		}
+		rc := sampleLoop(ctx, cli, sampler, stdout, stderr, csvw, counters, *reset, *n, *interval, *watchdog,
 			*budgetPct, fr)
-		if *flightDump != "" && fr != nil {
-			if err := writeFlightDump(fr, *flightDump, stdout); err != nil {
+		if *flightDump != "" {
+			if err := fr.DumpJSON(*flightDump, stdout); err != nil {
 				fmt.Fprintln(stderr, "perfmon: flight dump:", err)
 				if rc == 0 {
 					rc = 1
@@ -222,108 +229,122 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// sampleLoop reads the counters n times, interval apart. The counters
-// are bound once into a remote bulk set, so each sample is one wire
-// exchange regardless of how many counters are monitored. One
-// failed sample is not fatal to the run — the monitor must never die
-// with the application it observes — so errors are reported, the sample
-// marked missed, and the loop continues; a sample counts as good when
-// at least one counter answered (fresh or stale), and only a run where
-// every sample failed exits non-zero. ctx bounds the whole loop
-// (requests and the sleeps between them); a lapsed deadline stops the
-// run with exit code 1. With watchdog > 0, one warning is printed per
-// stall episode: when no sample has succeeded for that long, and again
-// only after a recovery.
+// sampleLoop reads the counters n times, interval apart, on a
+// telemetry.Collector feeding sampler. The counters are bound once into
+// a remote bulk set, so each sample is one wire exchange regardless of
+// how many counters are monitored. One failed sample is not fatal to
+// the run — the monitor must never die with the application it
+// observes — so errors are reported, the sample marked missed, and the
+// loop continues; a sample counts as good when at least one counter
+// answered (fresh or stale), and only a run where every sample failed
+// exits non-zero. ctx bounds the whole loop (requests and the waits
+// between them); a lapsed deadline stops the run with exit code 1. With
+// watchdog > 0, one warning is printed per stall episode: when no
+// sample has succeeded for that long, and again only after a recovery.
 //
 // With budgetPct > 0 the loop self-regulates: the wall time it spends
-// evaluating remote counters is metered, and a BudgetController
-// stretches the interval whenever that cost exceeds the budget (a
-// remote monitor has no tiers to demote, so rate is its only actuator).
-// With a flight recorder, every sample lands in the ring, a watchdog
-// stall episode triggers a high-rate burst, and burst rate overrides
-// both the configured and the budget-stretched interval for the
-// bounded burst window.
-func sampleLoop(ctx context.Context, cli *parcel.Client, stdout, stderr io.Writer,
-	exp *exporter, counters []string, reset bool, n int, interval, watchdog time.Duration,
+// on the wire is metered, and a BudgetController, run as a policy on an
+// apex.Engine, stretches the interval whenever that cost exceeds the
+// budget (a remote monitor has no tiers to demote, so rate is its only
+// actuator). With a flight recorder, the collector records every
+// sample in the ring, a watchdog stall episode triggers a high-rate
+// burst, and burst rate overrides both the configured and the
+// budget-stretched interval for the bounded burst window.
+func sampleLoop(ctx context.Context, cli *parcel.Client, sampler *telemetry.Sampler, stdout, stderr io.Writer,
+	csvw *perfcli.CSVWriter, counters []string, reset bool, n int, interval, watchdog time.Duration,
 	budgetPct float64, fr *telemetry.FlightRecorder) int {
 	set := cli.NewBulkSet(counters)
-	cur := interval
-	var costNs int64
-	var bc *telemetry.BudgetController
-	if budgetPct > 0 {
-		bc = telemetry.NewBudgetController(telemetry.BudgetControllerConfig{
-			Budget:       telemetry.Budget{Fraction: budgetPct / 100},
-			BaseInterval: interval,
-			Cost:         func() int64 { return costNs },
-			SetInterval: func(d time.Duration) {
-				cur = d
-				fmt.Fprintf(stderr, "perfmon: budget: sampling interval -> %v\n", d)
-			},
-		})
-	}
-	good := 0
-	lastGood := time.Now()
-	stallWarned := false
-	miss := func(i int, why string) {
-		fmt.Fprintf(stderr, "perfmon: sample %d/%d missed: %s\n", i+1, n, why)
+	var (
+		col         *telemetry.Collector
+		costNs      atomic.Int64
+		taken, good int
+		lastGood    = time.Now()
+		stallWarned bool
+		done        = make(chan struct{})
+		finish      = sync.OnceFunc(func() { close(done) })
+	)
+	miss := func(why string) {
+		fmt.Fprintf(stderr, "perfmon: sample %d/%d missed: %s\n", taken, n, why)
 		if watchdog > 0 && !stallWarned && time.Since(lastGood) >= watchdog {
 			fmt.Fprintf(stderr, "perfmon: watchdog: no successful sample for %v\n",
 				time.Since(lastGood).Round(time.Millisecond))
 			stallWarned = true
-			if fr != nil && fr.Trigger("watchdog: sample stall") {
+			if col.TriggerFlight("watchdog: sample stall") {
 				fmt.Fprintln(stderr, "perfmon: flight recorder bursting")
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			d := cur
-			if fr != nil && fr.Bursting() {
-				d = fr.BurstInterval(cur)
-			}
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-			}
+	// sample is the collector's Source. The collector records what it
+	// returns in the flight ring and feeds the valid values to sampler.
+	sample := func() []core.Value {
+		if taken >= n || ctx.Err() != nil {
+			col.EnableFlight(nil) // the run is over: a tick racing Stop records nothing
+			finish()
+			return nil
 		}
-		if err := ctx.Err(); err != nil {
-			fmt.Fprintf(stderr, "perfmon: run deadline reached after %d/%d samples: %v\n", i, n, err)
-			return 1
+		taken++
+		if taken == n {
+			defer finish()
 		}
 		evalStart := time.Now()
 		vals, err := set.EvaluateContext(ctx, reset)
-		costNs += time.Since(evalStart).Nanoseconds()
-		if fr != nil {
-			fr.Record(time.Now(), vals)
-		}
-		if bc != nil {
-			bc.Tick(time.Now())
-		}
+		costNs.Add(time.Since(evalStart).Nanoseconds())
 		if err != nil {
-			miss(i, err.Error())
-			continue
+			miss(err.Error())
+			return vals
 		}
 		ok := 0
 		for _, v := range vals {
 			if !v.Valid() && v.Status != core.StatusStale {
 				fmt.Fprintf(stderr, "perfmon: sample %d/%d: %s unavailable (%s)\n",
-					i+1, n, v.Name, v.Status)
+					taken, n, v.Name, v.Status)
 				continue
 			}
 			ok++
 			fmt.Fprintf(stdout, "%s  %s = %g (count %d, %s)\n",
 				v.Time.Format(time.RFC3339), v.Name, v.Float64(), v.Count, v.Status)
-			if exp != nil {
-				exp.observe(v)
+			if csvw != nil {
+				_ = csvw.Write(v) // a full disk must not stop the monitor; stdout still has the sample
 			}
 		}
 		if ok == 0 {
-			miss(i, "no counter answered")
-			continue
+			miss("no counter answered")
+			return vals
 		}
 		good++
 		lastGood = time.Now()
 		stallWarned = false
+		return vals
+	}
+	col = telemetry.NewCollector(sampler, sample, interval)
+	col.EnableFlight(fr)
+	control := apex.NewEngine()
+	if budgetPct > 0 {
+		budget := telemetry.Budget{Fraction: budgetPct / 100, Window: time.Second}
+		bc := telemetry.NewBudgetController(telemetry.BudgetControllerConfig{
+			Budget:       budget,
+			BaseInterval: col.Interval(),
+			Cost:         costNs.Load,
+			SetInterval: func(d time.Duration) {
+				col.SetInterval(d)
+				fmt.Fprintf(stderr, "perfmon: budget: sampling interval -> %v\n", d)
+			},
+		})
+		// Stepped at half the window, as NewBudgetedCollector steps its
+		// own: a full window is always seen within one period of elapsing.
+		_ = control.Add(apex.Policy{Name: "perfmon-budget", Period: budget.Window / 2, Step: bc.Tick})
+	}
+	control.Start()
+	col.Start()
+	select {
+	case <-done:
+	case <-ctx.Done():
+	}
+	control.Stop()
+	col.Stop()
+	if taken < n {
+		fmt.Fprintf(stderr, "perfmon: run deadline reached after %d/%d samples: %v\n", taken, n, ctx.Err())
+		return 1
 	}
 	if good == 0 {
 		fmt.Fprintf(stderr, "perfmon: all %d samples failed\n", n)

@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -124,6 +125,46 @@ func TestCSVExport(t *testing.T) {
 		}
 		if _, err := time.Parse(time.RFC3339Nano, fields[1]); err != nil {
 			t.Fatalf("bad csv timestamp in %q: %v", line, err)
+		}
+	}
+}
+
+// TestCSVQuotesCounterNames: an arithmetics counter's name carries a
+// comma; every -csv row still parses as exactly five fields with the
+// full counter name in the first.
+func TestCSVQuotesCounterNames(t *testing.T) {
+	srv := startServer(t, "127.0.0.1:0", 7)
+	defer srv.Close()
+	path := filepath.Join(t.TempDir(), "samples.csv")
+	name := "/arithmetics/add@" + testCounter + "," + testCounter
+
+	var stdout, stderr bytes.Buffer
+	code := run([]string{
+		"-addr", srv.Addr(),
+		"-counter", name,
+		"-n", "2", "-interval", "10ms", "-timeout", "500ms",
+		"-csv", path,
+	}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit code = %d\nstderr:\n%s", code, stderr.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r := csv.NewReader(f)
+	r.FieldsPerRecord = 5
+	recs, err := r.ReadAll()
+	if err != nil {
+		t.Fatalf("-csv output does not parse as 5 fields a row: %v", err)
+	}
+	if len(recs) != 3 { // header + 2 samples
+		t.Fatalf("rows = %q, want header + 2", recs)
+	}
+	for _, rec := range recs[1:] {
+		if rec[0] != name || rec[2] != "14" {
+			t.Fatalf("row %q, want %s = 14", rec, name)
 		}
 	}
 }
@@ -376,5 +417,127 @@ func TestSpawnMode(t *testing.T) {
 	if code := run([]string{"-addr", srv.Addr(), "-spawn", "double", "-arg", "{not json"},
 		&stdout, &stderr); code != 2 {
 		t.Fatalf("malformed -arg exit code = %d, want 2", code)
+	}
+}
+
+// TestBudgetStretchesInterval: with a budget no loopback read can meet,
+// the controller stretches the sampling interval once a window has
+// passed, and says so on stderr.
+func TestBudgetStretchesInterval(t *testing.T) {
+	srv := startServer(t, "127.0.0.1:0", 3)
+	defer srv.Close()
+
+	var stdout, stderr syncBuffer
+	code := run([]string{
+		"-addr", srv.Addr(),
+		"-counter", testCounter,
+		"-n", "10", "-interval", "200ms", "-timeout", "500ms",
+		"-budget", "0.0001",
+	}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit code = %d\nstderr:\n%s", code, stderr.String())
+	}
+	if got := strings.Count(stdout.String(), "= 3"); got != 10 {
+		t.Fatalf("samples = %d, want 10:\n%s", got, stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "perfmon: budget: sampling interval ->") {
+		t.Fatalf("budget never stretched the interval:\n%s", stderr.String())
+	}
+}
+
+// TestFlightBurstOnStall: a target killed mid-run stalls the loop; the
+// watchdog's stall warning arms the flight recorder, and the dump holds
+// the burst frames.
+func TestFlightBurstOnStall(t *testing.T) {
+	srv := startServer(t, "127.0.0.1:0", 4)
+	dump := filepath.Join(t.TempDir(), "flight.json")
+
+	var stdout, stderr syncBuffer
+	rc := make(chan int, 1)
+	go func() {
+		rc <- run([]string{
+			"-addr", srv.Addr(),
+			"-counter", testCounter,
+			"-n", "30", "-interval", "50ms",
+			"-timeout", "100ms", "-retries", "0", "-stale=false",
+			"-watchdog", "200ms", "-flight", "-flight-dump", dump,
+		}, &stdout, &stderr)
+	}()
+	time.Sleep(300 * time.Millisecond)
+	srv.Close()
+
+	select {
+	case code := <-rc:
+		if code != 0 {
+			t.Fatalf("exit code = %d\nstderr:\n%s", code, stderr.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("sampling loop did not finish")
+	}
+	if !strings.Contains(stderr.String(), "flight recorder bursting") {
+		t.Fatalf("stall did not arm the flight recorder:\n%s", stderr.String())
+	}
+	data, err := os.ReadFile(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d struct {
+		Frames int `json:"frames"`
+		Burst  int `json:"burst_frames"`
+	}
+	if err := json.Unmarshal(data, &d); err != nil {
+		t.Fatalf("flight dump is not JSON: %v", err)
+	}
+	if d.Burst == 0 || d.Frames < d.Burst {
+		t.Fatalf("flight dump has %d frames, %d burst; want burst frames", d.Frames, d.Burst)
+	}
+}
+
+// TestTreeMode: -tree ticks the simulated fleet -n times, printing one
+// fold line per tick, and serves the overlay topology at /tree.
+func TestTreeMode(t *testing.T) {
+	var stdout, stderr syncBuffer
+	rc := make(chan int, 1)
+	go func() {
+		rc <- run([]string{
+			"-tree", "-fleet", "40", "-fanout", "4", "-tree-wire", "2",
+			"-n", "2", "-http", "127.0.0.1:0",
+		}, &stdout, &stderr)
+	}()
+
+	var base string
+	deadline := time.Now().Add(10 * time.Second)
+	for base == "" {
+		if time.Now().After(deadline) {
+			t.Fatalf("no telemetry address announced:\n%s", stderr.String())
+		}
+		for _, line := range strings.Split(stderr.String(), "\n") {
+			if i := strings.Index(line, "http://"); i >= 0 {
+				base = strings.Fields(line[i:])[0]
+			}
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	res, err := http.Get(base + "/tree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var topo any
+	err = json.NewDecoder(res.Body).Decode(&topo)
+	res.Body.Close()
+	if err != nil || topo == nil {
+		t.Fatalf("/tree is not a JSON topology: %v", err)
+	}
+
+	select {
+	case code := <-rc:
+		if code != 0 {
+			t.Fatalf("exit code = %d\nstderr:\n%s", code, stderr.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("tree loop did not finish")
+	}
+	if got := strings.Count(stdout.String(), "fold gen"); got != 2 {
+		t.Fatalf("fold lines = %d, want 2:\n%s", got, stdout.String())
 	}
 }

@@ -14,8 +14,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/agas/tree"
@@ -51,21 +50,18 @@ func runTree(opts treeOptions, stdout, stderr io.Writer) int {
 
 	sampler := telemetry.NewSampler(0)
 	if opts.httpAddr != "" {
-		ln, err := net.Listen("tcp", opts.httpAddr)
-		if err != nil {
-			fmt.Fprintln(stderr, "perfmon:", err)
-			return 1
-		}
-		srv := &http.Server{Handler: telemetry.Handler(sampler,
+		srv, bound, err := telemetry.Serve(opts.httpAddr, telemetry.Handler(sampler,
 			telemetry.WithJSON("/tree", func() (any, error) {
 				// The top three levels are what an operator can read; the
 				// full 10k-rank dump belongs in counterls -tree.
 				return f.Topology(time.Now(), 3), nil
-			}))}
-		go func() { _ = srv.Serve(ln) }()
+			})))
+		if err != nil {
+			fmt.Fprintln(stderr, "perfmon:", err)
+			return 1
+		}
 		defer srv.Close()
-		fmt.Fprintf(stderr, "perfmon: serving folded telemetry on http://%s (/metrics, /series, /tree)\n",
-			ln.Addr())
+		fmt.Fprintf(stderr, "perfmon: serving folded telemetry on http://%s (/metrics, /series, /tree)\n", bound)
 	}
 
 	ctx := context.Background()
@@ -75,32 +71,50 @@ func runTree(opts treeOptions, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
-	var vals []core.Value
-	for i := 0; i < opts.n; i++ {
-		if i > 0 {
-			select {
-			case <-time.After(opts.interval):
-			case <-ctx.Done():
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			fmt.Fprintf(stderr, "perfmon: run deadline reached after %d/%d ticks: %v\n", i, opts.n, err)
-			return 1
+	// Each collector sample is one overlay tick, read at the root only.
+	var (
+		ticks   int
+		tickErr error
+		vals    []core.Value
+		done    = make(chan struct{})
+		finish  = sync.OnceFunc(func() { close(done) })
+	)
+	col := telemetry.NewCollector(sampler, func() []core.Value {
+		if ticks >= opts.n || tickErr != nil || ctx.Err() != nil {
+			finish()
+			return nil
 		}
 		begin := time.Now()
 		snap, err := f.Tick(ctx)
 		if err != nil {
-			fmt.Fprintln(stderr, "perfmon: tick:", err)
-			return 1
+			tickErr = err
+			finish()
+			return nil
 		}
 		rootNs := time.Since(begin)
+		ticks++
 		vals = f.Root().ExportValues(vals[:0])
-		for _, v := range vals {
-			sampler.ObserveValue(v)
-		}
 		fmt.Fprintf(stdout, "%s  fold gen %d: %d localities (%d stale), depth %d, partial=%v, reparents %d, root tick %v\n",
 			snap.Time.Format(time.RFC3339), snap.Gen, snap.Localities, snap.StaleLocalities,
 			snap.Depth, snap.Partial, snap.Reparents, rootNs.Round(time.Microsecond))
+		if ticks == opts.n {
+			finish()
+		}
+		return vals
+	}, opts.interval)
+	col.Start()
+	select {
+	case <-done:
+	case <-ctx.Done():
+	}
+	col.Stop()
+	if tickErr != nil {
+		fmt.Fprintln(stderr, "perfmon: tick:", tickErr)
+		return 1
+	}
+	if ticks < opts.n {
+		fmt.Fprintf(stderr, "perfmon: run deadline reached after %d/%d ticks: %v\n", ticks, opts.n, ctx.Err())
+		return 1
 	}
 
 	// Final fold, in full: one line per digest entry so a bare

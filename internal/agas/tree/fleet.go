@@ -5,8 +5,8 @@ package tree
 // simulator, arranged in the deterministic k-ary layout. All in-process
 // localities share ONE registry — counter names carry the locality id,
 // so the shared registry hosts the fleet at a fraction of the per-
-// locality-registry footprint (a private registry costs ~31KB of cost
-// histograms alone; 10k of them would be >300MB for nothing).
+// locality-registry footprint (a private registry costs ~8KB of cost
+// histogram alone; 10k of them would be ~80MB for nothing).
 //
 // To keep the transport honest, the bottom fan-in can be real: the last
 // WireLeaves leaves run their own registry behind a loopback parcel

@@ -21,11 +21,10 @@ import "sync/atomic"
 // Metered paths: Registry.Evaluate and BindSet.EvaluateBatch (which
 // EvaluateActiveInto runs over the active set) — every sweep pays
 // exactly one clock pair, amortised over its counters, and records into
-// one of costShards histograms (two uncontended atomic adds), so
-// metering itself stays allocation-free and far below the cost it
-// measures. Single Handle.Evaluate calls are deliberately not metered:
-// a lone ~85 ns interface call would be dominated by the clock reads
-// around it.
+// one histogram, so metering itself stays allocation-free and far below
+// the cost it measures. Single Handle.Evaluate calls are deliberately
+// not metered: a lone ~85 ns interface call would be dominated by the
+// clock reads around it.
 
 // noteEvalCost books one metered evaluation sweep: its wall cost in
 // nanoseconds and the number of counters it evaluated. Empty sweeps are
@@ -37,7 +36,7 @@ func (r *Registry) noteEvalCost(ns int64, counters int) {
 	r.costSweeps.Add(1)
 	r.costCounters.Add(int64(counters))
 	r.costNs.Add(ns)
-	r.costHists[r.costSeq.Add(1)&(costShards-1)].Record(ns)
+	r.costHist.Record(ns)
 }
 
 // SamplingCost returns the cumulative metered evaluation cost since
@@ -49,14 +48,8 @@ func (r *Registry) SamplingCost() (sweeps, counters, ns int64) {
 }
 
 // EvalCostSnapshot returns the distribution of per-sweep evaluation
-// costs (nanoseconds), merged across the metering shards.
-func (r *Registry) EvalCostSnapshot() HistogramSnapshot {
-	var s HistogramSnapshot
-	for i := range r.costHists {
-		s.Merge(r.costHists[i].Snapshot())
-	}
-	return s
-}
+// costs (nanoseconds).
+func (r *Registry) EvalCostSnapshot() HistogramSnapshot { return r.costHist.Snapshot() }
 
 // resetEvalCost clears the cumulative cost meters and the sweep-cost
 // distribution. Both cost counters share this state, so resetting one
@@ -65,9 +58,7 @@ func (r *Registry) resetEvalCost() {
 	r.costSweeps.Store(0)
 	r.costCounters.Store(0)
 	r.costNs.Store(0)
-	for i := range r.costHists {
-		r.costHists[i].Reset()
-	}
+	r.costHist.Reset()
 }
 
 // ---------------------------------------------------------------------------

@@ -187,9 +187,9 @@ func TestHandleAllocs(t *testing.T) {
 }
 
 // TestRegistryShardStress exercises Register/Remove/AddActive/
-// RemoveActive/Evaluate/EvaluateActiveInto concurrently across shards. Its
-// value is under -race: the sharded instance maps and the lock-free
-// active snapshot must stay coherent while mutators run.
+// RemoveActive/Evaluate/EvaluateActiveInto concurrently. Its value is
+// under -race: the instance map and the lock-free active snapshot must
+// stay coherent while mutators run.
 func TestRegistryShardStress(t *testing.T) {
 	r := NewRegistry()
 	const fixed = 8

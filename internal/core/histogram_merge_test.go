@@ -152,12 +152,19 @@ func TestHistogramMergeConcurrentSnapshots(t *testing.T) {
 	const perWriter = 20000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// The writers hold their second half until the reader has handed
+	// over a snapshot, so on a loaded machine they cannot all finish
+	// before the reader runs.
+	first := make(chan struct{})
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perWriter; i++ {
+				if i == perWriter/2 {
+					<-first
+				}
 				h.Record(rng.Int63n(1 << 20))
 			}
 		}(int64(w))
@@ -167,10 +174,12 @@ func TestHistogramMergeConcurrentSnapshots(t *testing.T) {
 	rg.Add(1)
 	go func() {
 		defer rg.Done()
+		firstOnce := sync.OnceFunc(func() { close(first) })
 		for {
 			s := h.Snapshot()
 			select {
 			case snapshots <- s:
+				firstOnce()
 			case <-stop:
 				return
 			}

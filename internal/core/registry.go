@@ -22,33 +22,18 @@ type typeEntry struct {
 	discover Discoverer
 }
 
-// instanceShards is the number of instance-map shards. Counter lookups
-// hash the full name onto a shard so concurrent samplers, Register and
-// Remove contend per shard instead of on one registry-wide mutex. Must
-// be a power of two.
-const instanceShards = 16
-
-// instShard is one slice of the instance map with its own lock.
-type instShard struct {
-	mu        sync.RWMutex
-	instances map[string]Counter
-}
-
-// costShards is the number of independent histograms the sampling-cost
-// meter spreads its recordings over, so concurrent samplers do not
-// serialise on one set of bucket cache lines. Merged on read. Must be a
-// power of two.
-const costShards = 4
-
 // Registry holds the counter types and live counter instances of one
-// locality. It is safe for concurrent use. Instances are sharded by
-// name hash; the active set is published as an immutable sorted
-// snapshot so the sampling read path is lock-free.
+// locality. It is safe for concurrent use. No sampling path reads the
+// instance map — handles, bind sets and the active set hold their
+// counters — so one read-write lock guards it; the active set is
+// published as an immutable sorted snapshot so the sampling read path
+// is lock-free.
 type Registry struct {
 	typesMu sync.RWMutex
 	types   map[string]*typeEntry
 
-	shards [instanceShards]instShard
+	instMu    sync.RWMutex
+	instances map[string]Counter
 
 	// activeMu serialises active-set mutation; activeSet is the mutable
 	// membership map and active the published read-only snapshot: an
@@ -76,8 +61,7 @@ type Registry struct {
 	costSweeps   atomic.Int64
 	costCounters atomic.Int64
 	costNs       atomic.Int64
-	costSeq      atomic.Uint64
-	costHists    [costShards]Histogram
+	costHist     Histogram
 }
 
 // NewRegistry creates an empty registry with the meta counter families
@@ -86,10 +70,8 @@ type Registry struct {
 func NewRegistry() *Registry {
 	r := &Registry{
 		types:     make(map[string]*typeEntry),
+		instances: make(map[string]Counter),
 		activeSet: make(map[string]Counter),
-	}
-	for i := range r.shards {
-		r.shards[i].instances = make(map[string]Counter)
 	}
 	r.active.Store(&BindSet{})
 	registerStatistics(r)
@@ -101,23 +83,12 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// shardFor hashes a full counter name onto its instance shard (FNV-1a).
-func (r *Registry) shardFor(key string) *instShard {
-	var h uint32 = 2166136261
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &r.shards[h&(instanceShards-1)]
-}
-
 // lookup finds a registered instance by its exact canonical full name
 // without parsing it — the hot-path entry for already-known counters.
 func (r *Registry) lookup(key string) (Counter, bool) {
-	s := r.shardFor(key)
-	s.mu.RLock()
-	c, ok := s.instances[key]
-	s.mu.RUnlock()
+	r.instMu.RLock()
+	c, ok := r.instances[key]
+	r.instMu.RUnlock()
 	return c, ok
 }
 
@@ -200,14 +171,13 @@ func (r *Registry) Register(c Counter) error {
 		return fmt.Errorf("core: instance name %q must carry an instance part", name)
 	}
 	key := name.String()
-	s := r.shardFor(key)
-	s.mu.Lock()
-	if _, dup := s.instances[key]; dup {
-		s.mu.Unlock()
+	r.instMu.Lock()
+	if _, dup := r.instances[key]; dup {
+		r.instMu.Unlock()
 		return fmt.Errorf("core: counter instance %q already registered", key)
 	}
-	s.instances[key] = c
-	s.mu.Unlock()
+	r.instances[key] = c
+	r.instMu.Unlock()
 	tn := name.TypeName()
 	r.typesMu.Lock()
 	if _, ok := r.types[tn]; !ok {
@@ -243,10 +213,9 @@ func (r *Registry) Remove(fullName string) {
 	} else {
 		r.activeMu.Unlock()
 	}
-	s := r.shardFor(fullName)
-	s.mu.Lock()
-	delete(s.instances, fullName)
-	s.mu.Unlock()
+	r.instMu.Lock()
+	delete(r.instances, fullName)
+	r.instMu.Unlock()
 }
 
 // Get returns the counter instance for a full name, creating it through
@@ -283,20 +252,19 @@ func (r *Registry) get(n Name) (Counter, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := r.shardFor(key)
-	s.mu.Lock()
-	if existing, ok := s.instances[key]; ok {
+	r.instMu.Lock()
+	if existing, ok := r.instances[key]; ok {
 		// Lost a creation race: two goroutines resolved the same name
 		// concurrently and both ran the factory. First registration
 		// wins — every caller must see the same instance, or resets
 		// and stateful counters would split across twins. The loser is
 		// closed (if it holds resources) and discarded.
-		s.mu.Unlock()
+		r.instMu.Unlock()
 		closeCounter(c)
 		return existing, nil
 	}
-	s.instances[key] = c
-	s.mu.Unlock()
+	r.instances[key] = c
+	r.instMu.Unlock()
 	return c, nil
 }
 
@@ -341,16 +309,13 @@ func (r *Registry) Discover(pattern string) ([]Name, error) {
 	}
 	seen := make(map[string]Name)
 
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for key, c := range s.instances {
-			if MatchPattern(pn, c.Name()) {
-				seen[key] = c.Name()
-			}
+	r.instMu.RLock()
+	for key, c := range r.instances {
+		if MatchPattern(pn, c.Name()) {
+			seen[key] = c.Name()
 		}
-		s.mu.RUnlock()
 	}
+	r.instMu.RUnlock()
 	var discoverers []Discoverer
 	r.typesMu.RLock()
 	for tn, e := range r.types {

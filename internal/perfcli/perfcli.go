@@ -13,11 +13,13 @@
 package perfcli
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -72,13 +74,42 @@ func Bind(fs *flag.FlagSet) *Options {
 	return o
 }
 
+// CSVWriter writes counter values as CSV quoted per RFC 4180 — counter
+// names carry commas, as in /arithmetics/add@a,b — one row per value
+// under the header counter,timestamp,value,count,status. It is the one
+// format both local (-print-counter-destination) and remote (perfmon
+// -csv) captures use, so they are interchangeable downstream.
+type CSVWriter struct {
+	w      *csv.Writer
+	header bool
+}
+
+// NewCSVWriter writes to w.
+func NewCSVWriter(w io.Writer) *CSVWriter { return &CSVWriter{w: csv.NewWriter(w)} }
+
+// Write appends one row per value, after the header when none was
+// written yet (so a Write with no values writes just the header), and
+// flushes.
+func (c *CSVWriter) Write(vals ...core.Value) error {
+	// A csv.Writer keeps its first write error; Error reports it.
+	if !c.header {
+		c.header = true
+		_ = c.w.Write([]string{"counter", "timestamp", "value", "count", "status"})
+	}
+	for _, v := range vals {
+		_ = c.w.Write([]string{v.Name, v.Time.Format(time.RFC3339Nano),
+			strconv.FormatFloat(v.Float64(), 'g', -1, 64), strconv.FormatInt(v.Count, 10), v.Status.String()})
+	}
+	c.w.Flush()
+	return c.w.Error()
+}
+
 // Session is an activated counter printer.
 type Session struct {
-	reg    *core.Registry
-	out    io.Writer
-	file   *os.File
-	reset  bool
-	header sync.Once
+	reg   *core.Registry
+	csv   *CSVWriter
+	file  *os.File
+	reset bool
 
 	mu     sync.Mutex
 	buf    []core.Value // reused per sample; a sampling tick allocates nothing
@@ -124,7 +155,7 @@ func (o *Options) Start(reg *core.Registry) (*Session, error) {
 		}
 		out = f
 	}
-	s := &Session{reg: reg, out: out, file: f, reset: o.Reset}
+	s := &Session{reg: reg, csv: NewCSVWriter(out), file: f, reset: o.Reset}
 	for _, pattern := range o.Counters {
 		if _, err := reg.AddActive(pattern); err != nil {
 			s.closeFile()
@@ -145,14 +176,7 @@ func (s *Session) Sample() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.buf = s.reg.EvaluateActiveInto(s.buf[:0], s.reset)
-	values := s.buf
-	s.header.Do(func() {
-		fmt.Fprintln(s.out, "counter,timestamp,value,count,status")
-	})
-	for _, v := range values {
-		fmt.Fprintf(s.out, "%s,%s,%g,%d,%s\n",
-			v.Name, v.Time.Format(time.RFC3339Nano), v.Float64(), v.Count, v.Status)
-	}
+	_ = s.csv.Write(s.buf...) // printing counters must not fail the application that prints them
 }
 
 // Close stops periodic sampling, prints the final sample, and releases

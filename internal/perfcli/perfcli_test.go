@@ -1,6 +1,7 @@
 package perfcli
 
 import (
+	"encoding/csv"
 	"flag"
 	"os"
 	"path/filepath"
@@ -144,5 +145,50 @@ func TestStartErrors(t *testing.T) {
 		Destination: "/nonexistent-dir/file.csv",
 	}).Start(reg); err == nil {
 		t.Fatal("unwritable destination accepted")
+	}
+}
+
+// TestCSVQuotesCounterNames: counter names carry commas (a statistics
+// counter's parameters); every row still parses as exactly five fields
+// with the full counter name in the first.
+func TestCSVQuotesCounterNames(t *testing.T) {
+	reg, c := newRegistry(t)
+	c.Add(3)
+	dest := filepath.Join(t.TempDir(), "stats.csv")
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	o := Bind(fs)
+	if err := fs.Parse([]string{
+		"-print-counter", "/statistics{/threads{locality#0/total}/count/cumulative}/percentile@95,100,10",
+		"-print-counter-destination", dest,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := o.Start(reg)
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	active := reg.Active()
+	s.Sample()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r := csv.NewReader(f)
+	r.FieldsPerRecord = 5
+	recs, err := r.ReadAll()
+	if err != nil {
+		t.Fatalf("counter CSV does not parse as 5 fields a row: %v", err)
+	}
+	if len(active) != 1 || len(recs) != 3 { // header + two samples
+		t.Fatalf("active %q, rows %q", active, recs)
+	}
+	for _, rec := range recs[1:] {
+		if rec[0] != active[0] {
+			t.Fatalf("row names %q, want %q", rec[0], active[0])
+		}
 	}
 }

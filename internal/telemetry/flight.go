@@ -18,8 +18,10 @@ package telemetry
 // burst rate.
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"io"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -276,50 +278,39 @@ func (fr *FlightRecorder) WriteJSON(w io.Writer) error {
 	return enc.Encode(fr.Snapshot())
 }
 
-// WriteCSV dumps the ring as CSV, one row per counter value:
-// time,frame,burst,trigger,name,value,count,status.
-func (fr *FlightRecorder) WriteCSV(w io.Writer) error {
-	d := fr.Snapshot()
-	buf := make([]byte, 0, 256)
-	buf = append(buf, "time,frame,burst,trigger,name,value,count,status\n"...)
-	if _, err := w.Write(buf); err != nil {
+// DumpJSON writes the ring as JSON to the file at path, or to stdout
+// when path is "-".
+func (fr *FlightRecorder) DumpJSON(path string, stdout io.Writer) error {
+	if path == "-" {
+		return fr.WriteJSON(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
-	for i, f := range d.Ring {
-		for _, v := range f.Values {
-			buf = buf[:0]
-			buf = f.Time.AppendFormat(buf, time.RFC3339Nano)
-			buf = append(buf, ',')
-			buf = strconv.AppendInt(buf, int64(i), 10)
-			buf = append(buf, ',')
-			buf = strconv.AppendBool(buf, f.Burst)
-			buf = append(buf, ',')
-			buf = append(buf, csvEscape(f.Trigger)...)
-			buf = append(buf, ',')
-			buf = append(buf, csvEscape(v.Name)...)
-			buf = append(buf, ',')
-			buf = strconv.AppendFloat(buf, v.Value, 'g', -1, 64)
-			buf = append(buf, ',')
-			buf = strconv.AppendInt(buf, v.Count, 10)
-			buf = append(buf, ',')
-			buf = append(buf, v.Status...)
-			buf = append(buf, '\n')
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-		}
+	if err := fr.WriteJSON(f); err != nil {
+		f.Close()
+		return err
 	}
-	return nil
+	return f.Close()
 }
 
-func csvEscape(s string) string {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c == ',' || c == '"' || c == '\n' {
-			q := strconv.Quote(s)
-			return q
+// WriteCSV dumps the ring as CSV, quoted per RFC 4180, one row per
+// counter value: time,frame,burst,trigger,name,value,count,status.
+func (fr *FlightRecorder) WriteCSV(w io.Writer) error {
+	d := fr.Snapshot()
+	cw := csv.NewWriter(w)
+	// A csv.Writer keeps its first write error; Error reports it.
+	_ = cw.Write([]string{"time", "frame", "burst", "trigger", "name", "value", "count", "status"})
+	for i, f := range d.Ring {
+		for _, v := range f.Values {
+			_ = cw.Write([]string{f.Time.Format(time.RFC3339Nano), strconv.Itoa(i),
+				strconv.FormatBool(f.Burst), f.Trigger, v.Name,
+				strconv.FormatFloat(v.Value, 'g', -1, 64), strconv.FormatInt(v.Count, 10), v.Status})
 		}
 	}
-	return s
+	cw.Flush()
+	return cw.Error()
 }
 
 // RegisterCounters self-exports the recorder's state as

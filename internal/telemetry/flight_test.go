@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -163,6 +164,30 @@ func TestFlightDumpFormats(t *testing.T) {
 	}
 	if !strings.Contains(cb.String(), `"stalled, worker#0"`) {
 		t.Fatalf("comma in trigger reason not quoted:\n%s", cb.String())
+	}
+}
+
+// TestFlightCSVQuoting: a counter name and a trigger reason holding
+// both quotes and commas read back through encoding/csv unchanged.
+func TestFlightCSVQuoting(t *testing.T) {
+	const name, why = `/arithmetics/add@"a",b`, `stall "x", worker#0`
+	fr := NewFlightRecorder()
+	t0 := time.Unix(100, 0)
+	fr.triggerAt(t0, why)
+	fr.Record(t0, []core.Value{{Name: name, Raw: 1, Time: t0, Status: core.StatusValid}})
+
+	var b strings.Builder
+	if err := fr.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	r := csv.NewReader(strings.NewReader(b.String()))
+	r.FieldsPerRecord = 8
+	recs, err := r.ReadAll()
+	if err != nil {
+		t.Fatalf("flight CSV does not parse: %v\n%s", err, b.String())
+	}
+	if len(recs) != 2 || recs[1][3] != why || recs[1][4] != name {
+		t.Fatalf("rows = %q, want trigger %q and name %q", recs, why, name)
 	}
 }
 

@@ -15,6 +15,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"net"
 	"net/http"
 	"slices"
 	"sort"
@@ -86,6 +87,19 @@ func Handler(s *Sampler, opts ...HandlerOption) http.Handler {
 		o(mux)
 	}
 	return mux
+}
+
+// Serve listens on addr and serves h in the background. It returns the
+// server, to Close when done, and the address it bound, which differs
+// from addr when addr asks for port 0.
+func Serve(addr string, h http.Handler) (*http.Server, net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	srv := &http.Server{Handler: h}
+	go func() { _ = srv.Serve(ln) }()
+	return srv, ln.Addr(), nil
 }
 
 // promMetric is the conversion of one counter name: a sanitized metric

@@ -32,11 +32,30 @@ func receivesFromC(comm ast.Stmt) bool {
 	return ok && sel.Sel.Name == "C"
 }
 
+// receivesFromAfter reports whether n receives from a time.After call
+// anywhere inside it.
+func receivesFromAfter(n ast.Node) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+			if call, ok := u.X.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					pkg, ok := sel.X.(*ast.Ident)
+					found = found || ok && pkg.Name == "time" && sel.Sel.Name == "After"
+				}
+			}
+		}
+		return !found
+	})
+	return found
+}
+
 // ticks reports whether a function body runs its own periodic loop: it
 // calls time.NewTicker or time.Tick, or it loops on a clock — a for
-// whose body opens with a select over a timer channel. A loop that
-// looks for work first and only parks on a timer when it finds none
-// (the task runtime's help-wait) is not that shape.
+// whose body opens with a select over a timer channel, or that paces
+// itself anywhere in its body with time.After. A loop that looks for
+// work first and only parks on a timer when it finds none (the task
+// runtime's help-wait) is not that shape.
 func ticks(body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -48,7 +67,14 @@ func ticks(body *ast.BlockStmt) bool {
 					found = true
 				}
 			}
+		case *ast.RangeStmt:
+			if receivesFromAfter(n.Body) {
+				found = true
+			}
 		case *ast.ForStmt:
+			if receivesFromAfter(n.Body) {
+				found = true
+			}
 			if len(n.Body.List) == 0 {
 				break
 			}

@@ -4,7 +4,7 @@
 #
 #   timeout 120 bash scripts/observability_smoke.sh
 #
-# Three checks:
+# Four checks:
 #   1. inncabs -trace/-profile on a small run: the run verifies, the
 #      Chrome trace parses as JSON with task and flow events, and the
 #      printed DAG profile reports positive work and span with
@@ -14,6 +14,9 @@
 #      and /series serves JSON.
 #   3. perfmon -csv: the capture file has the header row and one row
 #      per successful sample.
+#   4. a second perfmon -csv run on a counter whose name has commas in
+#      it (an /arithmetics/add over two counters): every row still
+#      parses as exactly five CSV fields.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -100,6 +103,12 @@ echo "observability_smoke: /metrics and /series OK"
 
 RC=0
 wait "$MON" || RC=$?
+
+ADD_COUNTER="/arithmetics/add@$COUNTER,$COUNTER"
+ADD_CSV="$WORK/add.csv"
+ADD_RC=0
+"$BIN/perfmon" -addr "$ADDR" -counter "$ADD_COUNTER" \
+    -n 3 -interval 100ms -timeout 500ms -csv "$ADD_CSV" >/dev/null || ADD_RC=$?
 kill "$SRV" 2>/dev/null || true
 wait "$SRV" 2>/dev/null || true
 if [ "$RC" -ne 0 ]; then
@@ -116,4 +125,20 @@ if [ "$LINES" -lt 21 ] || [ "$LINES" -gt 31 ]; then
     exit 1
 fi
 echo "observability_smoke: CSV OK ($((LINES - 1)) samples)"
+
+# --- 4. CSV quoting ------------------------------------------------------------
+
+if [ "$ADD_RC" -ne 0 ]; then
+    echo "observability_smoke: FAIL — perfmon on $ADD_COUNTER exited $ADD_RC"
+    exit "$ADD_RC"
+fi
+python3 - "$ADD_CSV" "$ADD_COUNTER" <<'EOF'
+import csv, sys
+rows = list(csv.reader(open(sys.argv[1], newline="")))
+assert len(rows) > 1, "no samples in the CSV"
+bad = [r for r in rows if len(r) != 5]
+assert not bad, f"rows without exactly 5 fields: {bad}"
+assert all(r[0] == sys.argv[2] for r in rows[1:]), "counter name not kept whole"
+print(f"observability_smoke: quoted CSV OK ({len(rows) - 1} samples)")
+EOF
 echo "observability_smoke: OK"
