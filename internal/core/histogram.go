@@ -6,12 +6,13 @@ import (
 )
 
 // Log-bucketed histogram: the lock-cheap distribution store behind the
-// /statistics{...}/percentile@Q counters. Recording is two uncontended
-// atomic adds (no locks, no allocation), so producers on a hot path —
-// the task scheduler records every task's duration — stay within the
-// counter plane's sampling budget. Buckets are log-linear (16 linear
-// sub-buckets per power of two), bounding the relative quantile error
-// at ~6% while keeping the whole table in a few KB.
+// /statistics{...}/percentile@Q counters. Recording is two atomic adds
+// (no locks, no allocation); a producer on a hot path — the task
+// scheduler books every task's duration — stages its observations in a
+// plain HistogramBlock and flushes them in blocks instead. Buckets are
+// log-linear (16 linear sub-buckets per power of two), bounding the
+// relative quantile error at ~6% while keeping the whole table in a few
+// KB.
 
 const (
 	// histMinorBits sets the linear resolution inside each power of
@@ -52,7 +53,8 @@ func histBucketMid(b int) int64 {
 
 // Histogram is a fixed-size log-bucketed value distribution, safe for
 // one or many concurrent recorders and concurrent snapshotting. The
-// zero value is ready to use.
+// zero value is ready to use. A single producer that records per event
+// on a hot path fills a HistogramBlock and flushes it here.
 type Histogram struct {
 	counts [HistogramBuckets]atomic.Int64
 	sum    atomic.Int64
@@ -66,6 +68,46 @@ func (h *Histogram) Record(v int64) {
 	}
 	h.counts[histBucket(v)].Add(1)
 	h.sum.Add(v)
+}
+
+// HistogramBlock stages observations for a Histogram in plain memory:
+// one owner records without atomics and FlushTo publishes the touched
+// buckets in one pass. It holds no pointers, so a struct embedding it
+// after its last pointer field adds nothing for the GC to scan. Not
+// safe for concurrent use; the zero value is empty.
+type HistogramBlock struct {
+	counts [HistogramBuckets]int64
+	sum    int64
+	dirty  [(HistogramBuckets + 63) / 64]uint64 // one bit per touched bucket
+}
+
+// Record stages one observation. Negative values are clamped to zero.
+func (b *HistogramBlock) Record(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	i := histBucket(v)
+	b.counts[i]++
+	b.sum += v
+	b.dirty[i/64] |= 1 << (i % 64)
+}
+
+// FlushTo adds the staged observations to h, one atomic add per touched
+// bucket and one for the sum, and empties the block.
+func (b *HistogramBlock) FlushTo(h *Histogram) {
+	for wi, word := range b.dirty {
+		for word != 0 {
+			i := wi*64 + bits.TrailingZeros64(word)
+			h.counts[i].Add(b.counts[i])
+			b.counts[i] = 0
+			word &= word - 1
+		}
+		b.dirty[wi] = 0
+	}
+	if b.sum != 0 {
+		h.sum.Add(b.sum)
+		b.sum = 0
+	}
 }
 
 // Reset clears the distribution. Not atomic with respect to concurrent

@@ -121,6 +121,43 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	}
 }
 
+// TestHistogramBlockFlush: observations staged in a block and flushed
+// in several blocks read exactly like the same observations recorded
+// one by one, including the top bucket and clamped negatives, and a
+// flush leaves the block empty.
+func TestHistogramBlockFlush(t *testing.T) {
+	var direct, flushed Histogram
+	var b HistogramBlock
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		v := int64(rng.ExpFloat64() * 1e4)
+		switch i % 997 {
+		case 0:
+			v = math.MaxInt64
+		case 1:
+			v = -3
+		}
+		direct.Record(v)
+		b.Record(v)
+		if i%64 == 63 {
+			b.FlushTo(&flushed)
+		}
+	}
+	b.FlushTo(&flushed)
+	d, f := direct.Snapshot(), flushed.Snapshot()
+	if d.N != f.N || d.Sum != f.Sum {
+		t.Fatalf("flushed N=%d Sum=%d, direct N=%d Sum=%d", f.N, f.Sum, d.N, d.Sum)
+	}
+	for i := range d.Counts {
+		if d.Counts[i] != f.Counts[i] {
+			t.Fatalf("bucket %d: flushed %d, direct %d", i, f.Counts[i], d.Counts[i])
+		}
+	}
+	if b != (HistogramBlock{}) {
+		t.Fatal("block not empty after FlushTo")
+	}
+}
+
 func TestHistogramCounterValue(t *testing.T) {
 	c := NewHistogramCounter(mustName(t, "/threads{locality#0/total}/time/average"), Info{Unit: UnitNanoseconds})
 	for i := 0; i < 10; i++ {

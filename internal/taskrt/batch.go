@@ -61,8 +61,9 @@ func SpawnBatchWith[T any](rt *Runtime, o SpawnOptions, fns []func() T) []*Futur
 	if ctx == nil && w != nil {
 		ctx = w.curCtx // join the running task's cancellation tree
 	}
+	l := futuresOf[T](w)
 	for i, fn := range fns {
-		f := newFuture[T](rt)
+		f := newFuture[T](rt, l)
 		f.fn = fn
 		f.ctx = ctx
 		f.depthNs = depth

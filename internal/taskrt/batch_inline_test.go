@@ -368,9 +368,9 @@ func TestReleaseRecycles(t *testing.T) {
 }
 
 // TestSpawnGetAllocFree asserts the fused-lifecycle guarantee: once the
-// per-type pool is warm, the Spawn→Get→Release steady state on a worker
-// allocates nothing — the future is the task is the pool object, and
-// the help-first Get never builds a wait channel.
+// worker's free list is warm, the Spawn→Get→Release steady state on a
+// worker allocates nothing — the future is the task is the free-list
+// object, and the help-first Get never builds a wait channel.
 func TestSpawnGetAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -378,28 +378,16 @@ func TestSpawnGetAllocFree(t *testing.T) {
 	rt := newTestRuntime(t, 1)
 	body := func() int { return 1 }
 	root := AsyncF(rt, func() float64 {
-		for i := 0; i < 64; i++ { // warm the per-type future pool
+		for i := 0; i < 64; i++ { // warm the worker's free list
 			f := AsyncF(rt, body)
 			f.Get()
 			f.Release()
 		}
-		// Min of several runs: a GC between AllocsPerRun's measurements
-		// can clear the sync.Pool and charge the refill to the loop.
-		best := testing.AllocsPerRun(100, func() {
+		return testing.AllocsPerRun(100, func() {
 			f := AsyncF(rt, body)
 			f.Get()
 			f.Release()
 		})
-		for r := 0; r < 4 && best > 0; r++ {
-			if a := testing.AllocsPerRun(100, func() {
-				f := AsyncF(rt, body)
-				f.Get()
-				f.Release()
-			}); a < best {
-				best = a
-			}
-		}
-		return best
 	})
 	if got := root.Get(); got != 0 {
 		t.Errorf("Spawn→Get→Release steady state allocates %.1f objects/op, want 0", got)

@@ -3,10 +3,8 @@ package taskrt
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"runtime"
 	"runtime/debug"
-	"sync"
 )
 
 // Policy selects how an Async task is launched, mirroring HPX's launch
@@ -87,43 +85,72 @@ type Future[T any] struct {
 	fn func() T
 	// value is the result, valid once the task completed with a nil err.
 	value T
-	// pool is the per-result-type recycle pool this future came from.
-	pool *sync.Pool
 }
 
-// futurePools maps a result type T to the *sync.Pool of *Future[T]
-// recycled by Release. Pooling is per type because the pool must hand
-// back the exact generic instantiation.
-var futurePools sync.Map // reflect.Type -> *sync.Pool
+// maxFreeFutures bounds one worker's free list of one result type: a
+// 256-wide wave, the widest fan-out the project's loops release at once.
+const maxFreeFutures = 256
 
-// newFuture draws a future from the per-type pool (allocating on a
-// miss) and binds it to rt. The runner hook — the task's type-erased
-// pointer back to its typed future — is installed once, at allocation.
-func newFuture[T any](rt *Runtime) *Future[T] {
-	key := reflect.TypeFor[T]()
-	p, ok := futurePools.Load(key)
-	if !ok {
-		p, _ = futurePools.LoadOrStore(key, &sync.Pool{New: func() any {
-			f := new(Future[T])
-			f.runner = f
-			return f
-		}})
+// futureList is one worker's LIFO of released futures of one result
+// type. Only the worker's own goroutine touches it, so pushes and pops
+// are plain slice operations.
+type futureList struct {
+	key  any     // (*Future[T])(nil) of the list's result type T
+	free []*task // released futures; each runner is a *Future[T]
+}
+
+// futuresOf returns w's free list of result type T, creating it on
+// first use; nil when w is nil (a caller outside the pool), so spawns
+// there allocate and releases there leave the future to the GC. The
+// key's type word is the *Future[T] type descriptor, one per T.
+func futuresOf[T any](w *worker) *futureList {
+	if w == nil {
+		return nil
 	}
-	pool := p.(*sync.Pool)
-	f := pool.Get().(*Future[T])
-	f.pool = pool
+	key := any((*Future[T])(nil))
+	for _, l := range w.futures {
+		if l.key == key {
+			return l
+		}
+	}
+	l := &futureList{key: key, free: make([]*task, 0, maxFreeFutures)}
+	w.futures = append(w.futures, l)
+	return l
+}
+
+// newFuture draws a future from l, the spawning worker's free list of
+// result type T (allocating when l is nil or empty), and binds it to
+// rt. The runner hook — the task's type-erased pointer back to its
+// typed future — is installed once, at allocation.
+func newFuture[T any](rt *Runtime, l *futureList) *Future[T] {
+	var f *Future[T]
+	if l != nil && len(l.free) > 0 {
+		n := len(l.free) - 1
+		f = l.free[n].runner.(*Future[T])
+		l.free[n] = nil // a future never released again must not stay reachable
+		l.free = l.free[:n]
+	} else {
+		f = new(Future[T])
+		f.runner = f
+	}
 	f.rt = rt
 	return f
 }
 
-// Release recycles a completed future into the per-type spawn pool,
-// waiting for completion first (a Deferred future is executed). After
-// Release the future must not be touched again by anyone: the caller
-// is asserting it is the only goroutine still holding a reference.
-// Release on an already-released future is a no-op, and futures that
-// are never released are simply garbage collected — Release is an
+// Release recycles a completed future into the calling worker's free
+// list of its result type, waiting for completion first (a Deferred
+// future is executed). After Release the future must not be touched
+// again by anyone: the caller is asserting it is the only goroutine
+// still holding a reference. Release on an already-released future is
+// a no-op. A future released outside the pool, or onto a full list, and
+// one never released are simply garbage collected — Release is an
 // optimization for spawn-heavy loops, not an obligation.
 func (f *Future[T]) Release() {
+	f.release(futuresOf[T](f.rt.currentWorker()))
+}
+
+// release is Release onto l, the caller's free list (nil off the pool).
+func (f *Future[T]) release(l *futureList) {
 	if f.state.Load() == futCreated && f.fn == nil {
 		// Already released: a live future always has its body installed
 		// before it is published, so created-with-no-body can only be a
@@ -145,14 +172,21 @@ func (f *Future[T]) Release() {
 	f.meta = nil
 	f.depthNs = 0
 	f.deferred = false
-	f.doneCh.Store(nil)
-	f.pool.Put(f)
+	f.doneCh.Store(nil) // complete left the pre-closed sentinel
+	if l != nil && len(l.free) < maxFreeFutures {
+		l.free = append(l.free, &f.task)
+	}
 }
 
-// ReleaseAll releases every future in fs (see Release).
+// ReleaseAll releases every future in fs (see Release), resolving the
+// caller's worker once for the slice.
 func ReleaseAll[T any](fs []*Future[T]) {
+	if len(fs) == 0 {
+		return
+	}
+	l := futuresOf[T](fs[0].rt.currentWorker())
 	for _, f := range fs {
-		f.Release()
+		f.release(l)
 	}
 }
 
@@ -192,12 +226,12 @@ func Spawn[T any](rt *Runtime, policy Policy, fn func() T) *Future[T] {
 // SpawnWith is the one launch path: it launches fn on rt as o describes
 // and returns a Future for its result.
 func SpawnWith[T any](rt *Runtime, o SpawnOptions, fn func() T) *Future[T] {
-	f := newFuture[T](rt)
-	f.fn = fn
-	// One worker resolution per spawn: every path below that needs the
-	// caller's identity reuses w instead of consulting goroutine id
-	// again.
+	// One worker resolution per spawn: the future's free list and every
+	// path below that needs the caller's identity reuse w instead of
+	// consulting goroutine id again.
 	w := rt.currentWorker()
+	f := newFuture[T](rt, futuresOf[T](w))
+	f.fn = fn
 	// Spawn-path depth (always, for the online span estimator) and
 	// causal identity (only while tracing): both need one clock read;
 	// with tracing off and an external caller neither is taken.

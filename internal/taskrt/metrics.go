@@ -11,7 +11,10 @@ import (
 
 // workerMetrics aggregates the per-worker event counts the thread-manager
 // counters report. All fields are atomics: producers (the worker loop)
-// never block on consumers (counter evaluations). The struct is padded
+// never block on consumers (counter evaluations). The per-task fields
+// are written only by worker.publish, which adds a block of staged
+// tasks at a time (runtime.go); taskStartNs is swapped per task because
+// the watchdog and the active-task counters read it. The struct is padded
 // to cache-line boundaries on both sides: worker structs of one pool
 // come from the same allocation size class, so without padding the hot
 // atomics of adjacent workers can share a line and turn every counter
@@ -33,6 +36,7 @@ type workerMetrics struct {
 	spanMaxNs      atomic.Int64 // running max of task completion depth (online span estimate)
 	parks          atomic.Int64 // parks begun; owner-written, read only by tests
 	spins          atomic.Int64 // spins begun with budget left; owner-written, read only by tests
+	publishes      atomic.Int64 // staged blocks published; owner-written, read only by tests
 	_              [cacheLineSize]byte
 }
 

@@ -266,6 +266,10 @@ func TestStatisticsOverRuntimeCounter(t *testing.T) {
 			fs[j] = AsyncF(rt, func() int { return 0 })
 		}
 		WaitAllOf(fs)
+		// A future completes before its worker books the task: sample
+		// once the wave is counted, as the paper's protocol reads a
+		// quiesced runtime.
+		settles(t, reg, "/threads{locality#0/total}/count/cumulative", int64(10*(i+1)))
 		sc.Sample()
 	}
 	if got := sc.Value(false).Float64(); got != 30 {

@@ -106,11 +106,65 @@ type worker struct {
 	// the base the online critical-path estimator extends at every
 	// nested spawn. Only touched from the worker's own goroutine.
 	curDepthNs int64
+	// futures are the worker's free lists of released futures, one per
+	// result type (future.go). Only touched from the worker's own
+	// goroutine.
+	futures []*futureList
+
+	// Nothing below holds a pointer, so the GC does not scan it.
+
 	// durHist and ovhHist are per-worker log-bucketed histograms of own
 	// task duration and per-task dispatch overhead, backing the
-	// percentile counters. Owner-recorded, concurrently snapshotted.
+	// percentile counters. Flushed from stage, concurrently snapshotted.
 	durHist core.Histogram
 	ovhHist core.Histogram
+	// stage holds the counter writes of the tasks run since the last
+	// publish. Only touched from the worker's own goroutine.
+	stage taskStage
+}
+
+// taskStage is a worker's unpublished per-task counter block: plain
+// sums, the span maximum and the two histograms' staged buckets. The
+// worker writes it without atomics and publish moves it into
+// workerMetrics and the histograms, which is all a reader sees.
+type taskStage struct {
+	tasks, inline    int64               // tasks run; of those, run inline
+	taskNs, overhead int64               // own task time; scheduling overhead
+	spanMaxNs        int64               // max completion depth staged
+	firstBeginNs     int64               // begin reading of the first task staged
+	dur, ovh         core.HistogramBlock // staged durHist, ovhHist
+}
+
+const (
+	// publishTasks bounds how many tasks a worker stages before it
+	// publishes: a reader's count/cumulative lags a busy worker by at
+	// most this many tasks plus the one running.
+	publishTasks = 64
+	// publishIntervalNs bounds how long a busy worker keeps a task
+	// staged, from the begin reading of the block's first task to each
+	// task's end reading: a worker running tasks this long or longer
+	// publishes every task. A stream of 1 µs bodies runs 64 tasks in
+	// ~100 µs on a 2-vCPU VM, so at twice that the task bound is the
+	// one that binds at the grain the block is for.
+	publishIntervalNs = int64(200 * time.Microsecond)
+)
+
+// publish moves the staged block into the counters readers load and
+// empties it. The task count is added last, so a reader that sees a
+// task counted sees its time too.
+func (w *worker) publish() {
+	s, m := &w.stage, &w.metrics
+	s.dur.FlushTo(&w.durHist)
+	s.ovh.FlushTo(&w.ovhHist)
+	if s.spanMaxNs > m.spanMaxNs.Load() {
+		m.spanMaxNs.Store(s.spanMaxNs)
+	}
+	m.taskTimeNs.Add(s.taskNs)
+	m.overheadNs.Add(s.overhead)
+	m.inlineExecuted.Add(s.inline)
+	m.tasksExecuted.Add(s.tasks)
+	m.publishes.Add(1)
+	s.tasks, s.inline, s.taskNs, s.overhead, s.spanMaxNs = 0, 0, 0, 0, 0
 }
 
 // ErrClosed is returned by operations on a shut-down runtime.
@@ -279,6 +333,7 @@ func (rt *Runtime) Cancelled() int64 { return rt.cancelled.Load() }
 // run is the worker scheduling loop.
 func (w *worker) run(started <-chan struct{}) {
 	defer w.rt.wg.Done()
+	defer w.publish()
 	id := goroutineID()
 	w.rt.wmap.register(id, w)
 	defer w.rt.wmap.unregister(id)
@@ -329,7 +384,8 @@ func (w *worker) run(started <-chan struct{}) {
 // is returned as the next search's start.
 func (w *worker) park(gen uint64, searchStart int64) int64 {
 	now := nanotime()
-	w.metrics.overheadNs.Add(now - searchStart)
+	w.stage.overhead += now - searchStart
+	w.publish()
 	w.metrics.parks.Add(1)
 	w.metrics.parkedSince.Store(now)
 	w.rt.wakeup.wait(gen)
@@ -366,10 +422,13 @@ const spinBudget = int64(100 * time.Microsecond)
 // when wait is done or abort closes; any spin stops at shutdown. The
 // failed search is overhead and the spin idle. It returns the task
 // found, if any, and the reading that ends the spin. A spinning worker
-// is not a registered sleeper, so notify stays one atomic load.
+// is not a registered sleeper, so notify stays one atomic load. The
+// staged counters are published first: a worker about to idle has
+// nothing left to batch them with.
 func (w *worker) spin(searchStart, lastEnd int64, wait *task, abort <-chan struct{}) (*task, int64) {
 	start := nanotime()
-	w.metrics.overheadNs.Add(start - searchStart)
+	w.stage.overhead += start - searchStart
+	w.publish()
 	if start-lastEnd >= spinBudget {
 		return nil, start
 	}
@@ -476,17 +535,24 @@ func (w *worker) timeTask(t *task, inline bool, begin int64) int64 {
 		own = 0
 	}
 	w.nestedNs = saved + total
-	w.metrics.taskTimeNs.Add(own)
-	w.metrics.tasksExecuted.Add(1)
-	// Derived-counter feeds: the duration histogram (percentile
-	// counters) and the running span maximum (critical-path counters).
-	// All owner-local; the stores stay on this worker's cache lines.
-	w.durHist.Record(own)
+	// Staged in plain memory with the derived-counter feeds: the
+	// duration histogram (percentile counters) and the running span
+	// maximum (critical-path counters). publish makes them visible.
+	s := &w.stage
+	if s.tasks == 0 {
+		s.firstBeginNs = begin
+	}
+	s.taskNs += own
+	s.tasks++
+	s.dur.Record(own)
+	if d := tDepth + own; d > s.spanMaxNs {
+		s.spanMaxNs = d
+	}
+	if s.tasks >= publishTasks || end-s.firstBeginNs >= publishIntervalNs {
+		w.publish()
+	}
 	if w.rt.adaptiveInline {
 		core.EWMAUpdate(&w.rt.grainNsEWMA, own)
-	}
-	if d := tDepth + own; d > w.metrics.spanMaxNs.Load() {
-		w.metrics.spanMaxNs.Store(d)
 	}
 	if tr := w.rt.loadTracer(); tr != nil {
 		ev := TraceEvent{
@@ -516,8 +582,8 @@ func (w *worker) timeTask(t *task, inline bool, begin int64) int64 {
 func (w *worker) execute(t *task, searchStart int64) int64 {
 	begin := nanotime()
 	dispatchNs := begin - searchStart
-	w.metrics.overheadNs.Add(dispatchNs)
-	w.ovhHist.Record(dispatchNs)
+	w.stage.overhead += dispatchNs
+	w.stage.ovh.Record(dispatchNs)
 	if w.rt.adaptiveInline {
 		w.rt.noteDispatchCost(dispatchNs)
 	}
@@ -532,7 +598,7 @@ func (w *worker) execute(t *task, searchStart int64) int64 {
 // consumer may already have released it.
 func (w *worker) executeInline(t *task, begin int64) int64 {
 	end := w.timeTask(t, true, begin)
-	w.metrics.inlineExecuted.Add(1)
+	w.stage.inline++
 	return end
 }
 
@@ -625,7 +691,8 @@ func (rt *Runtime) helpUntilDone(w *worker, t *task, abort <-chan struct{}, last
 		}
 		// The failed search since last is overhead; the poll is idle.
 		idleStart := nanotime()
-		w.metrics.overheadNs.Add(idleStart - last)
+		w.stage.overhead += idleStart - last
+		w.publish()
 		if timer == nil {
 			timer = time.NewTimer(helpPollInterval)
 		} else {

@@ -16,7 +16,7 @@ func BenchmarkSpawnGet(b *testing.B) {
 }
 
 // BenchmarkSpawnGetRelease is the allocation-free steady state: the
-// future is recycled into the spawn pool after each join.
+// future is recycled onto the worker's free list after each join.
 func BenchmarkSpawnGetRelease(b *testing.B) {
 	rt := New(WithWorkers(1))
 	defer rt.Shutdown()

@@ -197,7 +197,7 @@ func TestWatchdogStarvedWorker(t *testing.T) {
 	// Queue a real task that nobody picks up: pushed onto the injector
 	// without a notify, so both workers stay parked beside it. Cleanup
 	// wakes them to drain it.
-	f := newFuture[int](rt)
+	f := newFuture[int](rt, nil)
 	f.fn = func() int { return 0 }
 	rt.injector.pushBack(&f.task)
 	t.Cleanup(func() {
