@@ -419,11 +419,14 @@ func (w *connWriter) send(resp response, flush bool) error {
 	if err != nil {
 		out = []byte(fmt.Sprintf(`{"id":%d,"error":"parcel: response marshal failure"}`, resp.ID))
 	}
-	out = append(out, '\n')
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if _, err = w.wr.Write(out); err == nil && flush {
+	// The newline is written apart: appending it would copy out.
+	if _, err = w.wr.Write(out); err == nil {
+		err = w.wr.WriteByte('\n')
+	}
+	if err == nil && flush {
 		err = w.wr.Flush()
 	}
 	if err != nil {
@@ -431,7 +434,7 @@ func (w *connWriter) send(resp response, flush bool) error {
 		return err
 	}
 	w.s.meters.sent.Inc()
-	w.s.meters.dataSent.Add(int64(len(out)))
+	w.s.meters.dataSent.Add(int64(len(out) + 1))
 	return nil
 }
 

@@ -16,9 +16,11 @@ package parcel
 //     as orphans (counted in /runtime{...}/remote/count/orphaned).
 //
 // Completion is pushed, not polled: the server sends a task's final
-// state to the connection that last attached its key (spawn attaches;
-// spawn_attach re-attaches after a reconnect) and the client keeps it
-// for the key's WaitSpawn. While waits are pending spawn_attach is also
+// state to every connection it told the task was running (spawn's
+// answer, a dedupe answer, spawn_attach after a reconnect) and the
+// client keeps it for the key's WaitSpawn. A body that ends before its
+// spawn's answer is built rides in that answer instead, so a fast spawn
+// costs one frame each way. While waits are pending spawn_attach is also
 // the client's heartbeat: it renews the connection's leases and bounds
 // how long an unreachable server goes unnoticed.
 
@@ -27,6 +29,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,44 +65,57 @@ type spawnTask struct {
 	action string
 	cancel context.CancelFunc
 
-	// Written exactly once (completeOnce), before doneAt publishes them.
-	completeOnce sync.Once
-	result       json.RawMessage
-	errMsg       string
-	errCode      string
-
 	lastTouch atomic.Int64 // unix nanos of the client's last spawn/attach/cancel
 	doneAt    atomic.Int64 // unix nanos of completion; 0 while running
 	orphaned  atomic.Bool
-	// attached last asked for this key: its heartbeats renew the lease,
-	// and the completion is pushed to it.
-	attached atomic.Pointer[connWriter]
+
+	mu sync.Mutex
+	// Written once by complete, before doneAt publishes them.
+	result  json.RawMessage
+	errMsg  string
+	errCode string
+	// waiting are the connections a frame told this task is running: its
+	// spawn's answer, a dedupe answer, or spawn_attach. Their heartbeats
+	// renew its lease, and complete pushes the final state to each.
+	waiting []*connWriter
 }
 
 func (t *spawnTask) running() bool { return t.doneAt.Load() == 0 }
 
-// complete resolves the task once and pushes its state to the attached
+// complete resolves the task once and pushes its state to every waiting
 // connection; later calls (a cancelled action body returning after the
 // reaper force-completed it) are no-ops.
 func (t *spawnTask) complete(result json.RawMessage, errMsg, errCode string) {
-	t.completeOnce.Do(func() {
-		t.result = result
-		t.errMsg = errMsg
-		t.errCode = errCode
-		t.doneAt.Store(time.Now().UnixNano())
-		t.push(t.attached.Load())
-	})
-}
-
-// push sends the finished task's state to w unasked (response ID 0); if
-// w died, its client re-attaches the key after reconnecting. spawnAttach
-// stores attached then loads doneAt, complete stores doneAt then loads
-// attached, so one of the two always pushes.
-func (t *spawnTask) push(w *connWriter) {
-	if w != nil {
-		st := t.state()
+	t.mu.Lock()
+	if !t.running() {
+		t.mu.Unlock()
+		return
+	}
+	t.result, t.errMsg, t.errCode = result, errMsg, errCode
+	t.doneAt.Store(time.Now().UnixNano())
+	waiting := t.waiting
+	t.waiting = nil
+	t.mu.Unlock()
+	if len(waiting) == 0 {
+		return // no frame said running: the answer still to be built carries it
+	}
+	st := t.state()
+	for _, w := range waiting {
 		_ = w.send(response{Spawn: &st}, true)
 	}
+}
+
+// report snapshots the task for a frame to w. If that frame will say
+// running, w waits for the push: under mu, complete either has run, and
+// the frame carries the final state, or will run and push it to w. If w
+// died, its client re-attaches the key after reconnecting.
+func (t *spawnTask) report(w *connWriter) spawnState {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.running() && !slices.Contains(t.waiting, w) {
+		t.waiting = append(t.waiting, w)
+	}
+	return t.state()
 }
 
 // state snapshots the task for the wire.
@@ -161,11 +178,13 @@ func (tb *spawnTable) sweep(now time.Time) {
 	tb.mu.Lock()
 	for key, t := range tb.tasks {
 		if t.running() {
-			// Leased from the last touch of the key or heartbeat of its connection.
+			// Leased from the last touch of the key or heartbeat of a waiting connection.
 			touch := t.lastTouch.Load()
-			if w := t.attached.Load(); w != nil {
+			t.mu.Lock()
+			for _, w := range t.waiting {
 				touch = max(touch, w.beat.Load())
 			}
+			t.mu.Unlock()
 			if tb.opts.SpawnLease > 0 && now.UnixNano()-touch > int64(tb.opts.SpawnLease) {
 				orphans = append(orphans, t)
 			}
@@ -189,7 +208,7 @@ func (tb *spawnTable) sweep(now time.Time) {
 }
 
 // spawn handles the spawn op: dedupe by key, or admit and launch. Either
-// way the key is now attached to this connection.
+// way this connection hears the final state, in the answer or a push.
 func (s *Server) spawn(req request, cs *connState) response {
 	if req.Key == "" {
 		return response{Error: "parcel: spawn needs an idempotency key", Code: codeProtocol}
@@ -210,8 +229,7 @@ func (s *Server) spawn(req request, cs *connState) response {
 		// the one existing execution instead of starting a second.
 		tb.mu.Unlock()
 		t.lastTouch.Store(time.Now().UnixNano())
-		t.attached.Store(cs.w)
-		st := t.state()
+		st := t.report(cs.w)
 		return response{Spawn: &st}
 	}
 	if len(tb.tasks) >= tb.opts.MaxSpawnTasks {
@@ -229,16 +247,17 @@ func (s *Server) spawn(req request, cs *connState) response {
 	}
 	t := &spawnTask{key: req.Key, action: req.Action, cancel: cancel}
 	t.lastTouch.Store(time.Now().UnixNano())
-	t.attached.Store(cs.w)
 	tb.tasks[req.Key] = t
 	tb.mu.Unlock()
 
 	// The action body runs off the handler goroutine so the connection
 	// stays responsive (cancels, counter reads, other spawns). Not on s.wg: a
-	// stuck body must not wedge Close — its scope dies with baseCtx.
+	// stuck body must not wedge Close — its scope dies with baseCtx. It
+	// captures two fields, not req, which would then live on the heap.
+	action, arg := req.Action, req.Arg
 	go func() {
 		defer cancel()
-		result, err := runAction(ctx, req.Action, fn, req.Arg)
+		result, err := runAction(ctx, action, fn, arg)
 		switch {
 		case err == nil:
 			t.complete(result, "", "")
@@ -253,7 +272,11 @@ func (s *Server) spawn(req request, cs *connState) response {
 			t.complete(nil, err.Error(), code)
 		}
 	}()
-	st := t.state()
+	// The body waits in this processor's next slot: yield it once, so a
+	// body that does not block ends before the answer is built and rides
+	// in it. One that blocks parks at once and is answered running.
+	runtime.Gosched()
+	st := t.report(cs.w)
 	return response{Spawn: &st}
 }
 
@@ -273,9 +296,8 @@ func (s *Server) spawnAttach(req request, cs *connState) response {
 				Error: "parcel: no spawn with key " + key, Code: codeSpawnUnknown}}, false)
 			continue
 		}
-		t.attached.Store(cs.w)
-		if !t.running() {
-			t.push(cs.w)
+		if st := t.report(cs.w); st.State == spawnDone {
+			_ = cs.w.send(response{Spawn: &st}, true)
 		}
 	}
 	return response{}
