@@ -116,6 +116,7 @@ func main() {
 		if *tracePath != "" || *profile {
 			trt.EnableTracing(0)
 			defer func() {
+				trt.Shutdown() // publishes the events the workers still stage
 				events, dropped := trt.TraceEvents()
 				if *tracePath != "" {
 					f, err := os.Create(*tracePath)

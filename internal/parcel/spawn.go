@@ -491,7 +491,7 @@ const (
 
 // spawnEntry tracks one spawn until its terminal state reaches a waiter.
 type spawnEntry struct {
-	ch       chan spawnState // 1-buffered: the terminal state, kept for the key's WaitSpawn
+	ch       chan spawnState // 1-buffered terminal state for WaitSpawn; made on the first completion or wait
 	gen      uint64          // connection the key is attached on; 0: none
 	spawning bool            // its spawn op is in flight: not to be attached yet
 	waited   bool
@@ -512,7 +512,7 @@ func (t *spawnWaits) open(key string) {
 	defer t.mu.Unlock()
 	e := t.entries[key]
 	if e == nil {
-		e = &spawnEntry{ch: make(chan spawnState, 1)}
+		e = &spawnEntry{}
 		t.entries[key] = e
 		if t.idle = append(t.idle, key); len(t.idle) > maxIdleSpawns {
 			if old := t.entries[t.idle[0]]; old != nil && !old.waited && !old.spawning {
@@ -559,6 +559,9 @@ func (t *spawnWaits) complete(st spawnState) {
 	}
 	if e.waited {
 		delete(t.entries, st.Key)
+	}
+	if e.ch == nil {
+		e.ch = make(chan spawnState, 1)
 	}
 	e.ch <- st
 }
@@ -649,8 +652,11 @@ func (c *Client) WaitSpawn(ctx context.Context, key string) (SpawnStatus, error)
 	}
 	e := t.entries[key]
 	if e == nil {
-		e = &spawnEntry{ch: make(chan spawnState, 1)}
+		e = &spawnEntry{}
 		t.entries[key] = e
+	}
+	if e.ch == nil {
+		e.ch = make(chan spawnState, 1)
 	}
 	e.waited = true
 	if len(e.ch) > 0 {

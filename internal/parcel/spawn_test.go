@@ -517,3 +517,33 @@ func TestSpawnGetContextBoundsAbandonedWait(t *testing.T) {
 		t.Fatal("future resolved by an abandoned wait")
 	}
 }
+
+// TestSpawnWaitChannelOnDemand: a spawn whose answer says done is
+// opened and forgotten without a wait channel, so on a warmed table
+// open+forget allocates the entry alone; a done pushed before WaitSpawn
+// makes the channel, is kept in it, and reaches the wait.
+func TestSpawnWaitChannelOnDemand(t *testing.T) {
+	tbl := &spawnWaits{entries: map[string]*spawnEntry{}}
+	cycle := func() { tbl.open("k"); tbl.forget("k") }
+	cycle()
+	if raceEnabled {
+		t.Log("allocation count not held: the race detector instruments allocations")
+	} else if n := testing.AllocsPerRun(1000, cycle); n > 1 {
+		t.Errorf("open+forget allocates %.0f objects, want 1 (the entry; no wait channel)", n)
+	}
+	tbl.open("k")
+	if tbl.entries["k"].ch != nil {
+		t.Error("open made a wait channel")
+	}
+
+	_, _, _, _, cli := newSpawnFixture(t, ServerOptions{}, nil)
+	cli.spawns.open("early")
+	cli.spawns.complete(spawnState{Key: "early", State: spawnDone, Result: json.RawMessage("7")})
+	sent := cli.meters.sent.Load()
+	if st, err := cli.WaitSpawn(context.Background(), "early"); err != nil || !st.Done || st.Err != nil || string(st.Result) != "7" {
+		t.Fatalf("wait on a done pushed first = %+v, %v", st, err)
+	}
+	if got := cli.meters.sent.Load() - sent; got != 0 {
+		t.Errorf("waiting on a kept completion sent %d frames, want 0", got)
+	}
+}

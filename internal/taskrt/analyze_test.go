@@ -108,6 +108,7 @@ func TestAnalyzeTracedRun(t *testing.T) {
 		t.Fatalf("fib = %d", got)
 	}
 	elapsed := time.Since(start)
+	rt.Shutdown() // publishes the events still staged
 	events, dropped := rt.TraceEvents()
 	if dropped != 0 {
 		t.Fatalf("dropped = %d", dropped)
@@ -183,6 +184,7 @@ func TestAnalyzeObservesSteals(t *testing.T) {
 	})
 	root.Get()
 	WaitAllOf(fs)
+	rt.Shutdown() // publishes the events still staged
 	events, _ := rt.TraceEvents()
 	a := AnalyzeTrace(events)
 	if a.Steals == 0 {

@@ -45,7 +45,7 @@ func SpawnBatchWith[T any](rt *Runtime, o SpawnOptions, fns []func() T) []*Futur
 		return out
 	}
 	w := rt.currentWorker()
-	tr := rt.loadTracer()
+	tr := rt.trace.Load()
 	var depth, nowNs int64
 	if tr != nil || w != nil {
 		nowNs = nanotime()
@@ -68,7 +68,7 @@ func SpawnBatchWith[T any](rt *Runtime, o SpawnOptions, fns []func() T) []*Futur
 		f.ctx = ctx
 		f.depthNs = depth
 		if tr != nil {
-			f.meta = tr.newMetaFrom(w, nowNs, pcs)
+			f.meta = tr.newMeta(w, nowNs, pcs)
 		}
 		out[i] = f
 	}

@@ -50,6 +50,9 @@ func ExampleRuntime_RegisterCounters() {
 		fs[i] = taskrt.AsyncF(rt, func() int { return 0 })
 	}
 	taskrt.WaitAllOf(fs)
+	// A worker publishes its counters in blocks, after each task's
+	// future completes; once the runtime has shut down they are exact.
+	rt.Shutdown()
 
 	v, err := reg.Evaluate("/threads{locality#0/total}/count/cumulative", false)
 	if err != nil {

@@ -235,12 +235,14 @@ func SpawnWith[T any](rt *Runtime, o SpawnOptions, fn func() T) *Future[T] {
 	// Spawn-path depth (always, for the online span estimator) and
 	// causal identity (only while tracing): both need one clock read;
 	// with tracing off and an external caller neither is taken.
-	if tr := rt.loadTracer(); tr != nil {
+	if tr := rt.trace.Load(); tr != nil {
 		nowNs := nanotime()
 		if w != nil {
 			f.depthNs = w.spawnDepthNs(nowNs)
 		}
-		f.meta = tr.newMeta(w, nowNs, 3)
+		var pcs [siteDepth]uintptr
+		runtime.Callers(2, pcs[:])
+		f.meta = tr.newMeta(w, nowNs, pcs)
 	} else if w != nil {
 		f.depthNs = w.spawnDepthNs(nanotime())
 	}

@@ -114,6 +114,7 @@ func TestCounterCriticalPathOnlineVsExact(t *testing.T) {
 	if got := fibRT(rt, 15); got != 610 {
 		t.Fatalf("fib = %d", got)
 	}
+	rt.Shutdown() // publishes the events and counters still staged
 	events, _ := rt.TraceEvents()
 	exact := AnalyzeTrace(events)
 	online, err := reg.Evaluate("/runtime{locality#0/total}/critical-path/span", false)
@@ -143,6 +144,7 @@ func TestCounterTraceDropped(t *testing.T) {
 		fs[i] = AsyncF(rt, func() int { return 0 })
 	}
 	WaitAllOf(fs)
+	rt.Shutdown() // drops are counted when the worker publishes
 	v, err := reg.Evaluate("/runtime{locality#0/total}/trace/dropped", true)
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)

@@ -285,11 +285,11 @@ func measureWatchdogOverheadPct(workers, reps int) float64 {
 
 // measureTracingOverheadPct compares the 10 µs grain batch with and
 // without causal tracing. Tracing allocates a taskMeta per spawn,
-// captures the spawn stack's raw PCs, and appends one event per task
-// under the tracer mutex; the issue budgets it at <= 25 % on this
-// grain. The tracing-OFF path adds only one atomic tracer load per
-// task over the previous runtime, which is below measurement noise —
-// the bare configuration here IS the tracing-off cost, tracked across
+// captures the spawn stack's raw PCs, and stages one event per task
+// beside its counters; its budget is <= 25 % on this grain. The
+// tracing-OFF path adds only one atomic tracer load per task over the
+// previous runtime, which is below measurement noise — the bare
+// configuration here IS the tracing-off cost, tracked across
 // PRs through SpawnGetNs and the grain table in BENCH_taskrt.json.
 func measureTracingOverheadPct(workers, reps int) float64 {
 	const grain = 10 * time.Microsecond

@@ -72,8 +72,8 @@ type Runtime struct {
 	healthEvents   atomic.Int64 // all health events
 	healthCbErrors atomic.Int64 // OnEvent callbacks that panicked (recovered)
 
-	trace     atomic.Value // *tracer; nil when tracing is off
-	lastTrace atomic.Value // *tracer of the previous session
+	trace     atomic.Pointer[tracer] // nil when tracing is off
+	lastTrace atomic.Pointer[tracer] // the previous session
 
 	// mem backs the /runtime{...}/memory counters (metrics.go).
 	mem memStats
@@ -97,11 +97,11 @@ type worker struct {
 	// spawned from inside inherit it, forming the cancellation tree.
 	// Only touched from the worker's own goroutine.
 	curCtx context.Context
-	// curTaskID is the tracing id of the task currently running on this
-	// worker (0 between tasks or for untraced tasks); children spawned
-	// from inside record it as their parent. Only touched from the
-	// worker's own goroutine.
-	curTaskID int64
+	// curMeta is the tracing identity of the task currently running on
+	// this worker (nil between tasks or for untraced tasks); children
+	// spawned from inside its session record it as their parent. Only
+	// touched from the worker's own goroutine.
+	curMeta *taskMeta
 	// curDepthNs is the spawn-path depth of the currently running task,
 	// the base the online critical-path estimator extends at every
 	// nested spawn. Only touched from the worker's own goroutine.
@@ -110,6 +110,11 @@ type worker struct {
 	// result type (future.go). Only touched from the worker's own
 	// goroutine.
 	futures []*futureList
+	// traceBuf holds the trace events of the tasks staged since the
+	// last publish and traceTo the session they belong to (nil when none
+	// is staged). Only touched from the worker's own goroutine.
+	traceTo  *tracer
+	traceBuf []TraceEvent
 
 	// Nothing below holds a pointer, so the GC does not scan it.
 
@@ -149,11 +154,16 @@ const (
 	publishIntervalNs = int64(200 * time.Microsecond)
 )
 
-// publish moves the staged block into the counters readers load and
-// empties it. The task count is added last, so a reader that sees a
-// task counted sees its time too.
+// publish moves the staged block into the counters readers load, and
+// the staged trace events into their session, and empties it. The task
+// count is added last, so a reader that sees a task counted sees its
+// time and its trace event too.
 func (w *worker) publish() {
 	s, m := &w.stage, &w.metrics
+	if w.traceTo != nil {
+		w.traceTo.add(w.traceBuf)
+		w.traceBuf, w.traceTo = w.traceBuf[:0], nil
+	}
 	s.dur.FlushTo(&w.durHist)
 	s.ovh.FlushTo(&w.ovhHist)
 	if s.spanMaxNs > m.spanMaxNs.Load() {
@@ -517,24 +527,23 @@ func (w *worker) timeTask(t *task, inline bool, begin int64) int64 {
 	// execution is transparent.
 	savedCtx := w.curCtx
 	w.curCtx = t.ctx
-	savedID, savedDepth := w.curTaskID, w.curDepthNs
-	w.curTaskID = 0
-	if tMeta != nil {
-		w.curTaskID = tMeta.id
-	}
-	w.curDepthNs = tDepth
+	savedMeta, savedDepth := w.curMeta, w.curDepthNs
+	w.curMeta, w.curDepthNs = tMeta, tDepth
 	savedStart := w.metrics.taskStartNs.Swap(begin)
 	t.exec()
 	end := nanotime()
 	w.metrics.taskStartNs.Store(savedStart)
 	w.curCtx = savedCtx
-	w.curTaskID, w.curDepthNs = savedID, savedDepth
+	w.curMeta, w.curDepthNs = savedMeta, savedDepth
 	total := end - begin
 	own := total - w.nestedNs
 	if own < 0 {
 		own = 0
 	}
 	w.nestedNs = saved + total
+	if tr := w.rt.trace.Load(); tr != nil || tMeta != nil {
+		w.stageEvent(tr, tMeta, begin, own, inline)
+	}
 	// Staged in plain memory with the derived-counter feeds: the
 	// duration histogram (percentile counters) and the running span
 	// maximum (critical-path counters). publish makes them visible.
@@ -553,25 +562,6 @@ func (w *worker) timeTask(t *task, inline bool, begin int64) int64 {
 	}
 	if w.rt.adaptiveInline {
 		core.EWMAUpdate(&w.rt.grainNsEWMA, own)
-	}
-	if tr := w.rt.loadTracer(); tr != nil {
-		ev := TraceEvent{
-			Worker:      w.id,
-			SpawnWorker: -1,
-			StolenFrom:  -1,
-			Start:       time.Unix(0, begin),
-			Duration:    time.Duration(own),
-			Inline:      inline,
-		}
-		if m := tMeta; m != nil {
-			ev.ID = m.id
-			ev.Parent = m.parent
-			ev.SpawnWorker = int(m.spawnWorker)
-			ev.StolenFrom = int(m.stolenFrom)
-			ev.SpawnTime = time.Unix(0, m.spawnNs)
-			ev.sitePCs = m.sitePCs
-		}
-		tr.record(w, ev)
 	}
 	return end
 }

@@ -37,7 +37,7 @@ const siteDepth = 6
 type TraceEvent struct {
 	// ID is the task id, unique and increasing within one tracing
 	// session (ids start at 1). 0 means the task was spawned while
-	// tracing was off (or before this session) and has no identity.
+	// tracing was off and has no identity.
 	ID int64
 	// Parent is the id of the task that spawned this one; 0 for tasks
 	// spawned from outside any traced task (roots).
@@ -75,8 +75,11 @@ type TraceEvent struct {
 // taskMeta is the causal identity a task carries while tracing is
 // enabled. It is allocated per spawn only when a tracer is installed;
 // with tracing off tasks carry a nil meta and the spawn path is
-// unchanged.
+// unchanged. session is the tracer that issued id: the task's event
+// lands there whichever session is current when the task ends, so ids
+// stay unique within a session.
 type taskMeta struct {
+	session     *tracer
 	id          int64
 	parent      int64
 	spawnNs     int64
@@ -85,11 +88,10 @@ type taskMeta struct {
 	sitePCs     [siteDepth]uintptr
 }
 
-// tracer is the bounded event sink. The hot path appends to per-worker
-// chunks (one short lock on an uncontended per-worker mutex) flushed
-// into the shared buffer in blocks of traceChunkCap, so concurrent
-// workers — and the recording worker vs. a concurrent retrieval — never
-// serialize on the shared append per event.
+// tracer is one tracing session's bounded event sink. Workers stage
+// their events beside their counters and worker.publish appends each
+// block under mu, so a reader takes mu alone and never reaches into a
+// worker.
 type tracer struct {
 	mu      sync.Mutex
 	events  []TraceEvent
@@ -97,23 +99,7 @@ type tracer struct {
 	dropped atomic.Int64
 	// ids hands out task identities for this session.
 	ids atomic.Int64
-	// chunks holds one event block per worker; retrieval flushes them.
-	chunks []traceChunk
 }
-
-// traceChunk is one worker's private event block. The mutex is only
-// contended when a retrieval (TraceEvents) races the recording worker;
-// padding keeps neighbouring workers' chunks off one cache line.
-type traceChunk struct {
-	_   [cacheLineSize]byte
-	mu  sync.Mutex
-	buf []TraceEvent
-	_   [cacheLineSize]byte
-}
-
-// traceChunkCap is the per-worker block size: events move into the
-// shared buffer one block — not one event — at a time.
-const traceChunkCap = 256
 
 const defaultTraceLimit = 1 << 20
 
@@ -124,15 +110,13 @@ func (rt *Runtime) EnableTracing(limit int) {
 	if limit <= 0 {
 		limit = defaultTraceLimit
 	}
-	t := &tracer{limit: limit, chunks: make([]traceChunk, len(rt.workers))}
-	rt.trace.Store(t)
+	rt.trace.Store(&tracer{limit: limit})
 }
 
 // DisableTracing stops recording; recorded events remain retrievable
 // until the next EnableTracing.
 func (rt *Runtime) DisableTracing() {
-	if t := rt.loadTracer(); t != nil {
-		rt.trace.Store((*tracer)(nil))
+	if t := rt.trace.Swap(nil); t != nil {
 		rt.lastTrace.Store(t)
 	}
 }
@@ -140,20 +124,23 @@ func (rt *Runtime) DisableTracing() {
 // TraceEvents returns a copy of the recorded events (from the live
 // buffer if tracing is on, else from the last disabled session) and the
 // number of events dropped at the buffer limit. Spawn sites are
-// resolved to "file.go:line" strings in the returned copy.
+// resolved to "file.go:line" strings in the returned copy. A worker's
+// events arrive with its counters in worker.publish, so the copy lags a
+// busy worker as count/cumulative does and is complete once the worker
+// idles or the runtime has shut down.
 func (rt *Runtime) TraceEvents() ([]TraceEvent, int64) {
 	t := rt.currentOrLastTracer()
 	if t == nil {
 		return nil, 0
 	}
-	t.flushAll()
 	t.mu.Lock()
 	out := append([]TraceEvent(nil), t.events...)
+	dropped := t.dropped.Load()
 	t.mu.Unlock()
 	for i := range out {
 		out[i].Site = resolveSite(out[i].sitePCs)
 	}
-	return out, t.dropped.Load()
+	return out, dropped
 }
 
 // TraceDropped returns the number of events dropped at the buffer
@@ -162,9 +149,6 @@ func (rt *Runtime) TraceEvents() ([]TraceEvent, int64) {
 // trace buffer is visible through the same plane as everything else.
 func (rt *Runtime) TraceDropped() int64 {
 	if t := rt.currentOrLastTracer(); t != nil {
-		// Block-buffered events only hit the limit at flush time, so a
-		// counter read drains the chunks first — the count stays exact.
-		t.flushAll()
 		return t.dropped.Load()
 	}
 	return 0
@@ -178,45 +162,20 @@ func (rt *Runtime) resetTraceDropped() {
 }
 
 func (rt *Runtime) currentOrLastTracer() *tracer {
-	if t := rt.loadTracer(); t != nil {
+	if t := rt.trace.Load(); t != nil {
 		return t
 	}
-	if lt, ok := rt.lastTrace.Load().(*tracer); ok && lt != nil {
-		return lt
-	}
-	return nil
-}
-
-func (rt *Runtime) loadTracer() *tracer {
-	if t, ok := rt.trace.Load().(*tracer); ok {
-		return t
-	}
-	return nil
+	return rt.lastTrace.Load()
 }
 
 // newMeta assigns a task identity for one spawn: an id from the
-// session counter, the spawning task (parent) and worker, the spawn
-// time, and the captured call stack. skip is the number of stack
-// frames between the caller and the user's spawn call.
-func (t *tracer) newMeta(w *worker, nowNs int64, skip int) *taskMeta {
+// session counter, the spawning task (the parent, when it has an id in
+// this session) and worker, the spawn time, and the spawn stack the
+// caller captured (a batch captures it once and stamps every member
+// with it).
+func (t *tracer) newMeta(w *worker, nowNs int64, pcs [siteDepth]uintptr) *taskMeta {
 	m := &taskMeta{
-		id:          t.ids.Add(1),
-		spawnNs:     nowNs,
-		spawnWorker: -1,
-		stolenFrom:  -1,
-	}
-	if w != nil {
-		m.parent = w.curTaskID
-		m.spawnWorker = int32(w.id)
-	}
-	runtime.Callers(skip, m.sitePCs[:])
-	return m
-}
-
-// newMetaFrom is newMeta with a pre-captured spawn stack: batch spawns
-// capture the call stack once and stamp every member with it.
-func (t *tracer) newMetaFrom(w *worker, nowNs int64, pcs [siteDepth]uintptr) *taskMeta {
-	m := &taskMeta{
+		session:     t,
 		id:          t.ids.Add(1),
 		spawnNs:     nowNs,
 		spawnWorker: -1,
@@ -224,71 +183,54 @@ func (t *tracer) newMetaFrom(w *worker, nowNs int64, pcs [siteDepth]uintptr) *ta
 		sitePCs:     pcs,
 	}
 	if w != nil {
-		m.parent = w.curTaskID
+		if p := w.curMeta; p != nil && p.session == t {
+			m.parent = p.id
+		}
 		m.spawnWorker = int32(w.id)
 	}
 	return m
 }
 
-// record appends one event: onto the recording worker's private chunk
-// when called from a worker, else (external execution paths) onto the
-// shared buffer directly.
-func (t *tracer) record(w *worker, ev TraceEvent) {
-	if w != nil && w.id < len(t.chunks) {
-		c := &t.chunks[w.id]
-		c.mu.Lock()
-		if c.buf == nil {
-			c.buf = make([]TraceEvent, 0, traceChunkCap)
-		}
-		c.buf = append(c.buf, ev)
-		if len(c.buf) >= traceChunkCap {
-			t.flushChunk(c)
-		}
-		c.mu.Unlock()
-		return
-	}
+// add appends a published block of events, counting whatever the limit
+// rejects.
+func (t *tracer) add(evs []TraceEvent) {
 	t.mu.Lock()
-	if len(t.events) < t.limit {
-		t.events = append(t.events, ev)
-		t.mu.Unlock()
-		return
-	}
+	n := min(len(evs), t.limit-len(t.events))
+	t.events = append(t.events, evs[:n]...)
+	t.dropped.Add(int64(len(evs) - n))
 	t.mu.Unlock()
-	t.dropped.Add(1)
 }
 
-// flushChunk moves a chunk's events into the shared buffer with one
-// append, counting whatever the limit rejects. The caller holds c.mu;
-// lock order is chunk.mu -> tracer.mu, always.
-func (t *tracer) flushChunk(c *traceChunk) {
-	t.mu.Lock()
-	room := t.limit - len(t.events)
-	n := len(c.buf)
-	if n > room {
-		t.dropped.Add(int64(n - room))
-		n = room
+// stageEvent stages the event of a task that ran on w from begin for
+// own ns beside the task's counters; worker.publish adds it with the
+// counters of the same tasks. The event belongs to the session of the
+// task's identity m, or to the current session tr for a task without
+// one. Events staged for another session are published first, so a
+// re-enable or DisableTracing in mid-block moves no event between
+// sessions.
+func (w *worker) stageEvent(tr *tracer, m *taskMeta, begin, own int64, inline bool) {
+	ev := TraceEvent{
+		Worker:      w.id,
+		SpawnWorker: -1,
+		StolenFrom:  -1,
+		Start:       time.Unix(0, begin),
+		Duration:    time.Duration(own),
+		Inline:      inline,
 	}
-	if n > 0 {
-		t.events = append(t.events, c.buf[:n]...)
+	if m != nil {
+		ev.ID = m.id
+		ev.Parent = m.parent
+		ev.SpawnWorker = int(m.spawnWorker)
+		ev.StolenFrom = int(m.stolenFrom)
+		ev.SpawnTime = time.Unix(0, m.spawnNs)
+		ev.sitePCs = m.sitePCs
+		tr = m.session
 	}
-	t.mu.Unlock()
-	c.buf = c.buf[:0]
-}
-
-// flushAll drains every per-worker chunk into the shared buffer;
-// retrieval paths call it so block-buffered events are never missing
-// from a snapshot. Event order across workers is not chronological —
-// AnalyzeTrace and the Chrome export order by id and timestamp, not
-// buffer position.
-func (t *tracer) flushAll() {
-	for i := range t.chunks {
-		c := &t.chunks[i]
-		c.mu.Lock()
-		if len(c.buf) > 0 {
-			t.flushChunk(c)
-		}
-		c.mu.Unlock()
+	if w.traceTo != nil && w.traceTo != tr {
+		w.publish()
 	}
+	w.traceTo = tr
+	w.traceBuf = append(w.traceBuf, ev)
 }
 
 // ---------------------------------------------------------------------------

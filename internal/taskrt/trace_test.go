@@ -114,9 +114,9 @@ func TestTracingCausalFields(t *testing.T) {
 
 // traceSettles waits up to 5 s for the trace to hold want events,
 // dropped ones included, and returns it. A future completes inside its
-// task's body, but the worker books the task's event after the body
-// returns, so a waiter outside the pool may see every future done a
-// moment before the last events.
+// task's body, but the worker publishes the task's event with its
+// counters after the body returns, so a waiter outside the pool may see
+// every future done a moment before the last events.
 func traceSettles(t *testing.T, rt *Runtime, want int) ([]TraceEvent, int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -126,6 +126,119 @@ func traceSettles(t *testing.T, rt *Runtime, want int) ([]TraceEvent, int64) {
 			return events, dropped
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTraceAgreesWithCounters: a task's trace event is published in
+// the same step as its counters, so once the runtime has shut down the
+// trace holds every task count/cumulative counts, and its work is
+// time/cumulative to the nanosecond. A root task on two workers runs
+// fib (children stolen, or run inline while their parent waits), a
+// Sync child inline at the spawn point and a batch wave.
+func TestTraceAgreesWithCounters(t *testing.T) {
+	rt, reg := newInstrumentedRuntime(t, 2)
+	rt.EnableTracing(1 << 16)
+	fns := make([]func() int64, 64)
+	for i := range fns {
+		fns[i] = func() int64 { busySpin(time.Microsecond); return 1 }
+	}
+	AsyncF(rt, func() int64 {
+		n := fibRT(rt, 14) + Spawn(rt, Sync, func() int64 { return fibRT(rt, 8) }).Get()
+		fs := AsyncBatch(rt, fns)
+		WaitAllOf(fs)
+		return n
+	}).Get()
+	rt.Shutdown()
+
+	events, dropped := rt.TraceEvents()
+	read := func(counter string) int64 {
+		v, err := reg.Evaluate("/threads{locality#0/total}/"+counter, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Raw
+	}
+	inline := 0
+	for _, ev := range events {
+		if ev.Inline {
+			inline++
+		}
+	}
+	t.Logf("%d events, %d dropped, %d inline, %d stolen", len(events), dropped, inline, countSteals(events))
+	if got, want := int64(len(events))+dropped, read("count/cumulative"); got != want {
+		t.Errorf("trace events + dropped = %d, count/cumulative = %d", got, want)
+	}
+	if got, want := AnalyzeTrace(events).Work.Nanoseconds(), read("time/cumulative"); got != want {
+		t.Errorf("trace work = %d ns, time/cumulative = %d ns", got, want)
+	}
+	if got, want := int64(inline), read("count/inline"); got != want || got == 0 {
+		t.Errorf("inline events = %d, count/inline = %d (want equal and > 0)", got, want)
+	}
+	if got, want := int64(countSteals(events)), read("count/stolen"); got != want {
+		t.Errorf("stolen events = %d, count/stolen = %d", got, want)
+	}
+}
+
+// TestTracingSessionBoundary: the only worker is held mid-block, its
+// first session's events staged, by a long task while EnableTracing
+// starts a second session. Every event lands in the session that gave
+// its task an id: the second holds exactly its own ids 1..n, the first
+// keeps all of its own, the held task's included, and no id is
+// duplicated or lost. A child the held task spawns in the second
+// session is a root there: its parent's id belongs to the first.
+func TestTracingSessionBoundary(t *testing.T) {
+	const children, later = 10, 5
+	rt := newTestRuntime(t, 1)
+	rt.EnableTracing(0)
+	first := rt.trace.Load()
+	held, release := make(chan struct{}), make(chan struct{})
+	root := AsyncF(rt, func() int {
+		fs := make([]*Future[int], children)
+		for i := range fs {
+			fs[i] = AsyncF(rt, func() int { return 1 })
+		}
+		WaitAllOf(fs) // run inline: the worker stays mid-block
+		close(held)
+		<-release
+		return AsyncF(rt, func() int { return 1 }).Get()
+	})
+	<-held
+	first.mu.Lock()
+	staged := children - len(first.events)
+	first.mu.Unlock()
+	rt.EnableTracing(0)
+	fs := make([]*Future[int], later)
+	for i := range fs {
+		fs[i] = AsyncF(rt, func() int { return 1 })
+	}
+	close(release)
+	root.Get()
+	WaitAllOf(fs)
+	rt.Shutdown()
+	t.Logf("%d of the first session's %d child events were staged at the re-enable", staged, children)
+
+	first.mu.Lock()
+	old := append([]TraceEvent(nil), first.events...)
+	first.mu.Unlock()
+	second, _ := rt.TraceEvents()
+	for _, c := range []struct {
+		name   string
+		events []TraceEvent
+		ids    int
+	}{{"first", old, children + 1}, {"second", second, later + 1}} {
+		seen := map[int64]bool{}
+		for _, ev := range c.events {
+			if ev.ID < 1 || ev.ID > int64(c.ids) || seen[ev.ID] {
+				t.Errorf("%s session: id %d out of 1..%d or duplicated", c.name, ev.ID, c.ids)
+			}
+			seen[ev.ID] = true
+			if c.name == "second" && ev.Parent != 0 {
+				t.Errorf("second session: task %d has parent %d from the first", ev.ID, ev.Parent)
+			}
+		}
+		if len(seen) != c.ids {
+			t.Errorf("%s session holds %d distinct ids, want %d", c.name, len(seen), c.ids)
+		}
 	}
 }
 
@@ -145,6 +258,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		return child.Get()
 	})
 	f.Get()
+	rt.Shutdown() // the last event is published after f completes
 	events, _ := rt.TraceEvents()
 	var sb strings.Builder
 	if err := WriteChromeTrace(&sb, events); err != nil {
